@@ -32,13 +32,11 @@ from .features import (
     Conv,
     ExtractorSpec,
     ImageTensor,
-    LoadedInit,
     MaxPool,
     Relu,
     SeededInit,
     WeightSet,
-    extract,
-    extract_vjp,
+    forward,
     identity_spec,
     init_weights,
     load_weights,
@@ -62,7 +60,6 @@ from .optim import (
     LineSearchConfig,
     MinimizeConfig,
     MinimizeTrace,
-    finite_difference_gradient,
     minimize,
 )
 from .reconstruct import (

@@ -29,9 +29,8 @@ from .errors import (
 from .features import (
     ExtractorSpec,
     ImageTensor,
-    LoadedInit,
     WeightSet,
-    extract,
+    forward,
     identity_spec,
     init_weights,
     load_weights,
@@ -95,8 +94,6 @@ class RunConfig:
             return load_weights(self.weight_file)
         if self.weight_seed is not None:
             return init_weights(spec, self.weight_seed)
-        if isinstance(spec.weight_init, LoadedInit):
-            return load_weights(spec.weight_init.path)
         return init_weights(spec, spec.weight_init.seed)
 
     def kernel(self) -> KernelConfig:
@@ -129,7 +126,7 @@ def cmd_extract(manifest: formats.Manifest, run: RunConfig) -> Path:
     shape = (images[0].height, images[0].width, images[0].channels)
     spec = run.resolve_spec(shape)
     weights = run.resolve_weights(spec)
-    rows = np.stack([extract(spec, weights, img) for img in images])
+    rows = np.stack([forward(spec, weights, img).features for img in images])
     out_dir = Path(run.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "features.dmtv"

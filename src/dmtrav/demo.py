@@ -18,8 +18,7 @@ import numpy as np
 
 from . import evaluate, formats, mmd, reconstruct, traversal
 from .errors import InvalidInputError
-from .features import ImageTensor, init_weights, reference_spec
-from .features import extract as extract_features
+from .features import ImageTensor, forward, init_weights, reference_spec
 from .optim import MinimizeConfig
 
 DEMO_WEIGHT_SEED = 42
@@ -111,10 +110,8 @@ def run_demo(seed: int, out_dir, quiet: bool = False) -> DemoOutcome:
     # Work from the quantized files so the pipeline matches what was written.
     spec = reference_spec()
     weights = init_weights(spec, DEMO_WEIGHT_SEED)
-    rows = [extract_features(spec, weights, formats.load_image(p)) for p in target_paths]
-    rows += [extract_features(spec, weights, formats.load_image(p)) for p in source_paths]
-    rows.append(extract_features(spec, weights, formats.load_image(input_path)))
-    V = np.stack(rows)
+    paths = [*target_paths, *source_paths, input_path]
+    V = np.stack([forward(spec, weights, formats.load_image(p)).features for p in paths])
     feature_path = out / "features.dmtv"
     formats.write_feature_file(feature_path, V, len(sources), len(targets))
     formats.append_gram(feature_path)
@@ -157,7 +154,7 @@ def run_demo(seed: int, out_dir, quiet: bool = False) -> DemoOutcome:
     decisions = [r.decision_value for r in swept]
     probabilities = [r.probability for r in swept]
     recon_decisions = [
-        evaluate.predict(model, extract_features(spec, weights, img))[0] for img in recons
+        evaluate.predict(model, forward(spec, weights, img).features)[0] for img in recons
     ]
     say(f"eval: baseline decision={base.decision_value:.4g}, swept={[f'{d:.4g}' for d in decisions]}")
 

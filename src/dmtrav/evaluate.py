@@ -15,7 +15,7 @@ import numpy as np
 
 from . import mmd
 from .errors import DegenerateDataError, InvalidInputError, NoMatchError
-from .features import ExtractorSpec, ImageTensor, WeightSet, extract, extract_vjp
+from .features import ExtractorSpec, ImageTensor, WeightSet, forward
 from .optim import MinimizeConfig, minimize
 from .traversal import TraversalResult, materialize
 
@@ -231,21 +231,20 @@ def adversarial_perturb(
     x = image.pixels.ravel()
     shape = image.pixels.shape
 
-    def fun(flat: np.ndarray) -> float:
-        img = ImageTensor(flat.reshape(shape))
-        decision = float(model.w @ extract(spec, weights, img) + model.b)
+    def fun(flat: np.ndarray):
+        fp = forward(spec, weights, ImageTensor(flat.reshape(shape)))
+        decision = float(model.w @ fp.features + model.b)
         delta = flat - x
-        return sign_target * decision + c_adv * float(delta @ delta)
 
-    def jac(flat: np.ndarray) -> np.ndarray:
-        img = ImageTensor(flat.reshape(shape))
-        g = sign_target * extract_vjp(spec, weights, img, model.w).ravel()
-        return g + 2.0 * c_adv * (flat - x)
+        def grad() -> np.ndarray:
+            return sign_target * fp.vjp(model.w).ravel() + 2.0 * c_adv * delta
 
-    x_star, _ = minimize(fun, jac, x, bounds=(0.0, 1.0), cfg=cfg)
+        return sign_target * decision + c_adv * float(delta @ delta), grad
+
+    x_star, _ = minimize(fun, x, bounds=(0.0, 1.0), cfg=cfg)
     perturbed = ImageTensor(np.clip(x_star.reshape(shape), 0.0, 1.0))
     delta = perturbed.pixels - image.pixels
-    decision, _ = predict(model, extract(spec, weights, perturbed))
+    decision, _ = predict(model, forward(spec, weights, perturbed).features)
     return AdversarialResult(
         delta=delta,
         perturbed=perturbed,

@@ -2,11 +2,11 @@
 
 A small layered network - 3x3 stride-1 zero-padded convolutions, ReLU,
 and 2x2 stride-2 max pooling - maps a pixel image to the concatenation
-of selected post-activation layer outputs ("taps"). Alongside the
-forward map there is an exact vector-Jacobian product used to drive
-pixel-space reconstruction: ReLU gates the backward signal by the
-forward sign, max pooling routes it to the argmax element (ties broken
-toward the smallest row-major window offset).
+of selected post-activation layer outputs ("taps"). forward() runs it
+once and returns the features with their exact vector-Jacobian product,
+which drives pixel-space reconstruction: ReLU gates the backward signal
+by the forward sign, max pooling routes it to the argmax element (ties
+broken toward the smallest row-major window offset).
 
 Images are (height, width, channels) arrays with values in [0, 1].
 Internally activations use channel-first layout, and tap outputs are
@@ -50,14 +50,6 @@ Layer = Union[Conv, Relu, MaxPool]
 @dataclass(frozen=True)
 class SeededInit:
     seed: int
-
-
-@dataclass(frozen=True)
-class LoadedInit:
-    path: str
-
-
-WeightInit = Union[SeededInit, LoadedInit]
 
 
 @dataclass(frozen=True)
@@ -115,7 +107,7 @@ class ExtractorSpec:
     input_shape: tuple[int, int, int]
     layers: tuple[Layer, ...] = ()
     taps: tuple[int, ...] = (INPUT_TAP,)
-    weight_init: WeightInit = SeededInit(0)
+    weight_init: SeededInit = SeededInit(0)
 
     def __post_init__(self) -> None:
         h, w, c = self.input_shape
@@ -305,49 +297,58 @@ def _run_forward(
     return acts, caches
 
 
-def extract(spec: ExtractorSpec, weights: WeightSet, image: ImageTensor) -> np.ndarray:
-    """Concatenated flattened tap outputs as one float64 vector of length feature_dim()."""
-    acts, _ = _run_forward(spec, weights, image)
-    return np.concatenate([acts[t + 1].ravel() for t in spec.taps])
+@dataclass(frozen=True, eq=False)
+class ForwardPass:
+    """The result of forward(): activations kept for the pullback.
 
-
-def extract_vjp(
-    spec: ExtractorSpec, weights: WeightSet, image: ImageTensor, cotangent
-) -> np.ndarray:
-    """Pixel-space gradient J^T u of the extractor at `image` for cotangent u.
-
-    Returns an array shaped like the image. Exact for the piecewise
-    regions of ReLU and pooling: ReLU passes gradient where its forward
-    output is positive, pooling routes it to the window argmax.
+    features is the concatenated flattened tap outputs, one float64 vector
+    of length feature_dim(). vjp(u) is the pixel-space gradient J^T u at
+    the same image, shaped like the image, built from the stored
+    activations and pooling argmax indices without a second forward pass.
     """
-    cot = np.asarray(cotangent, dtype=float).ravel()
-    want = spec.feature_dim()
-    if cot.size != want:
-        raise InvalidInputError(f"cotangent has length {cot.size}, expected {want}")
+
+    spec: ExtractorSpec
+    weights: WeightSet
+    acts: list[np.ndarray]  # every layer output, input first
+    caches: list  # per layer: kernel index, None, or pooling argmax
+    features: np.ndarray
+
+    def vjp(self, cotangent) -> np.ndarray:
+        spec, acts, caches = self.spec, self.acts, self.caches
+        cot = np.asarray(cotangent, dtype=float).ravel()
+        want = self.features.size
+        if cot.size != want:
+            raise InvalidInputError(f"cotangent has length {cot.size}, expected {want}")
+
+        pieces: dict[int, np.ndarray] = {}
+        offset = 0
+        for t in spec.taps:
+            shape = acts[t + 1].shape
+            size = int(np.prod(shape))
+            pieces[t] = cot[offset : offset + size].reshape(shape)
+            offset += size
+
+        g = np.zeros_like(acts[-1])
+        for i in range(len(spec.layers) - 1, -1, -1):
+            if i in pieces:
+                g = g + pieces[i]
+            layer = spec.layers[i]
+            if isinstance(layer, Conv):
+                g = _conv_backward_input(g, self.weights.kernels[caches[i]])
+            elif isinstance(layer, Relu):
+                g = g * (acts[i + 1] > 0.0)
+            else:
+                g = _pool_backward(g, caches[i], acts[i].shape[1:])
+        if INPUT_TAP in pieces:
+            g = g + pieces[INPUT_TAP]
+        return np.ascontiguousarray(g.transpose(1, 2, 0))
+
+
+def forward(spec: ExtractorSpec, weights: WeightSet, image: ImageTensor) -> ForwardPass:
+    """Run the extractor once on `image`; see ForwardPass for what it returns."""
     acts, caches = _run_forward(spec, weights, image)
-
-    pieces: dict[int, np.ndarray] = {}
-    offset = 0
-    for t in spec.taps:
-        shape = acts[t + 1].shape
-        size = int(np.prod(shape))
-        pieces[t] = cot[offset : offset + size].reshape(shape)
-        offset += size
-
-    g = np.zeros_like(acts[-1])
-    for i in range(len(spec.layers) - 1, -1, -1):
-        if i in pieces:
-            g = g + pieces[i]
-        layer = spec.layers[i]
-        if isinstance(layer, Conv):
-            g = _conv_backward_input(g, weights.kernels[caches[i]])
-        elif isinstance(layer, Relu):
-            g = g * (acts[i + 1] > 0.0)
-        else:
-            g = _pool_backward(g, caches[i], acts[i].shape[1:])
-    if INPUT_TAP in pieces:
-        g = g + pieces[INPUT_TAP]
-    return np.ascontiguousarray(g.transpose(1, 2, 0))
+    features = np.concatenate([acts[t + 1].ravel() for t in spec.taps])
+    return ForwardPass(spec, weights, acts, caches, features)
 
 
 # ---------------------------------------------------------------------------
@@ -498,13 +499,3 @@ def parse_spec_text(text: str) -> ExtractorSpec:
         raise FormatError("extractor spec declares no tap")
     return ExtractorSpec((h, w, c), tuple(layers), tuple(sorted(taps)))
 
-
-def weights_equal(a: WeightSet, b: WeightSet) -> bool:
-    """Bit-for-bit equality of two weight sets, skeleton included."""
-    return (
-        a.layers == b.layers
-        and a.taps == b.taps
-        and len(a.kernels) == len(b.kernels)
-        and all(np.array_equal(x, y) for x, y in zip(a.kernels, b.kernels))
-        and all(np.array_equal(x, y) for x, y in zip(a.biases, b.biases))
-    )

@@ -5,6 +5,11 @@ directions come from the standard two-loop recursion, every trial point
 is projected onto the feasible box *before* evaluation, and a step is
 accepted only under the Armijo sufficient-decrease test. There is no
 randomness anywhere, so identical inputs give bit-identical results.
+
+The objective is one callback, fun(x) -> (value, grad). Line-search
+trials read only the value; the zero-argument grad() is called at x0 and
+at each accepted point, which is always the point evaluated last, so it
+can reuse the work behind the value.
 """
 
 from __future__ import annotations
@@ -16,9 +21,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidInputError, NumericalError
-
-Objective = Callable[[np.ndarray], float]
-Gradient = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -97,8 +99,7 @@ def _project(x: np.ndarray, box: tuple[np.ndarray, np.ndarray] | None) -> np.nda
 
 
 def minimize(
-    fun: Objective,
-    grad: Gradient,
+    fun: Callable[[np.ndarray], tuple[float, Callable[[], np.ndarray]]],
     x0,
     bounds=None,
     cfg: MinimizeConfig | None = None,
@@ -106,8 +107,8 @@ def minimize(
     """Minimize a smooth objective, optionally inside a coordinate box.
 
     Args:
-        fun: objective callback returning a float.
-        grad: gradient callback returning an array of x's shape.
+        fun: objective callback, fun(x) -> (value, grad); grad() returns
+            the gradient at the same x as an array of x's shape.
         x0: starting point; must satisfy the bounds when given.
         bounds: optional (lo, hi) pair, each a scalar or per-coordinate
             array; the closed box lo <= x <= hi is enforced exactly at
@@ -134,14 +135,15 @@ def minimize(
 
     ls = cfg.line_search
 
-    def eval_f(pt: np.ndarray, it: int) -> float:
-        v = float(fun(pt))
+    def eval_f(pt: np.ndarray, it: int) -> tuple[float, Callable[[], np.ndarray]]:
+        v, grad = fun(pt)
+        v = float(v)
         if not np.isfinite(v):
             raise NumericalError(f"objective is not finite at iteration {it}")
-        return v
+        return v, grad
 
-    def eval_g(pt: np.ndarray, it: int) -> np.ndarray:
-        g = np.asarray(grad(pt), dtype=float).ravel()
+    def eval_g(grad: Callable[[], np.ndarray], pt: np.ndarray, it: int) -> np.ndarray:
+        g = np.asarray(grad(), dtype=float).ravel()
         if g.shape != pt.shape:
             raise InvalidInputError(
                 f"gradient shape {g.shape} does not match point shape {pt.shape}"
@@ -154,8 +156,8 @@ def minimize(
         # Sup-norm of pt - P(pt - g): zero exactly at box-stationary points.
         return float(np.max(np.abs(pt - _project(pt - g, box))))
 
-    fx = eval_f(x, 0)
-    gx = eval_g(x, 0)
+    fx, grad = eval_f(x, 0)
+    gx = eval_g(grad, x, 0)
     objective_values = [fx]
     history: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=cfg.history_size)
     gamma = 1.0  # scalar inverse-Hessian scale, refreshed with each stored pair
@@ -180,8 +182,8 @@ def minimize(
             iterations = it - 1
             break
 
-        x_new, f_new = accepted
-        g_new = eval_g(x_new, it)
+        x_new, f_new, grad = accepted
+        g_new = eval_g(grad, x_new, it)
         step = x_new - x
         y = g_new - gx
         # Damped update: mix the raw y with the scaled step so the stored
@@ -242,12 +244,13 @@ def _armijo_search(
     eval_f,
     it: int,
     ls: LineSearchConfig,
-) -> tuple[np.ndarray, float] | None:
+) -> tuple[np.ndarray, float, Callable[[], np.ndarray]] | None:
     """Backtrack along `direction`, projecting each trial onto the box.
 
     Sufficient decrease is tested against the *projected* displacement, so
     steps clipped by the box are judged by the movement actually taken.
-    Returns (x_new, f_new) or None when no acceptable step exists.
+    Returns (x_new, f_new, grad at x_new) or None when no acceptable step
+    exists.
     """
     t = 1.0
     for _ in range(ls.max_trials):
@@ -255,29 +258,8 @@ def _armijo_search(
         displacement = candidate - x
         slope = float(gx @ displacement)
         if slope < 0.0:
-            f_candidate = eval_f(candidate, it)
+            f_candidate, grad = eval_f(candidate, it)
             if f_candidate <= fx + ls.c1 * slope:
-                return candidate, f_candidate
+                return candidate, f_candidate, grad
         t *= ls.backtrack
     return None
-
-
-def finite_difference_gradient(fun: Objective, x, h: float) -> np.ndarray:
-    """Central-difference gradient estimate, component i = (f(x+h*e_i) - f(x-h*e_i)) / (2h)."""
-    if h <= 0:
-        raise InvalidInputError("h must be positive")
-    x = np.asarray(x, dtype=float).copy().ravel()
-    if x.size == 0:
-        raise InvalidInputError("x must be a non-empty vector")
-    g = np.empty_like(x)
-    for i in range(x.size):
-        xi = x[i]
-        x[i] = xi + h
-        fp = float(fun(x))
-        x[i] = xi - h
-        fm = float(fun(x))
-        x[i] = xi
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise NumericalError(f"objective is not finite near component {i}")
-        g[i] = (fp - fm) / (2.0 * h)
-    return g

@@ -18,7 +18,7 @@ from typing import Union
 import numpy as np
 
 from .errors import InvalidInputError
-from .features import ExtractorSpec, ImageTensor, WeightSet, extract, extract_vjp
+from .features import ExtractorSpec, ImageTensor, WeightSet, forward
 from .optim import MinimizeConfig, MinimizeTrace, minimize
 
 MID_GRAY = "mid_gray"
@@ -142,25 +142,25 @@ def invert(
     def as_image(flat: np.ndarray) -> ImageTensor:
         return ImageTensor(flat.reshape(h, w, c))
 
-    def fun(flat: np.ndarray) -> float:
+    def fun(flat: np.ndarray):
         img = as_image(flat)
-        resid = extract(spec, weights, img) - z
+        fp = forward(spec, weights, img)
+        resid = fp.features - z
         loss = 0.5 * float(resid @ resid)
         if cfg.lambda_tv > 0:
             loss += cfg.lambda_tv * _tv_array(img.pixels, cfg.beta)
-        return loss
 
-    def jac(flat: np.ndarray) -> np.ndarray:
-        img = as_image(flat)
-        resid = extract(spec, weights, img) - z
-        g = extract_vjp(spec, weights, img, resid)
-        if cfg.lambda_tv > 0:
-            g = g + cfg.lambda_tv * _tv_grad_array(img.pixels, cfg.beta)
-        return g.ravel()
+        def grad() -> np.ndarray:
+            g = fp.vjp(resid)
+            if cfg.lambda_tv > 0:
+                g = g + cfg.lambda_tv * _tv_grad_array(img.pixels, cfg.beta)
+            return g.ravel()
 
-    x_star, trace = minimize(fun, jac, x0, bounds=(lo, hi), cfg=cfg.solver)
+        return loss, grad
+
+    x_star, trace = minimize(fun, x0, bounds=(lo, hi), cfg=cfg.solver)
     image = as_image(x_star)
-    resid = extract(spec, weights, image) - z
+    resid = forward(spec, weights, image).features - z
     return ReconstructionResult(
         image=image,
         final_feature_loss=0.5 * float(resid @ resid),

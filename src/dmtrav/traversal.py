@@ -72,14 +72,14 @@ def traverse(features: FeatureMatrix, cfg: TraversalConfig) -> TraversalResult:
     r = np.zeros(features.K)
     for lam in cfg.lambdas:
 
-        def fun(rv: np.ndarray, lam=lam) -> float:
-            return mmd.witness_factored(rv, G, m, n, kcfg).value + lam * mmd.budget(rv, G)
-
-        def jac(rv: np.ndarray, lam=lam) -> np.ndarray:
-            return mmd.witness_grad_r(rv, G, m, n, kcfg) + lam * mmd.budget_grad(rv, G)
+        def fun(rv: np.ndarray, lam=lam):
+            value = mmd.witness_factored(rv, G, m, n, kcfg).value + lam * mmd.budget(rv, G)
+            return value, lambda: (
+                mmd.witness_grad_r(rv, G, m, n, kcfg) + lam * mmd.budget_grad(rv, G)
+            )
 
         try:
-            r, trace = minimize(fun, jac, r, bounds=None, cfg=cfg.solver)
+            r, trace = minimize(fun, r, bounds=None, cfg=cfg.solver)
         except NumericalError as exc:
             raise NumericalError(f"traversal solve failed at lambda={lam!r}: {exc}") from exc
         wit = mmd.witness_factored(r, G, m, n, kcfg)

@@ -9,6 +9,40 @@ from __future__ import annotations
 
 import numpy as np
 
+from dmtrav.errors import InvalidInputError, NumericalError
+
+
+def finite_difference_gradient(fun, x, h: float) -> np.ndarray:
+    """Central-difference gradient estimate, component i = (f(x+h*e_i) - f(x-h*e_i)) / (2h)."""
+    if h <= 0:
+        raise InvalidInputError("h must be positive")
+    x = np.asarray(x, dtype=float).copy().ravel()
+    if x.size == 0:
+        raise InvalidInputError("x must be a non-empty vector")
+    g = np.empty_like(x)
+    for i in range(x.size):
+        xi = x[i]
+        x[i] = xi + h
+        fp = float(fun(x))
+        x[i] = xi - h
+        fm = float(fun(x))
+        x[i] = xi
+        if not (np.isfinite(fp) and np.isfinite(fm)):
+            raise NumericalError(f"objective is not finite near component {i}")
+        g[i] = (fp - fm) / (2.0 * h)
+    return g
+
+
+def weights_equal(a, b) -> bool:
+    """Bit-for-bit equality of two weight sets, skeleton included."""
+    return (
+        a.layers == b.layers
+        and a.taps == b.taps
+        and len(a.kernels) == len(b.kernels)
+        and all(np.array_equal(x, y) for x, y in zip(a.kernels, b.kernels))
+        and all(np.array_equal(x, y) for x, y in zip(a.biases, b.biases))
+    )
+
 
 def naive_extract(spec, weights, image: np.ndarray) -> np.ndarray:
     """Nested-loop forward pass; image is (H, W, C) in [0, 1]."""

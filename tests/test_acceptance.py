@@ -20,17 +20,15 @@ from dmtrav.features import (
     ImageTensor,
     MaxPool,
     Relu,
-    extract,
-    extract_vjp,
+    forward,
     identity_spec,
     init_weights,
     load_weights,
     reference_spec,
     save_weights,
-    weights_equal,
 )
 from dmtrav.mmd import FeatureMatrix, KernelConfig
-from dmtrav.optim import finite_difference_gradient
+from oracles import finite_difference_gradient, weights_equal
 from dmtrav.reconstruct import ReconstructionConfig, _tv_array, _tv_grad_array, invert
 from dmtrav.traversal import TraversalConfig, materialize, traverse
 
@@ -110,15 +108,16 @@ def test_criterion_2_gradient_suite():
 
         rng2 = np.random.default_rng(61)
         x = rng2.uniform(0.15, 0.85, (8, 8, 1))
-        z = extract(spec, weights, ImageTensor(rng2.uniform(0.2, 0.8, (8, 8, 1))))
+        z = forward(spec, weights, ImageTensor(rng2.uniform(0.2, 0.8, (8, 8, 1)))).features
         lam_tv = 0.001
         img = ImageTensor(x)
-        resid = extract(spec, weights, img) - z
-        g = (extract_vjp(spec, weights, img, resid) + lam_tv * _tv_grad_array(x, 2.0)).ravel()
+        fp = forward(spec, weights, img)
+        resid = fp.features - z
+        g = (fp.vjp(resid) + lam_tv * _tv_grad_array(x, 2.0)).ravel()
 
         def recon_obj(flat):
             i = ImageTensor(flat.reshape(8, 8, 1))
-            r = extract(spec, weights, i) - z
+            r = forward(spec, weights, i).features - z
             return 0.5 * float(r @ r) + lam_tv * _tv_array(i.pixels, 2.0)
 
         fd = finite_difference_gradient(recon_obj, x.ravel(), 1e-5)
@@ -131,12 +130,12 @@ def test_criterion_2_gradient_suite():
         x_base = rng3.uniform(0.2, 0.8, (8, 8, 1))
         c_adv = 0.5
         img = ImageTensor(x)
-        g = (-extract_vjp(spec, weights, img, w) + 2 * c_adv * (x - x_base)).ravel()
+        g = (-forward(spec, weights, img).vjp(w) + 2 * c_adv * (x - x_base)).ravel()
 
         def adv_obj(flat):
             i = ImageTensor(flat.reshape(8, 8, 1))
             d = flat - x_base.ravel()
-            return -float(w @ extract(spec, weights, i)) + c_adv * float(d @ d)
+            return -float(w @ forward(spec, weights, i).features) + c_adv * float(d @ d)
 
         fd = finite_difference_gradient(adv_obj, x.ravel(), 1e-5)
         mask = np.abs(fd) > 1e-8
@@ -200,7 +199,7 @@ def test_criterion_5_inversion_fidelity(reference):
 
         spec, weights = reference
         x0 = ImageTensor(np.random.default_rng(5001).uniform(0.2, 0.8, (32, 32, 1)))
-        z = extract(spec, weights, x0)
+        z = forward(spec, weights, x0).features
         res = invert(spec, weights, z, ReconstructionConfig(lambda_tv=0.001))
         assert res.final_feature_loss <= 0.01 * 0.5 * float(z @ z)
 

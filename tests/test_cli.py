@@ -10,7 +10,7 @@ from dmtrav.cli import (
     main,
 )
 from dmtrav.errors import InvalidInputError
-from dmtrav.features import ImageTensor, extract, init_weights, reference_spec
+from dmtrav.features import ImageTensor, forward, init_weights, reference_spec
 from dmtrav.formats import (
     Manifest,
     format_manifest,
@@ -49,7 +49,7 @@ class TestCmdExtract:
         assert (ff.m, ff.n) == (1, 1)
         spec = reference_spec()
         weights = init_weights(spec, 42)
-        expected_target = extract(spec, weights, load_image(paths["target"]))
+        expected_target = forward(spec, weights, load_image(paths["target"])).features
         assert np.allclose(ff.V[0], expected_target.astype(np.float32), rtol=0, atol=0)
 
     def test_idempotent_bytes(self, tiny_dataset):
@@ -121,7 +121,7 @@ class TestCmdTraverse:
         spec = reference_spec()
         weights = init_weights(spec, 42)
         x0 = load_image(paths["input"])
-        z = extract(spec, weights, x0)
+        z = forward(spec, weights, x0).features
         zt_path = tmp_path / "zt.dmtv"
         write_vector(zt_path, z)
         run = RunConfig(out_dir=str(tmp_path / "rec"), init=str(paths["input"]), lambda_tv=0.0)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import dmtrav.features as features_mod
 import oracles
 from dmtrav.errors import FormatError, InvalidInputError
 from dmtrav.features import (
@@ -10,17 +11,15 @@ from dmtrav.features import (
     ImageTensor,
     MaxPool,
     Relu,
-    extract,
-    extract_vjp,
+    forward,
     identity_spec,
     init_weights,
     load_weights,
     parse_spec_text,
     reference_spec,
     save_weights,
-    weights_equal,
 )
-from dmtrav.optim import finite_difference_gradient
+from oracles import finite_difference_gradient, weights_equal
 
 
 def random_image(seed, shape=(32, 32, 1), lo=0.05, hi=0.95):
@@ -90,7 +89,7 @@ class TestExtract:
         spec = identity_spec(4, 5, 1)
         weights = init_weights(spec, 0)
         img = random_image(1, (4, 5, 1))
-        feats = extract(spec, weights, img)
+        feats = forward(spec, weights, img).features
         assert np.array_equal(feats, img.pixels[:, :, 0].ravel())
 
     def test_zero_weights_give_zero_features(self):
@@ -102,13 +101,13 @@ class TestExtract:
             tuple(np.zeros_like(k) for k in w.kernels),
             tuple(np.zeros_like(b) for b in w.biases),
         )
-        feats = extract(spec, zero, random_image(2, (8, 8, 1)))
+        feats = forward(spec, zero, random_image(2, (8, 8, 1))).features
         assert np.array_equal(feats, np.zeros(spec.feature_dim()))
 
     def test_reference_matches_naive_oracle(self, reference):
         spec, weights = reference
         img = random_image(42)
-        fast = extract(spec, weights, img)
+        fast = forward(spec, weights, img).features
         slow = oracles.naive_extract(spec, weights, np.asarray(img.pixels))
         assert fast.shape == (6144,)
         assert np.max(np.abs(fast - slow)) < 1e-10
@@ -116,19 +115,19 @@ class TestExtract:
     def test_forward_deterministic(self, reference):
         spec, weights = reference
         img = random_image(3)
-        a = extract(spec, weights, img)
-        b = extract(spec, weights, img)
+        a = forward(spec, weights, img).features
+        b = forward(spec, weights, img).features
         assert np.array_equal(a, b)
 
     def test_relu_taps_nonnegative(self, reference):
         spec, weights = reference
-        feats = extract(spec, weights, random_image(4))
+        feats = forward(spec, weights, random_image(4)).features
         assert feats.min() >= 0.0
 
     def test_shape_mismatch_rejected(self, reference):
         spec, weights = reference
         with pytest.raises(InvalidInputError):
-            extract(spec, weights, random_image(5, (16, 16, 1)))
+            forward(spec, weights, random_image(5, (16, 16, 1)))
 
 
 class TestVjp:
@@ -137,13 +136,13 @@ class TestVjp:
         weights = init_weights(spec, 0)
         img = random_image(6, (3, 4, 2))
         u = np.arange(24, dtype=float)
-        g = extract_vjp(spec, weights, img, u)
+        g = forward(spec, weights, img).vjp(u)
         expected = u.reshape(2, 3, 4).transpose(1, 2, 0)
         assert np.array_equal(g, expected)
 
     def test_zero_cotangent_zero_gradient(self, reference):
         spec, weights = reference
-        g = extract_vjp(spec, weights, random_image(7), np.zeros(6144))
+        g = forward(spec, weights, random_image(7)).vjp(np.zeros(6144))
         assert np.array_equal(g, np.zeros((32, 32, 1)))
 
     def test_matches_finite_differences(self, reference):
@@ -152,10 +151,10 @@ class TestVjp:
         spec, weights = reference
         img = ImageTensor(np.random.default_rng(71).uniform(0.05, 0.95, (32, 32, 1)))
         u = np.random.default_rng(7).standard_normal(6144)
-        g = extract_vjp(spec, weights, img, u).ravel()
+        g = forward(spec, weights, img).vjp(u).ravel()
 
         def scalar(flat):
-            return float(u @ extract(spec, weights, ImageTensor(flat.reshape(32, 32, 1))))
+            return float(u @ forward(spec, weights, ImageTensor(flat.reshape(32, 32, 1))).features)
 
         fd = finite_difference_gradient(scalar, img.pixels.ravel(), 1e-4)
         mask = np.abs(fd) > 1e-8
@@ -168,14 +167,33 @@ class TestVjp:
         img = random_image(8)
         u, v = rng.standard_normal(6144), rng.standard_normal(6144)
         a, b = 2.5, -1.25
-        lhs = extract_vjp(spec, weights, img, a * u + b * v)
-        rhs = a * extract_vjp(spec, weights, img, u) + b * extract_vjp(spec, weights, img, v)
+        fp = forward(spec, weights, img)
+        lhs = fp.vjp(a * u + b * v)
+        rhs = a * fp.vjp(u) + b * fp.vjp(v)
         assert np.max(np.abs(lhs - rhs)) < 1e-6
+
+    def test_vjp_runs_no_second_forward_pass(self, reference, monkeypatch):
+        spec, weights = reference
+        calls = []
+        run_forward = features_mod._run_forward
+
+        def counted(*args):
+            calls.append(args)
+            return run_forward(*args)
+
+        monkeypatch.setattr(features_mod, "_run_forward", counted)
+        fp = forward(spec, weights, random_image(10))
+        assert len(calls) == 1
+        u = np.random.default_rng(10).standard_normal(spec.feature_dim())
+        g = fp.vjp(u)
+        fp.vjp(2.0 * u)
+        assert len(calls) == 1
+        assert g.shape == (32, 32, 1)
 
     def test_cotangent_length_checked(self, reference):
         spec, weights = reference
         with pytest.raises(InvalidInputError):
-            extract_vjp(spec, weights, random_image(9), np.zeros(10))
+            forward(spec, weights, random_image(9)).vjp(np.zeros(10))
 
     def test_odd_dimensions_pool_crops_and_vjp_agrees(self):
         # 5x5 input: pooling drops the last row/column, whose gradient is zero
@@ -183,13 +201,13 @@ class TestVjp:
         weights = init_weights(spec, 11)
         rng = np.random.default_rng(12)
         img = ImageTensor(rng.uniform(0.2, 0.8, (5, 5, 1)))
-        feats = extract(spec, weights, img)
+        feats = forward(spec, weights, img).features
         assert feats.size == 2 * 2 * 2
         u = rng.standard_normal(feats.size)
-        g = extract_vjp(spec, weights, img, u).ravel()
+        g = forward(spec, weights, img).vjp(u).ravel()
 
         def scalar(flat):
-            return float(u @ extract(spec, weights, ImageTensor(flat.reshape(5, 5, 1))))
+            return float(u @ forward(spec, weights, ImageTensor(flat.reshape(5, 5, 1))).features)
 
         fd = finite_difference_gradient(scalar, img.pixels.ravel(), 1e-5)
         mask = np.abs(fd) > 1e-8
@@ -199,7 +217,7 @@ class TestVjp:
         spec = ExtractorSpec((6, 6, 3), (Conv(4), Relu(), MaxPool(), Conv(5), Relu()), taps=(1, 4))
         weights = init_weights(spec, 13)
         img = random_image(14, (6, 6, 3))
-        fast = extract(spec, weights, img)
+        fast = forward(spec, weights, img).features
         slow = oracles.naive_extract(spec, weights, np.asarray(img.pixels))
         assert fast.size == 4 * 6 * 6 + 5 * 3 * 3
         assert np.max(np.abs(fast - slow)) < 1e-10

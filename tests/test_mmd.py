@@ -18,7 +18,7 @@ from dmtrav.mmd import (
     witness_factored,
     witness_grad_r,
 )
-from dmtrav.optim import finite_difference_gradient
+from oracles import finite_difference_gradient
 
 # Rows [target=2, source=0, test=0.2] in 1-D; the hand-checkable instance.
 HAND_V = np.array([[2.0], [0.0], [0.2]])

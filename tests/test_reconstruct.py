@@ -3,8 +3,8 @@ import pytest
 
 import oracles
 from dmtrav.errors import InvalidInputError
-from dmtrav.features import ExtractorSpec, ImageTensor, extract, identity_spec, init_weights
-from dmtrav.optim import finite_difference_gradient
+from dmtrav.features import ExtractorSpec, ImageTensor, forward, identity_spec, init_weights
+from oracles import finite_difference_gradient
 from dmtrav.reconstruct import (
     MID_GRAY,
     ReconstructionConfig,
@@ -93,7 +93,7 @@ class TestInvert:
         spec, weights = reference
         rng = np.random.default_rng(56)
         x0 = ImageTensor(rng.uniform(0.2, 0.8, (32, 32, 1)))
-        z = extract(spec, weights, x0)
+        z = forward(spec, weights, x0).features
         res = invert(spec, weights, z, ReconstructionConfig(lambda_tv=0.0, init=x0))
         assert res.final_feature_loss < 1e-10
         assert res.trace.iterations == 0
@@ -103,7 +103,7 @@ class TestInvert:
         spec, weights = reference
         rng = np.random.default_rng(57)
         x0 = ImageTensor(rng.uniform(0.2, 0.8, (32, 32, 1)))
-        z = extract(spec, weights, x0)
+        z = forward(spec, weights, x0).features
         res = invert(spec, weights, z, ReconstructionConfig(lambda_tv=0.001))
         assert res.final_feature_loss <= 0.01 * 0.5 * float(z @ z)
         vals = res.trace.objective_values
@@ -126,20 +126,19 @@ class TestInvert:
         weights = init_weights(spec, 5)
         rng = np.random.default_rng(58)
         x = rng.uniform(0.15, 0.85, (8, 8, 1))
-        z = extract(spec, weights, ImageTensor(rng.uniform(0.2, 0.8, (8, 8, 1))))
+        z = forward(spec, weights, ImageTensor(rng.uniform(0.2, 0.8, (8, 8, 1)))).features
         lam_tv, beta = 0.001, 2.0
 
         def objective(flat):
             img = ImageTensor(flat.reshape(8, 8, 1))
-            resid = extract(spec, weights, img) - z
+            resid = forward(spec, weights, img).features - z
             return 0.5 * float(resid @ resid) + lam_tv * oracles.naive_tv(img.pixels, beta)
 
-        from dmtrav.features import extract_vjp
         from dmtrav.reconstruct import _tv_grad_array
 
-        img = ImageTensor(x)
-        resid = extract(spec, weights, img) - z
-        g = (extract_vjp(spec, weights, img, resid) + lam_tv * _tv_grad_array(x, beta)).ravel()
+        fp = forward(spec, weights, ImageTensor(x))
+        resid = fp.features - z
+        g = (fp.vjp(resid) + lam_tv * _tv_grad_array(x, beta)).ravel()
         fd = finite_difference_gradient(objective, x.ravel(), 1e-5)
         mask = np.abs(fd) > 1e-8
         assert np.max(np.abs(g[mask] - fd[mask]) / np.abs(fd[mask])) < 1e-4
