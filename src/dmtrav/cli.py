@@ -126,7 +126,9 @@ def cmd_extract(manifest: formats.Manifest, run: RunConfig) -> Path:
     shape = (images[0].height, images[0].width, images[0].channels)
     spec = run.resolve_spec(shape)
     weights = run.resolve_weights(spec)
-    rows = np.stack([forward(spec, weights, img).features for img in images])
+    rows = np.empty((len(images), spec.feature_dim()))
+    for i, img in enumerate(images):
+        rows[i] = forward(spec, weights, img).features
     out_dir = Path(run.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "features.dmtv"
@@ -241,16 +243,17 @@ def cmd_adversarial(
     weights = run.resolve_weights(spec)
     solver = run.solver()
     if match_decision is not None:
-        c_adv = evaluate.match_regularizer(
-            spec, weights, model, image, match_decision, cfg=solver
-        )
-    res = evaluate.adversarial_perturb(spec, weights, model, image, c_adv, cfg=solver)
+        res = evaluate.match_regularizer(spec, weights, model, image, match_decision, cfg=solver)
+    else:
+        res = evaluate.adversarial_perturb(spec, weights, model, image, c_adv, cfg=solver)
     out_dir = Path(run.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     formats.save_image(res.perturbed, out_dir / "adversarial.ppm")
     report = out_dir / "adversarial_report.txt"
     report.write_text(
-        formats.format_adversarial_report([(c_adv, res.decision_value, res.l2_pixel_distance)]),
+        formats.format_adversarial_report(
+            [(res.c_adv, res.decision_value, res.l2_pixel_distance)]
+        ),
         encoding="utf-8",
     )
     return report

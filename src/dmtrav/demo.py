@@ -161,17 +161,18 @@ def run_demo(seed: int, out_dir, quiet: bool = False) -> DemoOutcome:
     # Match the adversarial image to the decision value of the generated
     # image (the smallest-lambda reconstruction), image against image.
     target_decision = recon_decisions[-1]
-    c_adv = evaluate.match_regularizer(
+    adv = evaluate.match_regularizer(
         spec, weights, model, test_img, target_decision, cfg=_ADV_SOLVER
     )
-    adv = evaluate.adversarial_perturb(spec, weights, model, test_img, c_adv, cfg=_ADV_SOLVER)
     formats.save_image(adv.perturbed, out / "adversarial.ppm")
     (out / "adversarial_report.txt").write_text(
-        formats.format_adversarial_report([(c_adv, adv.decision_value, adv.l2_pixel_distance)]),
+        formats.format_adversarial_report(
+            [(adv.c_adv, adv.decision_value, adv.l2_pixel_distance)]
+        ),
         encoding="utf-8",
     )
     say(
-        f"adversarial: c={c_adv:.4g} decision={adv.decision_value:.4g} "
+        f"adversarial: c={adv.c_adv:.4g} decision={adv.decision_value:.4g} "
         f"l2={adv.l2_pixel_distance:.4g} vs traversal l2={recon_l2[-1]:.4g}"
     )
 
@@ -187,7 +188,7 @@ def run_demo(seed: int, out_dir, quiet: bool = False) -> DemoOutcome:
         probabilities=probabilities,
         recon_decisions=recon_decisions,
         recon_l2=recon_l2,
-        adversarial_c=c_adv,
+        adversarial_c=adv.c_adv,
         adversarial_decision=adv.decision_value,
         adversarial_l2=adv.l2_pixel_distance,
         traversal_l2_at_match=recon_l2[-1],

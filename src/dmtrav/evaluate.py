@@ -5,10 +5,20 @@ The sign convention is fixed by the training labels: +1 marks the
 target block, -1 the source block, so a positive decision value reads
 "target-like". ClassifierModel.trained_on records this alongside the
 feature configuration.
+
+The adversarial baseline is matched to a requested decision value by a
+search over its trade-off constant c_adv (Szegedy et al. 2014, Carlini &
+Wagner 2017): match_regularizer runs a safeguarded secant (Illinois) on
+log c_adv inside a sign-changing bracket and returns the perturbation it
+matched, so no solve is repeated. Every solve starts from the clean
+image, so each result depends on its c_adv alone and
+adversarial_perturb(..., result.c_adv) reproduces it bit for bit.
 """
 
 from __future__ import annotations
 
+import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +28,14 @@ from .errors import DegenerateDataError, InvalidInputError, NoMatchError
 from .features import ExtractorSpec, ImageTensor, WeightSet, forward
 from .optim import MinimizeConfig, minimize
 from .traversal import TraversalResult, materialize
+
+_log = logging.getLogger(__name__)
+
+# Search range of match_regularizer; its top end stands for c_adv -> infinity.
+_C_ADV_RANGE = (1e-12, 1e12)
+# A secant point this close (as a fraction of the bracket) to either end
+# gives way to the bisection midpoint.
+_SECANT_MARGIN = 0.01
 
 
 @dataclass
@@ -52,6 +70,7 @@ class AdversarialResult:
     perturbed: ImageTensor
     decision_value: float
     l2_pixel_distance: float
+    c_adv: float  # the trade-off constant this perturbation was solved at
 
 
 def svm_objective(w, b: float, X, y, c_reg: float) -> float:
@@ -250,6 +269,7 @@ def adversarial_perturb(
         perturbed=perturbed,
         decision_value=decision,
         l2_pixel_distance=float(np.linalg.norm(delta)),
+        c_adv=c_adv,
     )
 
 
@@ -263,52 +283,90 @@ def match_regularizer(
     sign_target: float = -1.0,
     rel_tol: float = 0.01,
     max_steps: int = 40,
-) -> float:
-    """Find c_adv whose perturbation reaches a requested decision value.
+) -> AdversarialResult:
+    """Find the perturbation, and its c_adv, that reaches a requested decision value.
 
-    Bisects on log c_adv inside [1e-12, 1e12], relying on the decision
-    shift shrinking as c_adv grows. Stops as soon as the achieved value
-    is within rel_tol of the target; after max_steps the best c_adv seen
-    is returned. Raises NoMatchError when the target lies outside the
-    achievable range.
+    The search runs over log c_adv in [1e-12, 1e12]. The top end stands
+    for an unperturbed image: a solve there returns the clean image
+    unchanged, so its decision comes from one forward pass. The bottom
+    end is a full solve and gives the largest achievable shift. Between
+    them each step is one adversarial_perturb solve at the Illinois
+    (safeguarded regula falsi) point of the current sign-changing
+    bracket, or at the bracket's log midpoint when that point falls in
+    the outer 1% of the bracket.
+
+    The decision value need not be monotone in c_adv: at small c_adv the
+    solves stop on their iteration cap (with the demo's 250, c_adv =
+    1e-12, 1e-6 and 1e-3 give 25.45, 25.20 and 25.58), so the search
+    relies only on the bracket keeping a sign change.
+
+    Returns the AdversarialResult of the first solve within rel_tol of
+    the target; its c_adv field holds the constant, and
+    adversarial_perturb at that c_adv reproduces it bit for bit. After
+    max_steps without a match, logs a warning and returns the result
+    closest to the target seen. Raises NoMatchError when the target
+    lies outside the achievable range.
     """
+    tol = rel_tol * abs(target_decision) if target_decision != 0 else rel_tol
 
-    def decision_at(c: float) -> float:
-        return adversarial_perturb(
-            spec, weights, model, image, c, cfg=cfg, sign_target=sign_target
-        ).decision_value
+    def gap(res: AdversarialResult) -> float:
+        return res.decision_value - target_decision
 
-    def close(d: float) -> bool:
-        tol = rel_tol * abs(target_decision) if target_decision != 0 else rel_tol
-        return abs(d - target_decision) <= tol
-
-    c_lo, c_hi = 1e-12, 1e12
-    d_hi = decision_at(c_hi)  # essentially unperturbed
-    if close(d_hi):
-        return c_hi
-    d_lo = decision_at(c_lo)  # largest achievable shift
-    if close(d_lo):
-        return c_lo
-    if (d_lo - target_decision) * (target_decision - d_hi) < 0:
+    c_lo, c_hi = _C_ADV_RANGE
+    decision, _ = predict(model, forward(spec, weights, image).features)
+    hi = AdversarialResult(
+        delta=np.zeros_like(image.pixels),
+        perturbed=image,
+        decision_value=decision,
+        l2_pixel_distance=0.0,
+        c_adv=c_hi,
+    )
+    if abs(gap(hi)) <= tol:
+        return hi
+    lo = adversarial_perturb(spec, weights, model, image, c_lo, cfg=cfg, sign_target=sign_target)
+    if abs(gap(lo)) <= tol:
+        return lo
+    if gap(lo) * gap(hi) > 0:
         raise NoMatchError(
             f"target decision {target_decision!r} is not bracketed by "
-            f"[{d_hi!r}, {d_lo!r}] over c_adv in [1e-12, 1e12]"
+            f"[{hi.decision_value!r}, {lo.decision_value!r}] over c_adv in [1e-12, 1e12]"
         )
 
-    best_c, best_gap = c_hi, abs(d_hi - target_decision)
-    if abs(d_lo - target_decision) < best_gap:
-        best_c, best_gap = c_lo, abs(d_lo - target_decision)
-    lo_sign = np.sign(d_lo - target_decision)
+    best = min((hi, lo), key=lambda r: abs(gap(r)))
+    # Bracket ends in log c_adv with their gaps; a gap is halved (the
+    # Illinois step) when its end has been kept twice in a row.
+    a, fa = math.log(c_lo), gap(lo)
+    b, fb = math.log(c_hi), gap(hi)
+    kept = 0  # -1: a was kept last step, +1: b was kept
     for _ in range(max_steps):
-        c_mid = float(np.sqrt(c_lo * c_hi))
-        d_mid = decision_at(c_mid)
-        if close(d_mid):
-            return c_mid
-        gap = abs(d_mid - target_decision)
-        if gap < best_gap:
-            best_c, best_gap = c_mid, gap
-        if np.sign(d_mid - target_decision) == lo_sign:
-            c_lo = c_mid
+        u = (a * fb - b * fa) / (fb - fa)
+        if not _SECANT_MARGIN <= (u - a) / (b - a) <= 1.0 - _SECANT_MARGIN:
+            u = 0.5 * (a + b)
+        res = adversarial_perturb(
+            spec, weights, model, image, math.exp(u), cfg=cfg, sign_target=sign_target
+        )
+        f = gap(res)
+        if abs(f) <= tol:
+            return res
+        if abs(f) < abs(gap(best)):
+            best = res
+        if (f > 0) == (fa > 0):
+            a, fa = u, f
+            if kept == +1:
+                fb *= 0.5
+            kept = +1
         else:
-            c_hi = c_mid
-    return best_c
+            b, fb = u, f
+            if kept == -1:
+                fa *= 0.5
+            kept = -1
+    _log.warning(
+        "no c_adv within rel_tol %g of target decision %r after %d steps; "
+        "best decision %r at c_adv %r",
+        rel_tol,
+        target_decision,
+        max_steps,
+        best.decision_value,
+        best.c_adv,
+    )
+    return best

@@ -15,8 +15,10 @@ flattened in (channel, row, column) order.
 
 from __future__ import annotations
 
+import io
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Union
 
 import numpy as np
@@ -149,12 +151,22 @@ class ExtractorSpec:
 
 @dataclass(frozen=True, eq=False)
 class WeightSet:
-    """Per-conv-layer 32-bit kernels and biases, tied to the layer skeleton they serve."""
+    """Per-conv-layer 32-bit kernels and biases, tied to the layer skeleton they serve.
+
+    The kernels and biases are read-only copies, so the float64 forms
+    the convolutions use, computed once here, always match them.
+    """
 
     layers: tuple[Layer, ...]
     taps: tuple[int, ...]
     kernels: tuple[np.ndarray, ...]
     biases: tuple[np.ndarray, ...]
+    # Per conv layer: the kernel as a (cout, cin*9) float64 matrix, the
+    # same for the spatially flipped, channel-swapped kernel that pulls
+    # gradients back through it, and the float64 bias.
+    _mats: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    _flipped_mats: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    _biases64: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         convs = [l for l in self.layers if isinstance(l, Conv)]
@@ -167,6 +179,31 @@ class WeightSet:
                 raise InvalidInputError(f"bias shape {b.shape} inconsistent with {conv}")
             if not (np.all(np.isfinite(k)) and np.all(np.isfinite(b))):
                 raise InvalidInputError("weights must be finite")
+        kernels = tuple(_read_only(np.array(k)) for k in self.kernels)
+        biases = tuple(_read_only(np.array(b)) for b in self.biases)
+        object.__setattr__(self, "kernels", kernels)
+        object.__setattr__(self, "biases", biases)
+        object.__setattr__(self, "_mats", tuple(_kernel_matrix(k) for k in kernels))
+        # Gradient through a stride-1 pad-1 conv is the same conv with the
+        # kernel flipped spatially and its channel axes swapped.
+        object.__setattr__(
+            self,
+            "_flipped_mats",
+            tuple(_kernel_matrix(k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)) for k in kernels),
+        )
+        object.__setattr__(
+            self, "_biases64", tuple(_read_only(b.astype(np.float64)) for b in biases)
+        )
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+def _kernel_matrix(kernel: np.ndarray) -> np.ndarray:
+    """(cout, cin, 3, 3) kernel -> read-only (cout, cin*9) float64 matrix."""
+    return _read_only(kernel.reshape(kernel.shape[0], -1).astype(np.float64))
 
 
 def reference_spec() -> ExtractorSpec:
@@ -222,22 +259,14 @@ def _check_compatible(spec: ExtractorSpec, weights: WeightSet) -> None:
             ki += 1
 
 
-def _conv_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    cout = kernel.shape[0]
+def _conv(x: np.ndarray, kmat: np.ndarray) -> np.ndarray:
+    """Zero-padded 3x3 convolution of x (cin, h, w) by a (cout, cin*9) kernel matrix."""
     cin, h, w = x.shape
-    xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
+    xp = np.zeros((cin, h + 2, w + 2))
+    xp[:, 1:-1, 1:-1] = x
     win = np.lib.stride_tricks.sliding_window_view(xp, (_KSIZE, _KSIZE), axis=(1, 2))
     cols = win.transpose(1, 2, 0, 3, 4).reshape(h * w, cin * _KSIZE * _KSIZE)
-    kmat = kernel.reshape(cout, cin * _KSIZE * _KSIZE).astype(np.float64)
-    out = (cols @ kmat.T).T.reshape(cout, h, w)
-    return out + bias.astype(np.float64)[:, None, None]
-
-
-def _conv_backward_input(gout: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    # Gradient through a stride-1 pad-1 conv is the same conv with the
-    # kernel flipped spatially and its channel axes swapped.
-    kflip = np.ascontiguousarray(kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-    return _conv_forward(gout, kflip, np.zeros(kflip.shape[0], dtype=np.float64))
+    return (cols @ kmat.T).T.reshape(kmat.shape[0], h, w)
 
 
 def _pool_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -284,7 +313,7 @@ def _run_forward(
     for layer in spec.layers:
         x = acts[-1]
         if isinstance(layer, Conv):
-            acts.append(_conv_forward(x, weights.kernels[ki], weights.biases[ki]))
+            acts.append(_conv(x, weights._mats[ki]) + weights._biases64[ki][:, None, None])
             caches.append(ki)
             ki += 1
         elif isinstance(layer, Relu):
@@ -334,7 +363,7 @@ class ForwardPass:
                 g = g + pieces[i]
             layer = spec.layers[i]
             if isinstance(layer, Conv):
-                g = _conv_backward_input(g, self.weights.kernels[caches[i]])
+                g = _conv(g, self.weights._flipped_mats[caches[i]])
             elif isinstance(layer, Relu):
                 g = g * (acts[i + 1] > 0.0)
             else:
@@ -420,7 +449,9 @@ def _read_exact(fh, count: int, what: str) -> bytes:
 
 def load_weights(path) -> WeightSet:
     """Read a weight file back; the result is bit-identical to what was saved."""
-    with open(path, "rb") as fh:
+    # Read from memory: a corrupt length field then yields a short read
+    # instead of making a buffered file read allocate that many bytes.
+    with io.BytesIO(Path(path).read_bytes()) as fh:
         if _read_exact(fh, 4, "magic") != _MAGIC:
             raise FormatError("bad magic")
         version, line_count = struct.unpack("<II", _read_exact(fh, 8, "header"))

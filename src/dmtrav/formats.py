@@ -122,13 +122,13 @@ def write_feature_file(path, V, m: int, n: int, G=None) -> None:
     with open(path, "wb") as fh:
         fh.write(_V_MAGIC)
         fh.write(struct.pack("<IQQQQ", _V_VERSION, K, D, m, n))
-        fh.write(np.ascontiguousarray(V, dtype="<f4").tobytes())
+        fh.write(np.ascontiguousarray(V, dtype="<f4"))
         if G is not None:
             G = np.asarray(G, dtype=float)
             if G.shape != (K, K):
                 raise InvalidInputError(f"Gram shape {G.shape} does not match K={K}")
             fh.write(_G_MAGIC)
-            fh.write(np.ascontiguousarray(G, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(G, dtype="<f8"))
 
 
 @dataclass
@@ -158,7 +158,7 @@ def read_feature_file(path) -> FeatureFile:
     vbytes = 4 * K * D
     if len(data) < 40 + vbytes:
         raise FormatError(f"{path}: truncated V data")
-    V = np.frombuffer(data[40 : 40 + vbytes], dtype="<f4").reshape(K, D).astype(float)
+    V = np.frombuffer(data, dtype="<f4", count=K * D, offset=40).reshape(K, D).astype(float)
     pos = 40 + vbytes
     G = None
     if pos < len(data):
@@ -167,7 +167,7 @@ def read_feature_file(path) -> FeatureFile:
         gbytes = 8 * K * K
         if len(data) < pos + 4 + gbytes:
             raise FormatError(f"{path}: truncated Gram data")
-        G = np.frombuffer(data[pos + 4 : pos + 4 + gbytes], dtype="<f8").reshape(K, K).copy()
+        G = np.frombuffer(data, dtype="<f8", count=K * K, offset=pos + 4).reshape(K, K).copy()
         if len(data) != pos + 4 + gbytes:
             raise FormatError(f"{path}: trailing bytes after Gram section")
     return FeatureFile(V=V, m=int(m), n=int(n), G=G)
@@ -180,12 +180,11 @@ def append_gram(path, overwrite: bool = False) -> None:
         raise InvalidInputError(f"{path}: Gram section already present (pass overwrite to replace)")
     G = gram(ff.V)
     K, D = ff.V.shape
-    keep = 40 + 4 * K * D
-    data = Path(path).read_bytes()[:keep]
-    with open(path, "wb") as fh:
-        fh.write(data)
+    with open(path, "r+b") as fh:
+        fh.seek(40 + 4 * K * D)
+        fh.truncate()
         fh.write(_G_MAGIC)
-        fh.write(np.ascontiguousarray(G, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(G, dtype="<f8"))
 
 
 def write_vector(path, vec) -> None:

@@ -347,36 +347,66 @@ class TestCmdEval:
             cmd_eval(feature_file, out, labels)
 
 
+@pytest.fixture
+def adversarial_inputs(tmp_path):
+    """(feature_file, labels, probe image, run config, out dir) on three-image blocks."""
+    rng = np.random.default_rng(45)
+    source_paths, target_paths = [], []
+    for i in range(3):
+        s = ImageTensor(np.clip(0.3 + 0.05 * rng.standard_normal((32, 32, 1)), 0, 1))
+        t = ImageTensor(np.clip(0.7 + 0.05 * rng.standard_normal((32, 32, 1)), 0, 1))
+        sp, tp = tmp_path / f"s{i}.ppm", tmp_path / f"t{i}.ppm"
+        save_image(s, sp)
+        save_image(t, tp)
+        source_paths.append(str(sp))
+        target_paths.append(str(tp))
+    inp = tmp_path / "probe.ppm"
+    save_image(ImageTensor(np.clip(0.3 + 0.05 * rng.standard_normal((32, 32, 1)), 0, 1)), inp)
+    manifest = Manifest(source_paths, target_paths, str(inp))
+    out = tmp_path / "out"
+    run = RunConfig(out_dir=str(out), max_iters=120)
+    feature_file = cmd_extract(manifest, run)
+    labels = tmp_path / "labels.txt"
+    labels.write_text("+1\n+1\n+1\n-1\n-1\n-1\n")
+    return feature_file, labels, inp, run, out
+
+
+def _report_line(report) -> str:
+    return [l for l in report.read_text().splitlines() if l and not l.startswith("#")][0]
+
+
 class TestCmdAdversarial:
-    def test_direct_c_adv(self, tmp_path):
+    def test_direct_c_adv(self, adversarial_inputs):
         from dmtrav.cli import cmd_adversarial
 
-        rng = np.random.default_rng(45)
-        source_paths, target_paths = [], []
-        for i in range(3):
-            s = ImageTensor(np.clip(0.3 + 0.05 * rng.standard_normal((32, 32, 1)), 0, 1))
-            t = ImageTensor(np.clip(0.7 + 0.05 * rng.standard_normal((32, 32, 1)), 0, 1))
-            sp, tp = tmp_path / f"s{i}.ppm", tmp_path / f"t{i}.ppm"
-            save_image(s, sp)
-            save_image(t, tp)
-            source_paths.append(str(sp))
-            target_paths.append(str(tp))
-        inp = tmp_path / "probe.ppm"
-        save_image(ImageTensor(np.clip(0.3 + 0.05 * rng.standard_normal((32, 32, 1)), 0, 1)), inp)
-        manifest = Manifest(source_paths, target_paths, str(inp))
-        out = tmp_path / "out"
-        run = RunConfig(out_dir=str(out), max_iters=120)
-        feature_file = cmd_extract(manifest, run)
-        labels = tmp_path / "labels.txt"
-        labels.write_text("+1\n+1\n+1\n-1\n-1\n-1\n")
+        feature_file, labels, inp, run, out = adversarial_inputs
         report = cmd_adversarial(feature_file, labels, str(inp), run, c_adv=1.0)
-        line = [
-            l for l in report.read_text().splitlines() if l and not l.startswith("#")
-        ][0]
+        line = _report_line(report)
         c_val, decision, l2 = (float(v) for v in line.split())
         assert c_val == 1.0
         assert l2 >= 0.0
         assert (out / "adversarial.ppm").exists()
+
+    def test_match_decision_reproduced_by_c_adv(self, adversarial_inputs, tmp_path):
+        from dmtrav.cli import cmd_adversarial
+
+        feature_file, labels, inp, run, out = adversarial_inputs
+        # a decision the solver reaches: the one at c_adv = 1
+        report = cmd_adversarial(feature_file, labels, str(inp), run, c_adv=1.0)
+        target = float(_report_line(report).split()[1])
+        config = tmp_path / "run.json"
+        config.write_text('{"max_iters": 120}')
+        args = ["adversarial", str(feature_file), str(labels), str(inp), "--config", str(config)]
+        assert main([*args, "--match-decision", repr(target), "--out", str(out / "m")]) == 0
+        matched = _report_line(out / "m" / "adversarial_report.txt")
+        c_val, decision, _ = (float(v) for v in matched.split())
+        assert abs(decision - target) <= 0.01 * abs(target)
+        assert 1e-12 < c_val < 1e12  # found by a solve, not at an end of the range
+        assert main([*args, "--c-adv", matched.split()[0], "--out", str(out / "c")]) == 0
+        assert _report_line(out / "c" / "adversarial_report.txt") == matched
+        assert (out / "c" / "adversarial.ppm").read_bytes() == (
+            out / "m" / "adversarial.ppm"
+        ).read_bytes()
 
     def test_requires_exactly_one_mode(self, tmp_path):
         from dmtrav.cli import cmd_adversarial

@@ -1,8 +1,12 @@
+import dataclasses
+import logging
+
 import numpy as np
 import pytest
 
 import oracles
 from conftest import seeded_instance
+from dmtrav import evaluate
 from dmtrav.errors import InvalidInputError, NoMatchError
 from dmtrav.evaluate import (
     ClassifierModel,
@@ -16,6 +20,7 @@ from dmtrav.evaluate import (
 )
 from dmtrav.features import ImageTensor, identity_spec, init_weights
 from dmtrav.mmd import FeatureMatrix
+from dmtrav.optim import minimize
 from dmtrav.traversal import TraversalConfig, traverse
 
 # 2-D 8-point instance (default_rng(21), two displaced normal clusters) with
@@ -224,7 +229,7 @@ class TestMatchRegularizer:
         self.base = predict(self.model, self.img.pixels.ravel())[0]
 
     def test_baseline_target_returns_huge_c(self):
-        c = match_regularizer(self.spec, self.weights, self.model, self.img, self.base)
+        c = match_regularizer(self.spec, self.weights, self.model, self.img, self.base).c_adv
         assert c >= 1e6
 
     def test_shift_monotone_in_c(self):
@@ -237,7 +242,7 @@ class TestMatchRegularizer:
     def test_matches_requested_decision(self):
         best = adversarial_perturb(self.spec, self.weights, self.model, self.img, 1e-12)
         target = self.base + 0.5 * (best.decision_value - self.base)
-        c = match_regularizer(self.spec, self.weights, self.model, self.img, target)
+        c = match_regularizer(self.spec, self.weights, self.model, self.img, target).c_adv
         achieved = adversarial_perturb(
             self.spec, self.weights, self.model, self.img, c
         ).decision_value
@@ -246,3 +251,64 @@ class TestMatchRegularizer:
     def test_unreachable_target_raises(self):
         with pytest.raises(NoMatchError):
             match_regularizer(self.spec, self.weights, self.model, self.img, 1e6)
+
+    def midpoint_target(self) -> float:
+        best = adversarial_perturb(self.spec, self.weights, self.model, self.img, 1e-12)
+        return self.base + 0.5 * (best.decision_value - self.base)
+
+    def assert_reproduced(self, res):
+        fresh = adversarial_perturb(self.spec, self.weights, self.model, self.img, res.c_adv)
+        for f in dataclasses.fields(res):
+            a, b = getattr(res, f.name), getattr(fresh, f.name)
+            if isinstance(a, ImageTensor):
+                a, b = a.pixels, b.pixels
+            assert np.array_equal(a, b), f.name
+
+    def test_matched_result_equals_fresh_solve(self):
+        res = match_regularizer(
+            self.spec, self.weights, self.model, self.img, self.midpoint_target()
+        )
+        assert 1e-12 < res.c_adv < 1e12
+        self.assert_reproduced(res)
+
+    def test_unperturbed_end_takes_no_solve(self, monkeypatch):
+        solves = []
+
+        def counted(*args, **kwargs):
+            solves.append(args)
+            return minimize(*args, **kwargs)
+
+        monkeypatch.setattr(evaluate, "minimize", counted)
+        res = match_regularizer(self.spec, self.weights, self.model, self.img, self.base)
+        assert solves == []
+        monkeypatch.undo()
+        self.assert_reproduced(res)
+
+    def test_fewer_solves_than_bisection(self, monkeypatch):
+        # Bisection on log c_adv over the same bracket, with a full solve at
+        # c_adv = 1e12, made 12 adversarial_perturb calls on this target.
+        target = self.midpoint_target()
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return adversarial_perturb(*args, **kwargs)
+
+        monkeypatch.setattr(evaluate, "adversarial_perturb", counted)
+        match_regularizer(self.spec, self.weights, self.model, self.img, target)
+        assert len(calls) < 12
+
+    def test_missed_match_warns_once(self, caplog):
+        target = self.midpoint_target()
+        with caplog.at_level(logging.WARNING, logger="dmtrav.evaluate"):
+            match_regularizer(self.spec, self.weights, self.model, self.img, target)
+            assert caplog.records == []
+            res = match_regularizer(
+                self.spec, self.weights, self.model, self.img, target, max_steps=1
+            )
+        assert abs(res.decision_value - target) > 0.01 * abs(target)
+        assert [r.name for r in caplog.records] == ["dmtrav.evaluate"]
+        message = caplog.records[0].getMessage()
+        assert repr(target) in message
+        assert repr(res.decision_value) in message
+        assert "after 1 steps" in message

@@ -104,6 +104,21 @@ class TestExtract:
         feats = forward(spec, zero, random_image(2, (8, 8, 1))).features
         assert np.array_equal(feats, np.zeros(spec.feature_dim()))
 
+    def test_weights_frozen_at_construction(self):
+        spec = ExtractorSpec((8, 8, 1), (Conv(4), Relu()), taps=(1,))
+        w = init_weights(spec, 0)
+        kernel, bias = w.kernels[0].copy(), w.biases[0].copy()
+        held = type(w)(w.layers, w.taps, (kernel,), (bias,))
+        img = random_image(6, (8, 8, 1))
+        before = forward(spec, held, img).features
+        kernel += 1.0
+        bias += 1.0
+        assert np.array_equal(forward(spec, held, img).features, before)
+        with pytest.raises(ValueError):
+            held.kernels[0][0, 0, 0, 0] = 0.0
+        with pytest.raises(ValueError):
+            held.biases[0][0] = 0.0
+
     def test_reference_matches_naive_oracle(self, reference):
         spec, weights = reference
         img = random_image(42)

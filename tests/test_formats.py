@@ -3,7 +3,16 @@ import pytest
 
 import oracles
 from dmtrav.errors import FormatError, InvalidInputError
-from dmtrav.features import ImageTensor
+from dmtrav.features import (
+    Conv,
+    ExtractorSpec,
+    ImageTensor,
+    MaxPool,
+    Relu,
+    init_weights,
+    load_weights,
+    save_weights,
+)
 from dmtrav.formats import (
     Manifest,
     append_gram,
@@ -252,3 +261,53 @@ class TestManifest:
         p.write_text("+1\n0\n")
         with pytest.raises(FormatError):
             read_labels(p, 2)
+
+
+def _mutants(data: bytes, seed: int, count: int):
+    """Seeded single-edit corruptions of `data`: byte flips, truncations, insertions."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        kind = i % 3
+        if kind == 0:
+            pos = int(rng.integers(len(data)))
+            flipped = data[pos] ^ int(rng.integers(1, 256))
+            yield data[:pos] + bytes([flipped]) + data[pos + 1 :]
+        elif kind == 1:
+            yield data[: int(rng.integers(len(data)))]
+        else:
+            pos = int(rng.integers(len(data) + 1))
+            extra = rng.integers(0, 256, int(rng.integers(1, 9)), dtype=np.uint8).tobytes()
+            yield data[:pos] + extra + data[pos:]
+
+
+def _dmtv_with_gram(path):
+    V, m, n = np.random.default_rng(95).standard_normal((5, 6)), 2, 2
+    write_feature_file(path, V, m, n)
+    append_gram(path)
+
+
+def _ppm(path):
+    save_image(ImageTensor(np.random.default_rng(96).uniform(0, 1, (4, 3, 3))), path)
+
+
+def _dmtw(path):
+    spec = ExtractorSpec((6, 6, 1), (Conv(2), Relu(), MaxPool(), Conv(3)), taps=(-1, 1, 3))
+    save_weights(init_weights(spec, 97), path)
+
+
+@pytest.mark.parametrize(
+    "write, read",
+    [(_dmtv_with_gram, read_feature_file), (_ppm, load_image), (_dmtw, load_weights)],
+    ids=["dmtv", "ppm", "dmtw"],
+)
+def test_mutated_files_raise_only_package_errors(tmp_path, write, read):
+    original = tmp_path / "original"
+    write(original)
+    read(original)
+    path = tmp_path / "mutant"
+    for data in _mutants(original.read_bytes(), seed=98, count=999):
+        path.write_bytes(data)
+        try:
+            read(path)
+        except (FormatError, InvalidInputError):
+            pass
