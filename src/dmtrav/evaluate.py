@@ -76,7 +76,10 @@ class AdversarialResult:
 def svm_objective(w, b: float, X, y, c_reg: float) -> float:
     """Primal objective 0.5|w|^2 + c_reg * sum hinge(y_i (w.x_i + b))."""
     w = np.asarray(w, dtype=float)
-    margins = y * (X @ w + b)
+    return _svm_primal(w, y * (X @ w + b), c_reg)
+
+
+def _svm_primal(w: np.ndarray, margins: np.ndarray, c_reg: float) -> float:
     return 0.5 * float(w @ w) + c_reg * float(np.sum(np.maximum(0.0, 1.0 - margins)))
 
 
@@ -109,11 +112,12 @@ def train_svm(
     w = np.zeros(X.shape[1])
     b = 0.0
     best_w, best_b = w.copy(), b
-    best_obj = svm_objective(w, b, X, y, c_reg)
+    # The margins at each iterate serve both its objective and the next subgradient.
+    margins = y * (X @ w + b)
+    best_obj = _svm_primal(w, margins, c_reg)
     if trace is not None:
         trace.append(best_obj)
     for t in range(1, epochs + 1):
-        margins = y * (X @ w + b)
         active = margins < 1.0
         ya = y[active]
         gw = w - c_reg * (ya @ X[active])
@@ -121,7 +125,8 @@ def train_svm(
         eta = 1.0 / t
         w = w - eta * gw
         b = b - eta * gb
-        obj = svm_objective(w, b, X, y, c_reg)
+        margins = y * (X @ w + b)
+        obj = _svm_primal(w, margins, c_reg)
         if obj < best_obj:
             best_obj = obj
             best_w, best_b = w.copy(), b

@@ -11,6 +11,14 @@ broken toward the smallest row-major window offset).
 Images are (height, width, channels) arrays with values in [0, 1].
 Internally activations use channel-first layout, and tap outputs are
 flattened in (channel, row, column) order.
+
+The arrays are small, so numpy call overhead, not arithmetic, sets the
+cost. A convolution is one GEMM over im2col columns (Chellapilla, Puri &
+Simard 2006): the padded input's 3x3 windows form a C-contiguous
+(h*w, cin*9) matrix that multiplies the transposed (cout, cin*9) kernel
+matrix; the VJP runs the same code with the flipped kernel. Max pooling
+compares strided views of the 2x2 windows' columns, then rows, and keeps
+the two comparisons to route the VJP.
 """
 
 from __future__ import annotations
@@ -260,39 +268,54 @@ def _check_compatible(spec: ExtractorSpec, weights: WeightSet) -> None:
 
 
 def _conv(x: np.ndarray, kmat: np.ndarray) -> np.ndarray:
-    """Zero-padded 3x3 convolution of x (cin, h, w) by a (cout, cin*9) kernel matrix."""
+    """Zero-padded 3x3 convolution of x (cin, h, w) by a (cout, cin*9) kernel matrix.
+
+    The column matrix is built by two copies with contiguous inner loops:
+    a strided (cin, 3, 3, h, w) window view read into (cin*9, h*w) rows,
+    then one 2-D transpose. Keep the product as cols @ kmat.T: a GEMM's
+    bits depend on operand shapes and layout, and the tests pin them to a
+    plain im2col. The result is a (cout, h, w) view of the (h*w, cout)
+    product.
+    """
     cin, h, w = x.shape
     xp = np.zeros((cin, h + 2, w + 2))
     xp[:, 1:-1, 1:-1] = x
-    win = np.lib.stride_tricks.sliding_window_view(xp, (_KSIZE, _KSIZE), axis=(1, 2))
-    cols = win.transpose(1, 2, 0, 3, 4).reshape(h * w, cin * _KSIZE * _KSIZE)
-    return (cols @ kmat.T).T.reshape(kmat.shape[0], h, w)
+    sc, sh, sw = xp.strides
+    # The ndarray constructor makes the view; as_strided adds several microseconds per call.
+    win = np.ndarray((cin, _KSIZE, _KSIZE, h, w), xp.dtype, xp, 0, (sc, sh, sw, sh, sw))
+    cols = np.ascontiguousarray(win.reshape(cin * _KSIZE * _KSIZE, h * w).T)
+    return (cols @ kmat.T).reshape(h, w, kmat.shape[0]).transpose(2, 0, 1)
 
 
-def _pool_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    c, h, w = x.shape
-    ho, wo = h // 2, w // 2
-    win = (
-        x[:, : 2 * ho, : 2 * wo]
-        .reshape(c, ho, 2, wo, 2)
-        .transpose(0, 1, 3, 2, 4)
-        .reshape(c, ho, wo, 4)
-    )
-    idx = np.argmax(win, axis=-1)  # first max = smallest row-major offset
-    out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
-    return out, idx
+def _pool_forward(x: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """2x2 stride-2 max pooling of x (c, h, w); an odd last row or column is cropped.
+
+    Each window compares its two columns, then the two row winners; `>`
+    keeps the earlier element on ties (-0.0 against 0.0 too), so the
+    result is the first maximum in row-major offset order, with its own
+    bits. Returns the maxima and the two comparisons, which locate each
+    maximum for the VJP. Images and weights are checked finite, so NaN
+    ordering is not handled.
+    """
+    h2, w2 = x.shape[1] // 2 * 2, x.shape[2] // 2 * 2
+    left, right = x[:, :h2, 0:w2:2], x[:, :h2, 1:w2:2]
+    right_wins = right > left
+    col_max = np.where(right_wins, right, left)
+    bottom_wins = col_max[:, 1::2] > col_max[:, 0::2]
+    out = np.where(bottom_wins, col_max[:, 1::2], col_max[:, 0::2])
+    return out, (right_wins, bottom_wins)
 
 
-def _pool_backward(g: np.ndarray, idx: np.ndarray, in_shape: tuple[int, int]) -> np.ndarray:
-    c, ho, wo = g.shape
-    h, w = in_shape
-    win = np.zeros((c, ho, wo, 4))
-    np.put_along_axis(win, idx[..., None], g[..., None], axis=-1)
-    block = win.reshape(c, ho, wo, 2, 2).transpose(0, 1, 3, 2, 4).reshape(c, 2 * ho, 2 * wo)
-    if (h, w) == (2 * ho, 2 * wo):
-        return block
-    full = np.zeros((c, h, w))
-    full[:, : 2 * ho, : 2 * wo] = block
+def _pool_backward(g: np.ndarray, wins, in_shape: tuple[int, int]) -> np.ndarray:
+    """Route each window's gradient to its maximum; every other input gets +0.0."""
+    right_wins, bottom_wins = wins
+    c, h2, wo = right_wins.shape
+    col = np.empty((c, h2, wo))
+    col[:, 0::2] = np.where(bottom_wins, 0.0, g)
+    col[:, 1::2] = np.where(bottom_wins, g, 0.0)
+    full = np.zeros((c, *in_shape))
+    full[:, :h2, 0 : 2 * wo : 2] = np.where(right_wins, 0.0, col)
+    full[:, :h2, 1 : 2 * wo : 2] = np.where(right_wins, col, 0.0)
     return full
 
 
@@ -320,9 +343,9 @@ def _run_forward(
             acts.append(np.maximum(x, 0.0))
             caches.append(None)
         else:
-            out, idx = _pool_forward(x)
+            out, wins = _pool_forward(x)
             acts.append(out)
-            caches.append(idx)
+            caches.append(wins)
     return acts, caches
 
 
@@ -333,13 +356,13 @@ class ForwardPass:
     features is the concatenated flattened tap outputs, one float64 vector
     of length feature_dim(). vjp(u) is the pixel-space gradient J^T u at
     the same image, shaped like the image, built from the stored
-    activations and pooling argmax indices without a second forward pass.
+    activations and pooling comparisons without a second forward pass.
     """
 
     spec: ExtractorSpec
     weights: WeightSet
     acts: list[np.ndarray]  # every layer output, input first
-    caches: list  # per layer: kernel index, None, or pooling argmax
+    caches: list  # per layer: kernel index, None, or pooling comparisons
     features: np.ndarray
 
     def vjp(self, cotangent) -> np.ndarray:

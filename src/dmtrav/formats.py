@@ -158,7 +158,11 @@ def read_feature_file(path) -> FeatureFile:
     vbytes = 4 * K * D
     if len(data) < 40 + vbytes:
         raise FormatError(f"{path}: truncated V data")
-    V = np.frombuffer(data, dtype="<f4", count=K * D, offset=40).reshape(K, D).astype(float)
+    V = np.frombuffer(data, dtype="<f4", count=K * D, offset=40).reshape(K, D)
+    # Checked on the stored f32 values: casting a signalling NaN to float64 warns.
+    if not np.all(np.isfinite(V)):
+        raise FormatError(f"{path}: non-finite value in V data")
+    V = V.astype(float)
     pos = 40 + vbytes
     G = None
     if pos < len(data):
@@ -167,9 +171,12 @@ def read_feature_file(path) -> FeatureFile:
         gbytes = 8 * K * K
         if len(data) < pos + 4 + gbytes:
             raise FormatError(f"{path}: truncated Gram data")
-        G = np.frombuffer(data, dtype="<f8", count=K * K, offset=pos + 4).reshape(K, K).copy()
         if len(data) != pos + 4 + gbytes:
             raise FormatError(f"{path}: trailing bytes after Gram section")
+        G = np.frombuffer(data, dtype="<f8", count=K * K, offset=pos + 4).reshape(K, K)
+        if not np.all(np.isfinite(G)):
+            raise FormatError(f"{path}: non-finite value in Gram data")
+        G = G.copy()
     return FeatureFile(V=V, m=int(m), n=int(n), G=G)
 
 

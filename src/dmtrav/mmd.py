@@ -75,6 +75,8 @@ class FeatureMatrix:
             K = V.shape[0]
             if G.shape != (K, K):
                 raise InvalidInputError(f"Gram shape {G.shape} does not match K={K}")
+            if not np.all(np.isfinite(G)):
+                raise InvalidInputError("Gram matrix must contain only finite values")
             scale = float(np.max(np.abs(G)))
             if scale > 0 and float(np.max(np.abs(G - G.T))) > 1e-9 * scale:
                 raise InvalidInputError("Gram matrix is not symmetric")
@@ -179,10 +181,11 @@ def witness_direct(z, V, m: int, n: int, kcfg: KernelConfig) -> WitnessValue:
     return WitnessValue(source_term - target_term, source_term, target_term)
 
 
-def _factored_kernel_row(r, G, sigma: float) -> np.ndarray:
-    """k(row_i, V^T(e_K + r)) for every row i, via quadratic forms in G.
+def _factored_kernel_row(r, G, sigma: float, diag=None) -> tuple[np.ndarray, np.ndarray]:
+    """k(row_i, V^T(e_K + r)) for every row i, via quadratic forms in G, and G d.
 
     |V^T e_i - V^T d|^2 = G_ii - 2 (G d)_i + d' G d  with  d = e_K + r.
+    diag, when given, is np.diag(G).
     """
     G = np.asarray(G, dtype=float)
     K = G.shape[0]
@@ -193,8 +196,22 @@ def _factored_kernel_row(r, G, sigma: float) -> np.ndarray:
     d[K - 1] += 1.0
     Gd = G @ d
     quad = float(d @ Gd)
-    sq = np.maximum(np.diag(G) - 2.0 * Gd + quad, 0.0)
-    return np.exp(-sq / sigma)
+    sq = np.maximum((np.diag(G) if diag is None else diag) - 2.0 * Gd + quad, 0.0)
+    return np.exp(-sq / sigma), Gd
+
+
+def _witness_of_row(k: np.ndarray, m: int, n: int) -> WitnessValue:
+    target_term = float(np.mean(k[:n]))
+    source_term = float(np.mean(k[n : n + m]))
+    return WitnessValue(source_term - target_term, source_term, target_term)
+
+
+def _witness_grad_of_row(k, Gd, G, w, sigma: float) -> np.ndarray:
+    """Each kernel term with displacement d_i = e_i - e_K - r contributes
+    (2/sigma) * k_i * G d_i times its block weight w_i."""
+    wk = w * k
+    # sum_i wk_i * G d_i  with  G d_i = G[:, i] - G d.
+    return (2.0 / sigma) * (G @ wk - float(np.sum(wk)) * Gd)
 
 
 def _require_gram(G) -> np.ndarray:
@@ -216,18 +233,15 @@ def witness_factored(r, G, m: int, n: int, kcfg: KernelConfig) -> WitnessValue:
         raise InvalidInputError("both source and target blocks must be non-empty")
     if G.shape[0] != m + n + 1:
         raise InvalidInputError("G must have m + n + 1 rows")
-    k = _factored_kernel_row(r, G, kcfg.resolve_sigma(G))
-    target_term = float(np.mean(k[:n]))
-    source_term = float(np.mean(k[n : n + m]))
-    return WitnessValue(source_term - target_term, source_term, target_term)
+    k, _ = _factored_kernel_row(r, G, kcfg.resolve_sigma(G))
+    return _witness_of_row(k, m, n)
 
 
 def witness_grad_r(r, G, m: int, n: int, kcfg: KernelConfig) -> np.ndarray:
     """Gradient of the factored witness with respect to r.
 
-    Each kernel term with displacement d_i = e_i - e_K - r contributes
-    (2/sigma) * k_i * G d_i carrying the term's sign (+1/m source,
-    -1/n target); cost is O(K^2).
+    Each kernel term carries the sign of its block (+1/m source, -1/n
+    target); cost is O(K^2).
     """
     G = _require_gram(G)
     if m < 1 or n < 1:
@@ -236,14 +250,29 @@ def witness_grad_r(r, G, m: int, n: int, kcfg: KernelConfig) -> np.ndarray:
     if K != m + n + 1:
         raise InvalidInputError("G must have m + n + 1 rows")
     sigma = kcfg.resolve_sigma(G)
-    k = _factored_kernel_row(r, G, sigma)
-    w = _block_weights(m, n, K)
-    d = np.asarray(r, dtype=float).ravel().copy()
-    d[K - 1] += 1.0
-    Gd = G @ d
-    wk = w * k
-    # sum_i wk_i * G d_i  with  G d_i = G[:, i] - G d.
-    return (2.0 / sigma) * (G @ wk - float(np.sum(wk)) * Gd)
+    k, Gd = _factored_kernel_row(r, G, sigma)
+    return _witness_grad_of_row(k, Gd, G, _block_weights(m, n, K), sigma)
+
+
+def factored_objective(G, m: int, n: int, sigma: float, lam: float):
+    """The traversal objective at one lambda as a solver callback r -> (value, grad).
+
+    value is witness_factored(r).value + lam * budget(r) and grad() is
+    witness_grad_r(r) + lam * budget_grad(r), bit for bit, but the two
+    share k, G d and G r: three K x K matrix-vector products per point
+    at which both are taken, not six.
+    """
+    G = _require_gram(G)
+    diag = np.diag(G)
+    w = _block_weights(m, n, G.shape[0])
+
+    def fun(r: np.ndarray):
+        k, Gd = _factored_kernel_row(r, G, sigma, diag)
+        Gr = G @ r
+        value = _witness_of_row(k, m, n).value + lam * float(r @ Gr)
+        return value, lambda: _witness_grad_of_row(k, Gd, G, w, sigma) + lam * (2.0 * Gr)
+
+    return fun
 
 
 def budget(r, G) -> float:

@@ -71,13 +71,7 @@ def traverse(features: FeatureMatrix, cfg: TraversalConfig) -> TraversalResult:
     records: list[LambdaRecord] = []
     r = np.zeros(features.K)
     for lam in cfg.lambdas:
-
-        def fun(rv: np.ndarray, lam=lam):
-            value = mmd.witness_factored(rv, G, m, n, kcfg).value + lam * mmd.budget(rv, G)
-            return value, lambda: (
-                mmd.witness_grad_r(rv, G, m, n, kcfg) + lam * mmd.budget_grad(rv, G)
-            )
-
+        fun = mmd.factored_objective(G, m, n, sigma, lam)
         try:
             r, trace = minimize(fun, r, bounds=None, cfg=cfg.solver)
         except NumericalError as exc:

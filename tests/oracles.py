@@ -234,3 +234,97 @@ def naive_tv(image: np.ndarray, beta: float) -> float:
                 dv = image[i + 1, j, ch] - image[i, j, ch] if i + 1 < h else 0.0
                 total += (dh * dh + dv * dv) ** (beta / 2.0)
     return total
+
+
+# The extractor layers as first written: im2col through a transposed 5-D
+# sliding-window gather, and max pooling through argmax/take_along_axis.
+# The production layers must reproduce them bit for bit.
+
+
+def im2col_conv(x: np.ndarray, kmat: np.ndarray) -> np.ndarray:
+    """Zero-padded 3x3 convolution of x (cin, h, w) by a (cout, cin*9) kernel matrix."""
+    cin, h, w = x.shape
+    xp = np.zeros((cin, h + 2, w + 2))
+    xp[:, 1:-1, 1:-1] = x
+    win = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(1, 2))
+    cols = win.transpose(1, 2, 0, 3, 4).reshape(h * w, cin * 9)
+    return (cols @ kmat.T).T.reshape(kmat.shape[0], h, w)
+
+
+def argmax_pool_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    c, h, w = x.shape
+    ho, wo = h // 2, w // 2
+    win = (
+        x[:, : 2 * ho, : 2 * wo]
+        .reshape(c, ho, 2, wo, 2)
+        .transpose(0, 1, 3, 2, 4)
+        .reshape(c, ho, wo, 4)
+    )
+    idx = np.argmax(win, axis=-1)  # first max = smallest row-major offset
+    out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+    return out, idx
+
+
+def argmax_pool_backward(g: np.ndarray, idx: np.ndarray, in_shape) -> np.ndarray:
+    c, ho, wo = g.shape
+    h, w = in_shape
+    win = np.zeros((c, ho, wo, 4))
+    np.put_along_axis(win, idx[..., None], g[..., None], axis=-1)
+    block = win.reshape(c, ho, wo, 2, 2).transpose(0, 1, 3, 2, 4).reshape(c, 2 * ho, 2 * wo)
+    full = np.zeros((c, h, w))
+    full[:, : 2 * ho, : 2 * wo] = block
+    return full
+
+
+def layered_forward_vjp(spec, weights, image: np.ndarray, cotangent: np.ndarray):
+    """(features, J^T cotangent) of the extractor, run on the layers above.
+
+    Follows the production arithmetic step for step (float64 kernel
+    matrices, bias added after the product, ReLU by np.maximum and its
+    gate by the forward sign), so the results must agree bit for bit.
+    """
+    from dmtrav.features import INPUT_TAP, Conv, Relu
+
+    def mat(kernel):
+        return kernel.reshape(kernel.shape[0], -1).astype(np.float64)
+
+    acts = [np.ascontiguousarray(image.transpose(2, 0, 1), dtype=np.float64)]
+    caches = []
+    ki = 0
+    for layer in spec.layers:
+        x = acts[-1]
+        if isinstance(layer, Conv):
+            kernel = weights.kernels[ki]
+            bias = weights.biases[ki].astype(np.float64)
+            acts.append(im2col_conv(x, mat(kernel)) + bias[:, None, None])
+            caches.append(mat(kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)))
+            ki += 1
+        elif isinstance(layer, Relu):
+            acts.append(np.maximum(x, 0.0))
+            caches.append(None)
+        else:
+            out, idx = argmax_pool_forward(x)
+            acts.append(out)
+            caches.append(idx)
+    features = np.concatenate([acts[t + 1].ravel() for t in spec.taps])
+
+    pieces = {}
+    offset = 0
+    for t in spec.taps:
+        size = acts[t + 1].size
+        pieces[t] = cotangent[offset : offset + size].reshape(acts[t + 1].shape)
+        offset += size
+    g = np.zeros_like(acts[-1])
+    for i in range(len(spec.layers) - 1, -1, -1):
+        if i in pieces:
+            g = g + pieces[i]
+        layer = spec.layers[i]
+        if isinstance(layer, Conv):
+            g = im2col_conv(g, caches[i])
+        elif isinstance(layer, Relu):
+            g = g * (acts[i + 1] > 0.0)
+        else:
+            g = argmax_pool_backward(g, caches[i], acts[i].shape[1:])
+    if INPUT_TAP in pieces:
+        g = g + pieces[INPUT_TAP]
+    return features, g.transpose(1, 2, 0)

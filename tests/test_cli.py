@@ -213,6 +213,25 @@ class TestMainExitCodes:
         assert code == 3
         assert "numerical" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sigma", ["100", "median"])
+    def test_nan_in_gram_is_exit_2(self, tmp_path, capsys, sigma):
+        import struct
+
+        from dmtrav.formats import write_feature_file
+
+        V = np.random.default_rng(47).standard_normal((4, 3))
+        p = tmp_path / "f.dmtv"
+        write_feature_file(p, V, 2, 1)
+        assert main(["gram", str(p), "--quiet"]) == 0
+        data = bytearray(p.read_bytes())
+        g11 = 40 + 4 * V.size + 4 + 8 * (4 + 1)
+        data[g11 : g11 + 8] = struct.pack("<d", float("nan"))
+        p.write_bytes(bytes(data))
+        code = main(["traverse", str(p), "--lambda", "1e-3", "--sigma", sigma,
+                     "--out", str(tmp_path), "--quiet"])
+        assert code == 2
+        assert "non-finite value in Gram" in capsys.readouterr().err
+
     def test_config_file_round_trip(self, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text('{"lambdas": [0.1, 0.01], "sigma": "median", "max_iters": 50}')

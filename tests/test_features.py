@@ -307,3 +307,82 @@ class TestWeightFile:
         path.write_bytes(path.read_bytes() + b"x")
         with pytest.raises(FormatError, match="trailing"):
             load_weights(path)
+
+
+def bit_equal(a, b) -> bool:
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    b = np.ascontiguousarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def tied_signed(rng, shape):
+    """Half-integer values (many ties) whose zeros carry random signs."""
+    x = np.round(2.0 * rng.standard_normal(shape)) / 2.0
+    zeros = x == 0.0
+    x[zeros] = np.where(rng.random(np.count_nonzero(zeros)) < 0.5, -0.0, 0.0)
+    return x
+
+
+class TestLayersMatchOracles:
+    """The conv and pooling layers reproduce the first-written layers bit for bit."""
+
+    @pytest.mark.parametrize("ki, side", [(0, 32), (1, 16), (2, 8)], ids=["conv1", "conv2", "conv3"])
+    def test_reference_convs_forward_and_flipped(self, reference, ki, side):
+        _, weights = reference
+        rng = np.random.default_rng(70 + ki)
+        for kmat in (weights._mats[ki], weights._flipped_mats[ki]):
+            x = rng.standard_normal((kmat.shape[1] // 9, side, side))
+            assert bit_equal(features_mod._conv(x, kmat), oracles.im2col_conv(x, kmat))
+
+    def test_non_square_conv(self):
+        rng = np.random.default_rng(73)
+        x = rng.standard_normal((3, 5, 7))
+        kmat = rng.standard_normal((4, 27))
+        assert bit_equal(features_mod._conv(x, kmat), oracles.im2col_conv(x, kmat))
+
+    @pytest.mark.parametrize(
+        "shape", [(8, 32, 32), (16, 16, 16), (3, 7, 7), (2, 5, 6), (1, 3, 3), (2, 4, 3)]
+    )
+    def test_pooling_with_ties_and_signed_zeros(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        x = tied_signed(rng, shape)
+        out, wins = features_mod._pool_forward(x)
+        ref_out, ref_idx = oracles.argmax_pool_forward(x)
+        assert bit_equal(out, ref_out)
+        g = tied_signed(rng, out.shape)
+        assert bit_equal(
+            features_mod._pool_backward(g, wins, shape[1:]),
+            oracles.argmax_pool_backward(g, ref_idx, shape[1:]),
+        )
+
+    def test_pooling_ties_take_the_first_offset(self):
+        # Four 2x2 windows side by side; -0.0 and 0.0 compare equal.
+        x = np.array(
+            [[[-0.0, 0.0, 0.0, -0.0, 1.0, 1.0, -1.0, -1.0],
+              [0.0, 0.0, -0.0, 0.0, 1.0, 1.0, -0.0, 0.0]]]
+        )
+        out, wins = features_mod._pool_forward(x)
+        assert np.signbit(out).tolist() == [[[True, False, False, True]]]
+        g = np.array([[[1.0, 2.0, 3.0, 4.0]]])
+        routed = features_mod._pool_backward(g, wins, (2, 8))
+        assert routed.tolist() == [
+            [[1.0, 0.0, 2.0, 0.0, 3.0, 0.0, 0.0, 0.0],
+             [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 4.0, 0.0]]
+        ]
+
+    @pytest.mark.parametrize("which", ["reference", "odd"])
+    def test_whole_pass_matches_oracle_layers(self, reference, which):
+        if which == "reference":
+            spec, weights = reference
+        else:
+            spec = ExtractorSpec(
+                (7, 9, 2), (Conv(3), Relu(), MaxPool(), Conv(2), Relu(), MaxPool()), taps=(-1, 2, 5)
+            )
+            weights = init_weights(spec, 74)
+        rng = np.random.default_rng(75)
+        img = ImageTensor(rng.uniform(0.0, 1.0, spec.input_shape))
+        u = rng.standard_normal(spec.feature_dim())
+        fp = forward(spec, weights, img)
+        feats, grad = oracles.layered_forward_vjp(spec, weights, np.asarray(img.pixels), u)
+        assert bit_equal(fp.features, feats)
+        assert bit_equal(fp.vjp(u), grad)

@@ -170,6 +170,25 @@ class TestFeatureFile:
         with pytest.raises(FormatError, match="m\\+n\\+1"):
             read_feature_file(p)
 
+    @pytest.mark.parametrize(
+        "offset, value, section",
+        [(40 + 4 * 4, "nan", "V"), (40 + 4 * 6, "-inf", "V"),
+         (40 + 4 * 9 + 4 + 8 * 4, "nan", "Gram"), (40 + 4 * 9 + 4, "inf", "Gram")],
+        ids=["V-nan", "V-minus-inf", "Gram-nan", "Gram-inf"],
+    )
+    def test_non_finite_values_rejected(self, tmp_path, offset, value, section):
+        import struct
+
+        p = tmp_path / "f.dmtv"
+        write_feature_file(p, np.arange(9.0).reshape(3, 3), 1, 1)
+        append_gram(p)
+        data = bytearray(p.read_bytes())
+        fmt = "<f" if section == "V" else "<d"
+        data[offset : offset + struct.calcsize(fmt)] = struct.pack(fmt, float(value))
+        p.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match=f"non-finite value in {section}"):
+            read_feature_file(p)
+
     def test_vector_files(self, tmp_path):
         vec = np.random.default_rng(94).standard_normal(17).astype(np.float32).astype(float)
         p = tmp_path / "v.dmtv"
@@ -295,6 +314,7 @@ def _dmtw(path):
     save_weights(init_weights(spec, 97), path)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "write, read",
     [(_dmtv_with_gram, read_feature_file), (_ppm, load_image), (_dmtw, load_weights)],

@@ -292,6 +292,14 @@ class TestFeatureMatrix:
         with pytest.raises(InvalidInputError):
             FeatureMatrix(V, 2, 1, G_bad)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_gram_rejected(self, value):
+        V = np.random.default_rng(1).standard_normal((4, 3))
+        G = gram(V)
+        G[1, 1] = value
+        with pytest.raises(InvalidInputError, match="finite"):
+            FeatureMatrix(V, 2, 1, G)
+
     def test_gram_psd_on_desk_scale(self):
         V, m, n = seeded_instance(3, K=12, D=9)
         fm = FeatureMatrix(V, m, n).with_gram()

@@ -4,7 +4,17 @@ import pytest
 import oracles
 from conftest import seeded_instance
 from dmtrav.errors import InvalidInputError, NumericalError
-from dmtrav.mmd import FeatureMatrix, KernelConfig, witness_direct
+from dmtrav.mmd import (
+    FeatureMatrix,
+    KernelConfig,
+    budget,
+    budget_grad,
+    factored_objective,
+    median_heuristic_sigma,
+    witness_direct,
+    witness_factored,
+    witness_grad_r,
+)
 from dmtrav.traversal import TraversalConfig, materialize, traverse
 
 # Rows [target=2, source=0, test=0.2] in 1-D. Global optimum objective for
@@ -165,3 +175,20 @@ class TestWarmStart:
         res = traverse(fm, TraversalConfig(lambdas=(1.0, 0.1, 0.01)))
         budgets = [rec.budget for rec in res.records]
         assert budgets[0] <= min(budgets) + 1e-12
+
+
+@pytest.mark.parametrize("seed, lam", [(50, 1e-3), (51, 0.5)])
+def test_factored_objective_equals_separate_terms_bit_for_bit(seed, lam):
+    V, m, n = seeded_instance(seed, K=11, D=30)
+    G = FeatureMatrix(V, m, n).with_gram().G
+    sigma = median_heuristic_sigma(G)
+    kcfg = KernelConfig(sigma)
+    fun = factored_objective(G, m, n, sigma, lam)
+    rng = np.random.default_rng(seed)
+    for _ in range(4):
+        r = 0.3 * rng.standard_normal(11)
+        value, grad = fun(r)
+        expected = witness_factored(r, G, m, n, kcfg).value + lam * budget(r, G)
+        expected_grad = witness_grad_r(r, G, m, n, kcfg) + lam * budget_grad(r, G)
+        assert np.float64(value).view(np.int64) == np.float64(expected).view(np.int64)
+        assert np.array_equal(grad().view(np.int64), expected_grad.view(np.int64))
