@@ -7,9 +7,10 @@ All binary layouts are little-endian. The feature container is
     f32 row-major V data (K x D)
     [optional Gram section: magic "DMTG" | f64 row-major K x K data]
 
-with K = m + n + 1 enforced on load. Single vectors (coefficients r,
-traversed features z) reuse the same container as a 1 x L matrix with
-m = n = 0.
+with K = m + n + 1 enforced on load, and a Gram section accepted only if
+its diagonal matches the squared norms of the stored rows. Single vectors
+(coefficients r, traversed features z) reuse the same container as a
+1 x L matrix with m = n = 0.
 
 Images use binary PPM/PGM with maxval 255: P5 for grayscale, P6 for
 three channels. A pixel value v in [0, 1] is stored as round(v * 255)
@@ -176,6 +177,16 @@ def read_feature_file(path) -> FeatureFile:
         G = np.frombuffer(data, dtype="<f8", count=K * K, offset=pos + 4).reshape(K, K)
         if not np.all(np.isfinite(G)):
             raise FormatError(f"{path}: non-finite value in Gram data")
+        # A Gram section computed from other rows would silently combine data
+        # that do not belong together; its diagonal gives it away.
+        norms = np.einsum("ij,ij->i", V, V)
+        bad = np.flatnonzero(np.abs(np.diag(G) - norms) > 1e-9 * norms)
+        if bad.size:
+            i = int(bad[0])
+            raise FormatError(
+                f"{path}: Gram diagonal G[{i},{i}]={G[i, i]!r} does not match the squared "
+                f"norm {norms[i]!r} of stored row {i}"
+            )
         G = G.copy()
     return FeatureFile(V=V, m=int(m), n=int(n), G=G)
 

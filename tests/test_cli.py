@@ -202,14 +202,15 @@ class TestMainExitCodes:
     def test_numerical_failure_is_exit_3(self, tmp_path, capsys):
         from dmtrav.formats import write_feature_file
 
-        # large rows + an astronomically heavy budget overflow the objective
-        # on the first trial step
+        # a subnormal kernel width overflows the witness gradient at the start
         rng = np.random.default_rng(46)
         V = 1e3 * rng.standard_normal((4, 3))
         p = tmp_path / "f.dmtv"
         write_feature_file(p, V, 2, 1)
         assert main(["gram", str(p), "--quiet"]) == 0
-        code = main(["traverse", str(p), "--lambda", "1e305", "--out", str(tmp_path), "--quiet"])
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["traverse", str(p), "--lambda", "1e305", "--sigma", "1e-310",
+                         "--out", str(tmp_path), "--quiet"])
         assert code == 3
         assert "numerical" in capsys.readouterr().err
 
@@ -231,6 +232,17 @@ class TestMainExitCodes:
                      "--out", str(tmp_path), "--quiet"])
         assert code == 2
         assert "non-finite value in Gram" in capsys.readouterr().err
+
+    def test_gram_of_other_rows_is_exit_2(self, tmp_path, capsys):
+        from dmtrav.formats import write_feature_file
+        from dmtrav.mmd import gram
+
+        rng = np.random.default_rng(48)
+        p = tmp_path / "f.dmtv"
+        write_feature_file(p, rng.standard_normal((4, 3)), 2, 1, gram(rng.standard_normal((4, 3))))
+        code = main(["traverse", str(p), "--lambda", "1e-3", "--out", str(tmp_path), "--quiet"])
+        assert code == 2
+        assert "Gram diagonal" in capsys.readouterr().err
 
     def test_config_file_round_trip(self, tmp_path):
         cfg = tmp_path / "run.json"

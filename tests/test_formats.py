@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
+from dmtrav import mmd
 from dmtrav.errors import FormatError, InvalidInputError
 from dmtrav.features import (
     Conv,
@@ -187,6 +188,21 @@ class TestFeatureFile:
         data[offset : offset + struct.calcsize(fmt)] = struct.pack(fmt, float(value))
         p.write_bytes(bytes(data))
         with pytest.raises(FormatError, match=f"non-finite value in {section}"):
+            read_feature_file(p)
+
+    @pytest.mark.parametrize("zero_row", [False, True], ids=["other-rows", "zero-row"])
+    def test_gram_diagonal_must_match_rows(self, tmp_path, zero_row):
+        rng = np.random.default_rng(99)
+        V = rng.standard_normal((3, 4))
+        if zero_row:
+            V[1] = 0.0
+            G = mmd.gram(V.astype(np.float32).astype(float))
+            G[1, 1] = 1e-300
+        else:
+            G = mmd.gram(rng.standard_normal((3, 4)))
+        p = tmp_path / "f.dmtv"
+        write_feature_file(p, V, 1, 1, G)
+        with pytest.raises(FormatError, match="Gram diagonal"):
             read_feature_file(p)
 
     def test_vector_files(self, tmp_path):

@@ -1,9 +1,12 @@
+import logging
+
 import numpy as np
 import pytest
 
 import oracles
 from conftest import seeded_instance
 from dmtrav.errors import InvalidInputError, NumericalError
+from dmtrav.formats import read_feature_file, read_vector
 from dmtrav.mmd import (
     FeatureMatrix,
     KernelConfig,
@@ -99,9 +102,66 @@ class TestTraverse:
     def test_solver_failure_annotated_with_lambda(self):
         V, m, n = seeded_instance(15, K=4, D=3)
         fm = FeatureMatrix(1e3 * V, m, n).with_gram()
-        # the budget term overflows on the first trial step at this weight
-        with pytest.raises(NumericalError, match="lambda"):
-            traverse(fm, TraversalConfig(lambdas=(1e305,)))
+        # a subnormal kernel width overflows the witness gradient at the start
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            NumericalError, match="lambda"
+        ):
+            traverse(fm, TraversalConfig(lambdas=(1e305,), kernel=KernelConfig(1e-310)))
+
+
+    def test_rank_deficient_gram_gives_minimum_norm_r(self):
+        V, m, n = seeded_instance(21, K=9, D=3)  # rank(G) = 3 < K
+        fm = FeatureMatrix(V, m, n).with_gram()
+        sigma = res_sigma(fm)
+        res = traverse(fm, TraversalConfig(lambdas=(1e-2 / sigma, 1e-3 / sigma)))
+        rows, _ = np.linalg.qr(V)  # orthonormal basis of range(G)
+        for rec in res.records:
+            assert rec.trace.termination_reason == "grad_tol"
+            null_part = rec.r - rows @ (rows.T @ rec.r)
+            assert np.linalg.norm(null_part) <= 1e-10 * np.linalg.norm(rec.r)
+            assert np.linalg.norm(rec.r) > 0
+
+    def test_zero_gram_keeps_r_zero(self):
+        fm = FeatureMatrix(np.zeros((5, 3)), 2, 2).with_gram()
+        res = traverse(fm, TraversalConfig(lambdas=(0.1, 0.01), kernel=KernelConfig(1.0)))
+        for rec in res.records:
+            assert np.array_equal(rec.r, np.zeros(5))
+            assert rec.objective == 0.0
+            assert rec.trace.termination_reason == "grad_tol"
+
+    def test_solve_short_of_grad_tol_logs_warning(self, caplog):
+        from dmtrav.optim import MinimizeConfig
+
+        V, m, n = seeded_instance(22, K=9, D=20)
+        fm = FeatureMatrix(V, m, n).with_gram()
+        with caplog.at_level(logging.WARNING, logger="dmtrav.traversal"):
+            traverse(fm, TraversalConfig(lambdas=(0.1, 0.01)))
+        assert caplog.records == []
+        with caplog.at_level(logging.WARNING, logger="dmtrav.traversal"):
+            res = traverse(
+                fm, TraversalConfig(lambdas=(0.1, 0.01), solver=MinimizeConfig(max_iters=1))
+            )
+        assert [r.name for r in caplog.records] == ["dmtrav.traversal"] * 2
+        for log, rec in zip(caplog.records, res.records):
+            assert rec.trace.termination_reason == "max_iters"
+            message = log.getMessage()
+            assert repr(rec.lam) in message and "max_iters" in message
+            assert repr(rec.trace.final_grad_norm) in message
+
+
+def test_demo_sweep_ends_on_grad_tol(demo_runs, caplog):
+    outcome, dir_a, _, _ = demo_runs
+    fm = read_feature_file(dir_a / "features.dmtv").as_feature_matrix()
+    cfg = TraversalConfig(lambdas=outcome.lambdas, kernel=KernelConfig(outcome.sigma))
+    with caplog.at_level(logging.WARNING, logger="dmtrav.traversal"):
+        res = traverse(fm, cfg)
+    assert caplog.records == []
+    for i, rec in enumerate(res.records):
+        assert rec.trace.termination_reason == "grad_tol"
+        # the same sweep as the demo's: its stored coefficients, rounded to f32
+        assert np.array_equal(
+            rec.r.astype(np.float32).astype(float), read_vector(dir_a / f"r_{i}.dmtv")
+        )
 
 
 def res_sigma(fm):
