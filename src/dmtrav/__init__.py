@@ -22,6 +22,7 @@ from .evaluate import (
     SweepRecord,
     SweepReport,
     adversarial_perturb,
+    fit_classifier,
     match_regularizer,
     platt_fit,
     predict,
@@ -34,7 +35,6 @@ from .features import (
     ImageTensor,
     MaxPool,
     Relu,
-    SeededInit,
     WeightSet,
     forward,
     identity_spec,
@@ -51,7 +51,6 @@ from .mmd import (
     budget_grad,
     gram,
     median_heuristic_sigma,
-    rbf_kernel,
     witness_direct,
     witness_factored,
     witness_grad_r,

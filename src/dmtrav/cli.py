@@ -17,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import demo as demo_mod
 from . import evaluate, formats, mmd, reconstruct, traversal
 from .errors import (
     DegenerateDataError,
@@ -45,12 +44,11 @@ from .optim import MinimizeConfig
 class RunConfig:
     """Pipeline settings shared by the CLI verbs; loadable from a JSON file.
 
-    When neither weight_seed nor weight_file is given, the extractor
-    spec's own weight_init applies (the reference spec seeds at 42).
+    weight_file, when given, replaces the seeded weights of any extractor.
     """
 
     extractor: str = "reference"  # builtin name or path to a spec text file
-    weight_seed: int | None = None
+    weight_seed: int = 42
     weight_file: str | None = None
     sigma: float | None = None  # None = median heuristic
     lambdas: tuple[float, ...] = ()
@@ -92,9 +90,7 @@ class RunConfig:
     def resolve_weights(self, spec: ExtractorSpec) -> WeightSet:
         if self.weight_file is not None:
             return load_weights(self.weight_file)
-        if self.weight_seed is not None:
-            return init_weights(spec, self.weight_seed)
-        return init_weights(spec, spec.weight_init.seed)
+        return init_weights(spec, self.weight_seed)
 
     def kernel(self) -> KernelConfig:
         return KernelConfig(self.sigma)
@@ -155,8 +151,15 @@ def cmd_traverse(feature_file, run: RunConfig) -> tuple[traversal.TraversalResul
     cfg = traversal.TraversalConfig(
         lambdas=run.lambdas, kernel=run.kernel(), solver=run.solver()
     )
+    return traverse_to(features, cfg, run.out_dir)
+
+
+def traverse_to(
+    features: mmd.FeatureMatrix, cfg: traversal.TraversalConfig, out_dir
+) -> tuple[traversal.TraversalResult, Path]:
+    """Run the sweep and write traversal_records.txt, r_<i>.dmtv and zt_<i>.dmtv."""
     result = traversal.traverse(features, cfg)
-    out_dir = Path(run.out_dir)
+    out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     records_path = out_dir / "traversal_records.txt"
     records_path.write_text(formats.format_traversal_records(result.records), encoding="utf-8")
@@ -199,7 +202,7 @@ def _model_from_file(feature_file, labels_file) -> tuple[evaluate.ClassifierMode
     ff = formats.read_feature_file(feature_file)
     features = ff.as_feature_matrix()
     labels = formats.read_labels(labels_file, features.K - 1)
-    model = demo_mod.fit_classifier(features, labels)
+    model = evaluate.fit_classifier(features, labels)
     return model, features
 
 
@@ -246,7 +249,12 @@ def cmd_adversarial(
         res = evaluate.match_regularizer(spec, weights, model, image, match_decision, cfg=solver)
     else:
         res = evaluate.adversarial_perturb(spec, weights, model, image, c_adv, cfg=solver)
-    out_dir = Path(run.out_dir)
+    return write_adversarial(res, run.out_dir)
+
+
+def write_adversarial(res: evaluate.AdversarialResult, out_dir) -> Path:
+    """Write adversarial.ppm and adversarial_report.txt; returns the report path."""
+    out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     formats.save_image(res.perturbed, out_dir / "adversarial.ppm")
     report = out_dir / "adversarial_report.txt"
@@ -257,10 +265,6 @@ def cmd_adversarial(
         encoding="utf-8",
     )
     return report
-
-
-def cmd_demo(seed: int, out_dir, quiet: bool = False) -> demo_mod.DemoOutcome:
-    return demo_mod.run_demo(seed, out_dir, quiet=quiet)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -362,8 +366,10 @@ def main(argv=None) -> int:
             if not args.quiet:
                 print(path)
         else:
-            out = args.out or "demo_out"
-            cmd_demo(args.seed, out, quiet=args.quiet)
+            # imported here: the demo composes this module's stages
+            from .demo import run_demo
+
+            run_demo(args.seed, args.out or "demo_out", quiet=args.quiet)
     except (InvalidInputError, FormatError, DegenerateDataError, NoMatchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

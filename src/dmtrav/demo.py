@@ -7,6 +7,14 @@ traversal with the weights scaled by the median-heuristic kernel width,
 reconstruction of every traversed point, SVM + Platt evaluation of the
 decision sweep, and the matched adversarial baseline. Every output is a
 deterministic function of the seed, bit for bit.
+
+Extraction, the Gram section, the traversal files and the adversarial
+files come from the same stages as the `extract`, `gram`, `traverse`
+and `adversarial` verbs, so those verbs reproduce them byte for byte.
+The reconstructions and the decision sweep run in memory on the
+traversal's float64 r and z: the `reconstruct` and `eval` verbs read
+the float32 vector files instead, which moves their results (sweep
+decisions differ from summary.txt in about the 8th digit).
 """
 
 from __future__ import annotations
@@ -17,14 +25,12 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluate, formats, mmd, reconstruct, traversal
-from .errors import InvalidInputError
-from .features import ImageTensor, forward, init_weights, reference_spec
+from .cli import RunConfig, cmd_extract, cmd_gram, traverse_to, write_adversarial
+from .features import ImageTensor, forward
 from .optim import MinimizeConfig
 
-DEMO_WEIGHT_SEED = 42
 DEMO_CLASS_SIZE = 64
 DEMO_LAMBDA_SCALES = (1e-2, 1e-3, 1e-4)
-DEMO_SVM_C = 1.0
 _STRIPE_PERIOD = 8
 _NOISE_SIGMA = 0.08
 
@@ -83,18 +89,6 @@ def run_demo(seed: int, out_dir, quiet: bool = False) -> DemoOutcome:
             print(msg)
 
     sources, targets, test = make_demo_images(seed)
-    source_paths = []
-    target_paths = []
-    for i, img in enumerate(sources):
-        p = data_dir / f"source_{i:02d}.ppm"
-        formats.save_image(img, p)
-        source_paths.append(str(p))
-    for i, img in enumerate(targets):
-        p = data_dir / f"target_{i:02d}.ppm"
-        formats.save_image(img, p)
-        target_paths.append(str(p))
-    input_path = data_dir / "input.ppm"
-    formats.save_image(test, input_path)
     # The stored manifest uses paths relative to its own directory so the
     # output tree is bit-identical wherever it lands.
     rel = formats.Manifest(
@@ -102,36 +96,30 @@ def run_demo(seed: int, out_dir, quiet: bool = False) -> DemoOutcome:
         [f"dataset/target_{i:02d}.ppm" for i in range(len(targets))],
         "dataset/input.ppm",
     )
+    names = [*rel.source_paths, *rel.target_paths, rel.input_path]
+    for name, img in zip(names, [*sources, *targets, test]):
+        formats.save_image(img, out / name)
     (out / "manifest.txt").write_text(formats.format_manifest(rel), encoding="utf-8")
     labels = ["+1"] * len(targets) + ["-1"] * len(sources)
     (out / "labels.txt").write_text("\n".join(labels) + "\n", encoding="utf-8")
     say(f"dataset: {len(sources)} sources, {len(targets)} targets at {data_dir}")
 
     # Work from the quantized files so the pipeline matches what was written.
-    spec = reference_spec()
-    weights = init_weights(spec, DEMO_WEIGHT_SEED)
-    paths = [*target_paths, *source_paths, input_path]
-    V = np.stack([forward(spec, weights, formats.load_image(p)).features for p in paths])
-    feature_path = out / "features.dmtv"
-    formats.write_feature_file(feature_path, V, len(sources), len(targets))
-    formats.append_gram(feature_path)
-    ff = formats.read_feature_file(feature_path)
-    features = ff.as_feature_matrix()
+    run = RunConfig(out_dir=str(out))
+    feature_path = cmd_extract(formats.read_manifest(out / "manifest.txt"), run)
+    cmd_gram(feature_path)
+    features = formats.read_feature_file(feature_path).as_feature_matrix()
     say(f"features: K={features.K} D={features.D}")
 
     sigma = mmd.median_heuristic_sigma(features.G)
     lambdas = tuple(s / sigma for s in DEMO_LAMBDA_SCALES)
     tcfg = traversal.TraversalConfig(lambdas=lambdas, kernel=mmd.KernelConfig(sigma))
-    result = traversal.traverse(features, tcfg)
-    (out / "traversal_records.txt").write_text(
-        formats.format_traversal_records(result.records), encoding="utf-8"
-    )
-    for i, rec in enumerate(result.records):
-        formats.write_vector(out / f"r_{i}.dmtv", rec.r)
-        formats.write_vector(out / f"zt_{i}.dmtv", traversal.materialize(features, rec.r))
+    result, _ = traverse_to(features, tcfg, out)
     say(f"traversal: sigma={sigma:.6g}, lambdas={[f'{l:.3g}' for l in lambdas]}")
 
-    test_img = formats.load_image(input_path)
+    spec = run.resolve_spec()
+    weights = run.resolve_weights(spec)
+    test_img = formats.load_image(out / rel.input_path)
     recon_l2 = []
     recons = []
     for i, rec in enumerate(result.records):
@@ -146,7 +134,7 @@ def run_demo(seed: int, out_dir, quiet: bool = False) -> DemoOutcome:
             f"pixel_l2={recon_l2[-1]:.4g}"
         )
 
-    model = fit_classifier(features, np.array([1.0] * features.n + [-1.0] * features.m))
+    model = evaluate.fit_classifier(features, np.array([1.0] * features.n + [-1.0] * features.m))
     report = evaluate.sweep_decisions(model, result, features)
     (out / "sweep_report.txt").write_text(formats.format_sweep_report(report), encoding="utf-8")
     base = report.records[0]
@@ -164,13 +152,7 @@ def run_demo(seed: int, out_dir, quiet: bool = False) -> DemoOutcome:
     adv = evaluate.match_regularizer(
         spec, weights, model, test_img, target_decision, cfg=_ADV_SOLVER
     )
-    formats.save_image(adv.perturbed, out / "adversarial.ppm")
-    (out / "adversarial_report.txt").write_text(
-        formats.format_adversarial_report(
-            [(adv.c_adv, adv.decision_value, adv.l2_pixel_distance)]
-        ),
-        encoding="utf-8",
-    )
+    write_adversarial(adv, out)
     say(
         f"adversarial: c={adv.c_adv:.4g} decision={adv.decision_value:.4g} "
         f"l2={adv.l2_pixel_distance:.4g} vs traversal l2={recon_l2[-1]:.4g}"
@@ -204,29 +186,6 @@ def run_demo(seed: int, out_dir, quiet: bool = False) -> DemoOutcome:
     (out / "summary.txt").write_text(format_summary(seed, outcome), encoding="utf-8")
     say(f"summary written to {out / 'summary.txt'}")
     return outcome
-
-
-def fit_classifier(features: mmd.FeatureMatrix, labels: np.ndarray) -> evaluate.ClassifierModel:
-    """Train the SVM on the deterministic 80% split and Platt-fit on the held-out 20%.
-
-    Every fifth feature row (index % 5 == 0) is held out; the split
-    covers all rows except the test image.
-    """
-    X = features.V[: features.K - 1]
-    if labels.size != X.shape[0]:
-        raise InvalidInputError("one label per non-test row is required")
-    idx = np.arange(X.shape[0])
-    held = idx % 5 == 0
-    w, b = evaluate.train_svm(X[~held], labels[~held], DEMO_SVM_C)
-    held_decisions = X[held] @ w + b
-    platt_a, platt_b = evaluate.platt_fit(held_decisions, (labels[held] > 0).astype(int))
-    return evaluate.ClassifierModel(
-        w=w,
-        b=b,
-        platt_a=platt_a,
-        platt_b=platt_b,
-        trained_on="reference extractor taps; positive decision = target block",
-    )
 
 
 def format_summary(seed: int, o: DemoOutcome) -> str:

@@ -36,6 +36,7 @@ _C_ADV_RANGE = (1e-12, 1e12)
 # A secant point this close (as a fraction of the bracket) to either end
 # gives way to the bisection midpoint.
 _SECANT_MARGIN = 0.01
+_SVM_C = 1.0  # SVM regularization constant of fit_classifier
 
 
 @dataclass
@@ -201,6 +202,29 @@ def platt_fit(decision_values, labels) -> tuple[float, float]:
         else:
             break  # no decrease along the Newton direction; converged enough
     return a, b
+
+
+def fit_classifier(features: mmd.FeatureMatrix, labels: np.ndarray) -> ClassifierModel:
+    """Train the SVM on the deterministic 80% split and Platt-fit on the held-out 20%.
+
+    Every fifth feature row (index % 5 == 0) is held out; the split
+    covers all rows except the test image.
+    """
+    X = features.V[: features.K - 1]
+    if labels.size != X.shape[0]:
+        raise InvalidInputError("one label per non-test row is required")
+    idx = np.arange(X.shape[0])
+    held = idx % 5 == 0
+    w, b = train_svm(X[~held], labels[~held], _SVM_C)
+    held_decisions = X[held] @ w + b
+    platt_a, platt_b = platt_fit(held_decisions, (labels[held] > 0).astype(int))
+    return ClassifierModel(
+        w=w,
+        b=b,
+        platt_a=platt_a,
+        platt_b=platt_b,
+        trained_on="reference extractor taps; positive decision = target block",
+    )
 
 
 def predict(model: ClassifierModel, z) -> tuple[float, float]:

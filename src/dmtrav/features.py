@@ -58,11 +58,6 @@ Layer = Union[Conv, Relu, MaxPool]
 
 
 @dataclass(frozen=True)
-class SeededInit:
-    seed: int
-
-
-@dataclass(frozen=True)
 class ImageTensor:
     """Immutable (H, W, C) pixel array with finite values in [0, 1]."""
 
@@ -117,7 +112,6 @@ class ExtractorSpec:
     input_shape: tuple[int, int, int]
     layers: tuple[Layer, ...] = ()
     taps: tuple[int, ...] = (INPUT_TAP,)
-    weight_init: SeededInit = SeededInit(0)
 
     def __post_init__(self) -> None:
         h, w, c = self.input_shape
@@ -220,7 +214,6 @@ def reference_spec() -> ExtractorSpec:
         input_shape=(32, 32, 1),
         layers=(Conv(8), Relu(), MaxPool(), Conv(16), Relu(), MaxPool(), Conv(32), Relu()),
         taps=(4, 7),
-        weight_init=SeededInit(42),
     )
 
 

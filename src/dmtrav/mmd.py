@@ -1,4 +1,4 @@
-"""RBF kernel, Gram precomputation, and the two-sample witness function.
+"""Gram precomputation and the RBF two-sample witness function.
 
 The witness of a point z against a source set {s_i} and target set {t_j}
 is the difference of mean kernel similarities,
@@ -33,8 +33,8 @@ class KernelConfig:
     sigma: float | None = None
 
     def __post_init__(self) -> None:
-        if self.sigma is not None and not self.sigma > 0:
-            raise InvalidInputError(f"sigma must be positive, got {self.sigma}")
+        if self.sigma is not None and not 0 < self.sigma < np.inf:
+            raise InvalidInputError(f"sigma must be finite and positive, got {self.sigma}")
 
     def resolve_sigma(self, G: np.ndarray) -> float:
         if self.sigma is not None:
@@ -110,18 +110,6 @@ class FeatureMatrix:
         if self.G is not None:
             return self
         return FeatureMatrix(self.V, self.m, self.n, gram(self.V))
-
-
-def rbf_kernel(a, b, sigma: float) -> float:
-    """exp(-|a-b|^2 / sigma); always in (0, 1] and symmetric in (a, b)."""
-    a = np.asarray(a, dtype=float).ravel()
-    b = np.asarray(b, dtype=float).ravel()
-    if a.shape != b.shape:
-        raise InvalidInputError(f"length mismatch: {a.size} vs {b.size}")
-    if not sigma > 0:
-        raise InvalidInputError(f"sigma must be positive, got {sigma}")
-    d = a - b
-    return float(np.exp(-(d @ d) / sigma))
 
 
 def gram(V) -> np.ndarray:

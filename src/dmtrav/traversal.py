@@ -52,8 +52,8 @@ class TraversalConfig:
         lams = tuple(float(l) for l in self.lambdas)
         if not lams:
             raise InvalidInputError("at least one lambda is required")
-        if any(l <= 0 for l in lams):
-            raise InvalidInputError("lambdas must be strictly positive")
+        if not all(0 < l < np.inf for l in lams):
+            raise InvalidInputError("lambdas must be finite and strictly positive")
         if any(later >= earlier for later, earlier in zip(lams[1:], lams)):
             raise InvalidInputError("lambdas must be strictly descending")
         object.__setattr__(self, "lambdas", lams)

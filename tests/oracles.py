@@ -89,6 +89,18 @@ def naive_extract(spec, weights, image: np.ndarray) -> np.ndarray:
     return np.concatenate([acts[t + 1].ravel() for t in spec.taps])
 
 
+def rbf_kernel(a, b, sigma: float) -> float:
+    """exp(-|a-b|^2 / sigma); always in (0, 1] and symmetric in (a, b)."""
+    a = np.asarray(a, dtype=float).ravel()
+    b = np.asarray(b, dtype=float).ravel()
+    if a.shape != b.shape:
+        raise InvalidInputError(f"length mismatch: {a.size} vs {b.size}")
+    if not sigma > 0:
+        raise InvalidInputError(f"sigma must be positive, got {sigma}")
+    d = a - b
+    return float(np.exp(-(d @ d) / sigma))
+
+
 def naive_gram(V: np.ndarray) -> np.ndarray:
     K = V.shape[0]
     G = np.zeros((K, K))

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import dmtrav
 
 from dmtrav.cli import (
     RunConfig,
@@ -233,6 +240,26 @@ class TestMainExitCodes:
         assert code == 2
         assert "non-finite value in Gram" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--lambda", "nan"],
+            ["--lambda", "inf"],
+            ["--lambda", "1e-3", "--lambda", "nan"],
+            ["--lambda", "1e-3", "--sigma", "inf"],
+            ["--lambda", "1e-3", "--sigma", "nan"],
+        ],
+    )
+    def test_non_finite_lambda_or_sigma_is_exit_2(self, tmp_path, capsys, args):
+        from dmtrav.formats import write_feature_file
+
+        p = tmp_path / "f.dmtv"
+        write_feature_file(p, np.random.default_rng(49).standard_normal((5, 3)), 2, 2)
+        assert main(["gram", str(p), "--quiet"]) == 0
+        code = main(["traverse", str(p), *args, "--out", str(tmp_path), "--quiet"])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_gram_of_other_rows_is_exit_2(self, tmp_path, capsys):
         from dmtrav.formats import write_feature_file
         from dmtrav.mmd import gram
@@ -271,6 +298,15 @@ class TestMainExitCodes:
             manifest, RunConfig(out_dir=str(tmp_path / "b"), weight_file=str(wpath))
         )
         assert seeded.read_bytes() == from_file.read_bytes()
+
+    def test_default_weight_seed_is_42_for_every_extractor(self, tmp_path):
+        from oracles import weights_equal
+
+        spec_file = tmp_path / "net.txt"
+        spec_file.write_text("input 8 8 1\nconv 2\nrelu\ntap\n")
+        for run in (RunConfig(), RunConfig(extractor=str(spec_file))):
+            spec = run.resolve_spec()
+            assert weights_equal(run.resolve_weights(spec), init_weights(spec, 42))
 
     def test_custom_extractor_spec_file(self, tiny_dataset):
         tmp_path, manifest, _ = tiny_dataset
@@ -444,3 +480,42 @@ class TestCmdAdversarial:
 
         with pytest.raises(InvalidInputError):
             cmd_adversarial("f", "l", "i", RunConfig(), c_adv=None, match_decision=None)
+
+
+def test_cli_verbs_reproduce_demo_tree(demo_runs, tmp_path):
+    _, demo, _, _ = demo_runs
+    summary = [line.split() for line in (demo / "summary.txt").read_text().splitlines()]
+    sigma = next(f[1] for f in summary if f[0] == "sigma")
+    lambdas = [f[1] for f in summary if f[0] == "lambda"]
+    c_adv = next(f[1] for f in summary if f[0] == "adversarial_c")
+    out = str(tmp_path)
+    features = str(tmp_path / "features.dmtv")
+    config = tmp_path / "run.json"
+    config.write_text('{"max_iters": 250}')
+
+    assert main(["extract", str(demo / "manifest.txt"), "--out", out, "--quiet"]) == 0
+    assert main(["gram", features, "--quiet"]) == 0
+    lambda_args = [arg for lam in lambdas for arg in ("--lambda", lam)]
+    assert main(["traverse", features, "--sigma", sigma, *lambda_args, "--out", out,
+                 "--quiet"]) == 0
+    assert main(["adversarial", features, str(demo / "labels.txt"),
+                 str(demo / "dataset" / "input.ppm"), "--c-adv", c_adv,
+                 "--config", str(config), "--out", out, "--quiet"]) == 0
+
+    # eval is left out: it sweeps the float32 r_<i>.dmtv files, while the
+    # demo sweeps its float64 r in memory, so the decisions differ in about
+    # the 8th digit.
+    names = ["features.dmtv", "traversal_records.txt", "adversarial.ppm", "adversarial_report.txt"]
+    names += [f"{kind}_{i}.dmtv" for kind in ("r", "zt") for i in range(len(lambdas))]
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (demo / name).read_bytes(), name
+
+
+def test_cli_does_not_import_demo():
+    # the demo composes the CLI stages, so the reverse import would be a cycle
+    env = {**os.environ, "PYTHONPATH": str(Path(dmtrav.__file__).parents[1])}
+    probe = "import dmtrav.cli, sys; print('dmtrav.demo' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout.strip() == "False"

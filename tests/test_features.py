@@ -68,14 +68,7 @@ class TestSpec:
 
     def test_spec_text_round_trip(self):
         text = "input 32 32 1\nconv 8\nrelu\npool\nconv 16\nrelu\ntap\npool\nconv 32\nrelu\ntap\n"
-        spec = parse_spec_text(text)
-        ref = reference_spec()
-        # weight_init is not part of the text format
-        assert (spec.input_shape, spec.layers, spec.taps) == (
-            ref.input_shape,
-            ref.layers,
-            ref.taps,
-        )
+        assert parse_spec_text(text) == reference_spec()
 
     def test_spec_text_errors(self):
         with pytest.raises(FormatError):

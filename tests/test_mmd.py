@@ -13,12 +13,11 @@ from dmtrav.mmd import (
     budget_grad,
     gram,
     median_heuristic_sigma,
-    rbf_kernel,
     witness_direct,
     witness_factored,
     witness_grad_r,
 )
-from oracles import finite_difference_gradient
+from oracles import finite_difference_gradient, rbf_kernel
 
 # Rows [target=2, source=0, test=0.2] in 1-D; the hand-checkable instance.
 HAND_V = np.array([[2.0], [0.0], [0.2]])
@@ -54,6 +53,13 @@ class TestRbfKernel:
     def test_bad_sigma(self):
         with pytest.raises(InvalidInputError):
             rbf_kernel([1.0], [1.0], 0.0)
+
+
+class TestKernelConfig:
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, float("inf"), float("nan")])
+    def test_sigma_must_be_finite_and_positive(self, sigma):
+        with pytest.raises(InvalidInputError):
+            KernelConfig(sigma)
 
 
 class TestGram:

@@ -39,10 +39,9 @@ class TestConfig:
             TraversalConfig(lambdas=(1.0, 1.0))
 
     def test_lambdas_positive_nonempty(self):
-        with pytest.raises(InvalidInputError):
-            TraversalConfig(lambdas=())
-        with pytest.raises(InvalidInputError):
-            TraversalConfig(lambdas=(1.0, -0.1))
+        for lambdas in [(), (1.0, -0.1), (float("inf"),), (float("nan"),), (1.0, float("nan"))]:
+            with pytest.raises(InvalidInputError):
+                TraversalConfig(lambdas=lambdas)
 
 
 class TestTraverse:
