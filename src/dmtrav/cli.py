@@ -209,6 +209,14 @@ def _model_from_file(feature_file, labels_file) -> tuple[evaluate.ClassifierMode
 def cmd_eval(feature_file, traversal_dir, labels_file, out_dir=None) -> Path:
     """Train the classifier and report decisions across a stored traversal."""
     model, features = _model_from_file(feature_file, labels_file)
+    out = out_dir if out_dir is not None else traversal_dir
+    return sweep_to(model, features, traversal_dir, out)[1]
+
+
+def sweep_to(
+    model: evaluate.ClassifierModel, features: mmd.FeatureMatrix, traversal_dir, out_dir
+) -> tuple[evaluate.SweepReport, Path]:
+    """Sweep the decisions over the r_<i>.dmtv files of a traversal and write sweep_report.txt."""
     tdir = Path(traversal_dir)
     rows = formats.parse_traversal_records(
         (tdir / "traversal_records.txt").read_text(encoding="utf-8")
@@ -222,11 +230,11 @@ def cmd_eval(feature_file, traversal_dir, labels_file, out_dir=None) -> Path:
             )
         )
     report = evaluate.sweep_decisions(model, traversal.TraversalResult(records), features)
-    out = Path(out_dir) if out_dir is not None else tdir
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     out_path = out / "sweep_report.txt"
     out_path.write_text(formats.format_sweep_report(report), encoding="utf-8")
-    return out_path
+    return report, out_path
 
 
 def cmd_adversarial(

@@ -8,13 +8,13 @@ reconstruction of every traversed point, SVM + Platt evaluation of the
 decision sweep, and the matched adversarial baseline. Every output is a
 deterministic function of the seed, bit for bit.
 
-Extraction, the Gram section, the traversal files and the adversarial
-files come from the same stages as the `extract`, `gram`, `traverse`
-and `adversarial` verbs, so those verbs reproduce them byte for byte.
-The reconstructions and the decision sweep run in memory on the
-traversal's float64 r and z: the `reconstruct` and `eval` verbs read
-the float32 vector files instead, which moves their results (sweep
-decisions differ from summary.txt in about the 8th digit).
+Extraction, the Gram section, the traversal files, the decision sweep
+and the adversarial files come from the same stages as the `extract`,
+`gram`, `traverse`, `eval` and `adversarial` verbs, so those verbs
+reproduce them byte for byte; the sweep reads back the float32
+r_<i>.dmtv files it sweeps, as `eval` does. The reconstructions run in
+memory on the traversal's float64 z: the `reconstruct` verb reads the
+float32 zt_<i>.dmtv files instead, which moves its results.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluate, formats, mmd, reconstruct, traversal
-from .cli import RunConfig, cmd_extract, cmd_gram, traverse_to, write_adversarial
+from .cli import RunConfig, cmd_extract, cmd_gram, sweep_to, traverse_to, write_adversarial
 from .features import ImageTensor, forward
 from .optim import MinimizeConfig
 
@@ -135,8 +135,7 @@ def run_demo(seed: int, out_dir, quiet: bool = False) -> DemoOutcome:
         )
 
     model = evaluate.fit_classifier(features, np.array([1.0] * features.n + [-1.0] * features.m))
-    report = evaluate.sweep_decisions(model, result, features)
-    (out / "sweep_report.txt").write_text(formats.format_sweep_report(report), encoding="utf-8")
+    report, _ = sweep_to(model, features, out, out)
     base = report.records[0]
     swept = report.records[1:]
     decisions = [r.decision_value for r in swept]

@@ -8,11 +8,13 @@ feature configuration.
 
 The adversarial baseline is matched to a requested decision value by a
 search over its trade-off constant c_adv (Szegedy et al. 2014, Carlini &
-Wagner 2017): match_regularizer runs a safeguarded secant (Illinois) on
-log c_adv inside a sign-changing bracket and returns the perturbation it
-matched, so no solve is repeated. Every solve starts from the clean
-image, so each result depends on its c_adv alone and
-adversarial_perturb(..., result.c_adv) reproduces it bit for bit.
+Wagner 2017): match_regularizer starts at the c_adv that the decision's
+linearisation at the clean image predicts, brackets the target by at
+most two more probes, runs a safeguarded secant (Illinois) on log c_adv
+inside that bracket and returns the perturbation it matched, so no solve
+is repeated. Every solve starts from the clean image, so each result
+depends on its c_adv alone and adversarial_perturb(..., result.c_adv)
+reproduces it bit for bit.
 """
 
 from __future__ import annotations
@@ -77,11 +79,11 @@ class AdversarialResult:
 def svm_objective(w, b: float, X, y, c_reg: float) -> float:
     """Primal objective 0.5|w|^2 + c_reg * sum hinge(y_i (w.x_i + b))."""
     w = np.asarray(w, dtype=float)
-    return _svm_primal(w, y * (X @ w + b), c_reg)
+    return _svm_primal(float(w @ w), y * (X @ w + b), c_reg)
 
 
-def _svm_primal(w: np.ndarray, margins: np.ndarray, c_reg: float) -> float:
-    return 0.5 * float(w @ w) + c_reg * float(np.sum(np.maximum(0.0, 1.0 - margins)))
+def _svm_primal(w_sq: float, margins: np.ndarray, c_reg: float) -> float:
+    return 0.5 * w_sq + c_reg * float(np.sum(np.maximum(0.0, 1.0 - margins)))
 
 
 def train_svm(
@@ -96,6 +98,14 @@ def train_svm(
     worse than the starting point; when `trace` is given, the best
     objective so far is appended once per epoch (a non-increasing
     sequence).
+
+    Every iterate lies in the row span of the data, w = X^T beta, so the
+    epochs run on beta against the Gram matrix G = X X^T (the kernelised
+    form of Pegasos, Shalev-Shwartz, Singer & Srebro 2007): margins are
+    y * (G beta + b) and |w|^2 = beta^T G beta. After the one N x N x D
+    product for G, an epoch costs O(N^2), independent of the feature
+    dimension D. The iterates are those of the primal update in exact
+    arithmetic.
     """
     X = np.asarray(features, dtype=float)
     if X.ndim != 2:
@@ -110,30 +120,32 @@ def train_svm(
     if not c_reg > 0:
         raise InvalidInputError("c_reg must be positive")
 
-    w = np.zeros(X.shape[1])
+    G = X @ X.T
+    beta = np.zeros(X.shape[0])
     b = 0.0
-    best_w, best_b = w.copy(), b
-    # The margins at each iterate serve both its objective and the next subgradient.
-    margins = y * (X @ w + b)
-    best_obj = _svm_primal(w, margins, c_reg)
+    best_beta, best_b = beta, b
+    # G beta at each iterate serves its margins, its objective and, through
+    # the margins, the next subgradient.
+    g_beta = G @ beta
+    margins = y * (g_beta + b)
+    best_obj = _svm_primal(float(beta @ g_beta), margins, c_reg)
     if trace is not None:
         trace.append(best_obj)
     for t in range(1, epochs + 1):
-        active = margins < 1.0
-        ya = y[active]
-        gw = w - c_reg * (ya @ X[active])
-        gb = -c_reg * float(np.sum(ya))
+        # The subgradient step w <- w - eta * (w - c_reg * X^T (y * active)).
+        ya = np.where(margins < 1.0, y, 0.0)
         eta = 1.0 / t
-        w = w - eta * gw
-        b = b - eta * gb
-        margins = y * (X @ w + b)
-        obj = _svm_primal(w, margins, c_reg)
+        beta = (1.0 - eta) * beta + (eta * c_reg) * ya
+        b = b + eta * (c_reg * float(np.sum(ya)))
+        g_beta = G @ beta
+        margins = y * (g_beta + b)
+        obj = _svm_primal(float(beta @ g_beta), margins, c_reg)
         if obj < best_obj:
             best_obj = obj
-            best_w, best_b = w.copy(), b
+            best_beta, best_b = beta, b
         if trace is not None:
             trace.append(best_obj)
-    return best_w, best_b
+    return X.T @ best_beta, best_b
 
 
 def platt_fit(decision_values, labels) -> tuple[float, float]:
@@ -317,12 +329,22 @@ def match_regularizer(
 
     The search runs over log c_adv in [1e-12, 1e12]. The top end stands
     for an unperturbed image: a solve there returns the clean image
-    unchanged, so its decision comes from one forward pass. The bottom
-    end is a full solve and gives the largest achievable shift. Between
-    them each step is one adversarial_perturb solve at the Illinois
-    (safeguarded regula falsi) point of the current sign-changing
-    bracket, or at the bracket's log midpoint when that point falls in
-    the outer 1% of the bracket.
+    unchanged, so its decision comes from one forward pass. Every solve
+    starts at the clean image and only lowers sign_target * decision +
+    c_adv |delta|^2, so a target beyond the clean decision on the side
+    away from the push raises NoMatchError without a solve.
+
+    The first solve is at the linearised c_adv. With decision ~ d0 +
+    g.delta, where g is one VJP at the clean image, the solve at c_adv
+    shifts the decision by |g|^2 / (2 c_adv), so the start is
+    c0 = |g|^2 / (2 |target - d0|), clamped to the range. A solve that
+    falls short of the target is followed by one a decade lower, then by
+    one at 1e-12, the largest achievable shift; when that one falls short
+    too, NoMatchError is raised. The first solve past the target brackets
+    it with the nearest solve short of it, or with the top end. Inside
+    the bracket each step is one adversarial_perturb solve at the
+    Illinois (safeguarded regula falsi) point, or at the bracket's log
+    midpoint when that point falls in the outer 1% of the bracket.
 
     The decision value need not be monotone in c_adv: at small c_adv the
     solves stop on their iteration cap (with the demo's 250, c_adv =
@@ -331,10 +353,9 @@ def match_regularizer(
 
     Returns the AdversarialResult of the first solve within rel_tol of
     the target; its c_adv field holds the constant, and
-    adversarial_perturb at that c_adv reproduces it bit for bit. After
-    max_steps without a match, logs a warning and returns the result
-    closest to the target seen. Raises NoMatchError when the target
-    lies outside the achievable range.
+    adversarial_perturb at that c_adv reproduces it bit for bit. At most
+    max_steps solves are made; when they end without a match, logs a
+    warning and returns the result closest to the target seen.
     """
     tol = rel_tol * abs(target_decision) if target_decision != 0 else rel_tol
 
@@ -342,7 +363,8 @@ def match_regularizer(
         return res.decision_value - target_decision
 
     c_lo, c_hi = _C_ADV_RANGE
-    decision, _ = predict(model, forward(spec, weights, image).features)
+    fp = forward(spec, weights, image)
+    decision, _ = predict(model, fp.features)
     hi = AdversarialResult(
         delta=np.zeros_like(image.pixels),
         perturbed=image,
@@ -352,34 +374,49 @@ def match_regularizer(
     )
     if abs(gap(hi)) <= tol:
         return hi
-    lo = adversarial_perturb(spec, weights, model, image, c_lo, cfg=cfg, sign_target=sign_target)
-    if abs(gap(lo)) <= tol:
-        return lo
-    if gap(lo) * gap(hi) > 0:
+    if sign_target * gap(hi) < 0:
         raise NoMatchError(
-            f"target decision {target_decision!r} is not bracketed by "
-            f"[{hi.decision_value!r}, {lo.decision_value!r}] over c_adv in [1e-12, 1e12]"
+            f"target decision {target_decision!r} lies on the far side of the clean "
+            f"image's {decision!r} from the push of sign_target {sign_target!r}"
         )
 
-    best = min((hi, lo), key=lambda r: abs(gap(r)))
-    # Bracket ends in log c_adv with their gaps; a gap is halved (the
+    g = sign_target * fp.vjp(model.w).ravel()
+    c0 = min(max(float(g @ g) / (2.0 * abs(gap(hi))), c_lo), c_hi)
+    # Descending probes; the last one, at c_lo, is always there.
+    probes = iter(sorted({c for c in (c0, 0.1 * c0, c_lo) if c_lo <= c < c_hi}, reverse=True))
+    best = hi
+    # Bracket ends in log c_adv with their gaps: a overshoots the target
+    # (None until a probe does), b falls short of it. A gap is halved (the
     # Illinois step) when its end has been kept twice in a row.
-    a, fa = math.log(c_lo), gap(lo)
+    a, fa = None, None
     b, fb = math.log(c_hi), gap(hi)
     kept = 0  # -1: a was kept last step, +1: b was kept
     for _ in range(max_steps):
-        u = (a * fb - b * fa) / (fb - fa)
-        if not _SECANT_MARGIN <= (u - a) / (b - a) <= 1.0 - _SECANT_MARGIN:
-            u = 0.5 * (a + b)
-        res = adversarial_perturb(
-            spec, weights, model, image, math.exp(u), cfg=cfg, sign_target=sign_target
-        )
+        if fa is None:
+            c = next(probes)
+            u = math.log(c)
+        else:
+            u = (a * fb - b * fa) / (fb - fa)
+            if not _SECANT_MARGIN <= (u - a) / (b - a) <= 1.0 - _SECANT_MARGIN:
+                u = 0.5 * (a + b)
+            c = math.exp(u)
+        res = adversarial_perturb(spec, weights, model, image, c, cfg=cfg, sign_target=sign_target)
         f = gap(res)
         if abs(f) <= tol:
             return res
         if abs(f) < abs(gap(best)):
             best = res
-        if (f > 0) == (fa > 0):
+        if fa is None:
+            if (f > 0) != (fb > 0):
+                a, fa = u, f
+            elif c == c_lo:
+                raise NoMatchError(
+                    f"target decision {target_decision!r} is not bracketed by "
+                    f"[{decision!r}, {res.decision_value!r}] over c_adv in [1e-12, 1e12]"
+                )
+            else:
+                b, fb = u, f
+        elif (f > 0) == (fa > 0):
             a, fa = u, f
             if kept == +1:
                 fb *= 0.5

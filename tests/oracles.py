@@ -235,6 +235,44 @@ def svm_grid_min(
     return grid_pass(axes)
 
 
+def primal_subgradient_svm(X, y, c_reg: float, epochs: int = 2000, trace: list | None = None):
+    """Full-batch subgradient SVM run directly on w in feature space.
+
+    The same iteration as evaluate.train_svm (start at 0, step 1/t, keep
+    the best iterate, one best-so-far objective per epoch in `trace`),
+    with every epoch an N x D product instead of a Gram matvec.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+
+    def primal(w, margins):
+        return 0.5 * float(w @ w) + c_reg * float(np.sum(np.maximum(0.0, 1.0 - margins)))
+
+    w = np.zeros(X.shape[1])
+    b = 0.0
+    best_w, best_b = w.copy(), b
+    margins = y * (X @ w + b)
+    best_obj = primal(w, margins)
+    if trace is not None:
+        trace.append(best_obj)
+    for t in range(1, epochs + 1):
+        active = margins < 1.0
+        ya = y[active]
+        gw = w - c_reg * (ya @ X[active])
+        gb = -c_reg * float(np.sum(ya))
+        eta = 1.0 / t
+        w = w - eta * gw
+        b = b - eta * gb
+        margins = y * (X @ w + b)
+        obj = primal(w, margins)
+        if obj < best_obj:
+            best_obj = obj
+            best_w, best_b = w.copy(), b
+        if trace is not None:
+            trace.append(best_obj)
+    return best_w, best_b
+
+
 def naive_tv(image: np.ndarray, beta: float) -> float:
     """Loop implementation of the total-variation sum on an (H, W, C) array."""
     h, w, c = image.shape

@@ -498,14 +498,13 @@ def test_cli_verbs_reproduce_demo_tree(demo_runs, tmp_path):
     lambda_args = [arg for lam in lambdas for arg in ("--lambda", lam)]
     assert main(["traverse", features, "--sigma", sigma, *lambda_args, "--out", out,
                  "--quiet"]) == 0
+    assert main(["eval", features, out, str(demo / "labels.txt"), "--quiet"]) == 0
     assert main(["adversarial", features, str(demo / "labels.txt"),
                  str(demo / "dataset" / "input.ppm"), "--c-adv", c_adv,
                  "--config", str(config), "--out", out, "--quiet"]) == 0
 
-    # eval is left out: it sweeps the float32 r_<i>.dmtv files, while the
-    # demo sweeps its float64 r in memory, so the decisions differ in about
-    # the 8th digit.
-    names = ["features.dmtv", "traversal_records.txt", "adversarial.ppm", "adversarial_report.txt"]
+    names = ["features.dmtv", "traversal_records.txt", "sweep_report.txt", "adversarial.ppm",
+             "adversarial_report.txt"]
     names += [f"{kind}_{i}.dmtv" for kind in ("r", "zt") for i in range(len(lambdas))]
     for name in names:
         assert (tmp_path / name).read_bytes() == (demo / name).read_bytes(), name

@@ -6,7 +6,8 @@ import pytest
 
 import oracles
 from conftest import seeded_instance
-from dmtrav import evaluate
+from dmtrav import demo as demo_module
+from dmtrav import evaluate, formats
 from dmtrav.errors import InvalidInputError, NoMatchError
 from dmtrav.evaluate import (
     ClassifierModel,
@@ -20,7 +21,6 @@ from dmtrav.evaluate import (
 )
 from dmtrav.features import ImageTensor, identity_spec, init_weights
 from dmtrav.mmd import FeatureMatrix
-from dmtrav.optim import minimize
 from dmtrav.traversal import TraversalConfig, traverse
 
 # 2-D 8-point instance (default_rng(21), two displaced normal clusters) with
@@ -76,6 +76,33 @@ class TestTrainSvm:
         assert len(trace) == 2001
         assert all(b <= a for a, b in zip(trace, trace[1:]))
 
+    @pytest.mark.parametrize("problem", ["instance", "duplicated", "symmetric_pair"])
+    def test_matches_primal_oracle(self, problem):
+        X, y, c = svm_instance()
+        if problem == "duplicated":
+            X, y, c = np.vstack([X, X]), np.concatenate([y, y]), c / 2.0
+        elif problem == "symmetric_pair":
+            X, y, c = np.array([[-1.0], [1.0]]), np.array([-1.0, 1.0]), 1.0
+        assert_matches_primal_oracle(X, y, c)
+
+    def test_matches_primal_oracle_on_demo_rows(self, demo_runs):
+        _, demo, _, _ = demo_runs
+        features = formats.read_feature_file(demo / "features.dmtv").as_feature_matrix()
+        labels = formats.read_labels(demo / "labels.txt", features.K - 1)
+        train = np.arange(features.K - 1) % 5 != 0  # fit_classifier's training split
+        assert_matches_primal_oracle(features.V[: features.K - 1][train], labels[train], 1.0)
+
+    def test_zero_padded_dimensions_change_nothing(self):
+        X, y, c = svm_instance()
+        X = np.hstack([X, np.random.default_rng(22).standard_normal((X.shape[0], 6))])
+        D = X.shape[1]
+        w, b = train_svm(X, y, c)
+        w16, b16 = train_svm(np.hstack([X, np.zeros((X.shape[0], 15 * D))]), y, c)
+        assert w16.shape == (16 * D,)
+        assert np.all(w16[D:] == 0.0)
+        assert np.max(np.abs(w16[:D] - w)) <= 1e-12 * np.max(np.abs(w))
+        assert abs(b16 - b) <= 1e-12 * abs(b)
+
     def test_single_class_rejected(self):
         with pytest.raises(InvalidInputError):
             train_svm(np.array([[1.0], [2.0]]), np.array([1.0, 1.0]), 1.0)
@@ -83,6 +110,18 @@ class TestTrainSvm:
     def test_bad_labels_rejected(self):
         with pytest.raises(InvalidInputError):
             train_svm(np.array([[1.0], [2.0]]), np.array([1.0, 0.0]), 1.0)
+
+
+def assert_matches_primal_oracle(X, y, c):
+    trace, oracle_trace = [], []
+    w, b = train_svm(X, y, c, trace=trace)
+    w_o, b_o = oracles.primal_subgradient_svm(X, y, c, trace=oracle_trace)
+    assert np.max(np.abs(w - w_o)) <= 1e-10 * np.max(np.abs(w_o))
+    assert abs(b - b_o) <= 1e-10 * abs(b_o)
+    assert len(trace) == len(oracle_trace) == 2001
+    for t in (trace, oracle_trace):
+        assert all(later <= earlier for earlier, later in zip(t, t[1:]))
+    assert np.allclose(trace, oracle_trace, rtol=1e-10, atol=0.0)
 
 
 class TestPlattFit:
@@ -176,6 +215,19 @@ class TestSweepDecisions:
             sweep_decisions(model, res, fm)
 
 
+def count_calls(monkeypatch, name: str) -> list:
+    """Record the arguments of every call of evaluate.<name>, which still runs."""
+    calls = []
+    original = getattr(evaluate, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(evaluate, name, counted)
+    return calls
+
+
 def pixel_model(rng, size, scale=0.01):
     w = scale * rng.standard_normal(size)
     return ClassifierModel(w, 0.0, -1.0, 0.0)
@@ -252,9 +304,10 @@ class TestMatchRegularizer:
         with pytest.raises(NoMatchError):
             match_regularizer(self.spec, self.weights, self.model, self.img, 1e6)
 
-    def midpoint_target(self) -> float:
+    def target_at(self, fraction: float) -> float:
+        """The decision this fraction of the way from the clean one to the largest shift."""
         best = adversarial_perturb(self.spec, self.weights, self.model, self.img, 1e-12)
-        return self.base + 0.5 * (best.decision_value - self.base)
+        return self.base + fraction * (best.decision_value - self.base)
 
     def assert_reproduced(self, res):
         fresh = adversarial_perturb(self.spec, self.weights, self.model, self.img, res.c_adv)
@@ -266,19 +319,13 @@ class TestMatchRegularizer:
 
     def test_matched_result_equals_fresh_solve(self):
         res = match_regularizer(
-            self.spec, self.weights, self.model, self.img, self.midpoint_target()
+            self.spec, self.weights, self.model, self.img, self.target_at(0.5)
         )
         assert 1e-12 < res.c_adv < 1e12
         self.assert_reproduced(res)
 
     def test_unperturbed_end_takes_no_solve(self, monkeypatch):
-        solves = []
-
-        def counted(*args, **kwargs):
-            solves.append(args)
-            return minimize(*args, **kwargs)
-
-        monkeypatch.setattr(evaluate, "minimize", counted)
+        solves = count_calls(monkeypatch, "minimize")
         res = match_regularizer(self.spec, self.weights, self.model, self.img, self.base)
         assert solves == []
         monkeypatch.undo()
@@ -286,20 +333,53 @@ class TestMatchRegularizer:
 
     def test_fewer_solves_than_bisection(self, monkeypatch):
         # Bisection on log c_adv over the same bracket, with a full solve at
-        # c_adv = 1e12, made 12 adversarial_perturb calls on this target.
-        target = self.midpoint_target()
-        calls = []
+        # c_adv = 1e12, made 12 adversarial_perturb calls on this target, and
+        # Illinois from the ends of the range 7. The identity extractor's
+        # decision is linear in the pixels and this perturbation stays inside
+        # the unit box, so the linearised start matches in one solve.
+        target = self.target_at(0.5)
+        calls = count_calls(monkeypatch, "adversarial_perturb")
+        res = match_regularizer(self.spec, self.weights, self.model, self.img, target)
+        assert abs(res.decision_value - target) <= 0.01 * abs(target)
+        assert len(calls) == 1
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return adversarial_perturb(*args, **kwargs)
+    def test_box_clipped_target_brackets_in_few_solves(self, monkeypatch):
+        # At 0.9 of the largest shift the unit box clips the linearised
+        # perturbation, so the search brackets; Illinois from the ends of the
+        # range made 15 solves here.
+        target = self.target_at(0.9)
+        calls = count_calls(monkeypatch, "adversarial_perturb")
+        res = match_regularizer(self.spec, self.weights, self.model, self.img, target)
+        assert abs(res.decision_value - target) <= 0.01 * abs(target)
+        assert len(calls) <= 5
 
-        monkeypatch.setattr(evaluate, "adversarial_perturb", counted)
-        match_regularizer(self.spec, self.weights, self.model, self.img, target)
-        assert len(calls) < 12
+    @pytest.mark.parametrize("max_steps", [0, 1, 2, 4])
+    def test_max_steps_bounds_the_solves(self, monkeypatch, caplog, max_steps):
+        # this target needs 8 solves, so each budget runs out
+        calls = count_calls(monkeypatch, "adversarial_perturb")
+        with caplog.at_level(logging.WARNING, logger="dmtrav.evaluate"):
+            match_regularizer(
+                self.spec, self.weights, self.model, self.img, self.target_at(0.95),
+                max_steps=max_steps,
+            )
+        assert len(calls) == max_steps
+        assert len(caplog.records) == 1
+
+    @pytest.mark.parametrize("sign_target, offset", [(-1.0, -0.5), (1.0, 0.5)])
+    def test_wrong_side_target_raises_without_a_solve(self, monkeypatch, sign_target, offset):
+        # every solve only lowers sign_target * decision from its clean value
+        solves = count_calls(monkeypatch, "minimize")
+        with pytest.raises(NoMatchError, match="far side"):
+            match_regularizer(
+                self.spec, self.weights, self.model, self.img, self.base + offset,
+                sign_target=sign_target,
+            )
+        assert solves == []
 
     def test_missed_match_warns_once(self, caplog):
-        target = self.midpoint_target()
+        # At 0.9 of the largest shift the unit box clips the linearised
+        # perturbation, so the first solve falls short of the target.
+        target = self.target_at(0.9)
         with caplog.at_level(logging.WARNING, logger="dmtrav.evaluate"):
             match_regularizer(self.spec, self.weights, self.model, self.img, target)
             assert caplog.records == []
@@ -312,3 +392,23 @@ class TestMatchRegularizer:
         assert repr(target) in message
         assert repr(res.decision_value) in message
         assert "after 1 steps" in message
+
+
+def test_demo_match_solve_count(demo_runs, reference, monkeypatch):
+    # A work count, not a time: the demo's matching from its own tree.
+    _, demo, _, _ = demo_runs
+    features = formats.read_feature_file(demo / "features.dmtv").as_feature_matrix()
+    model = evaluate.fit_classifier(
+        features, formats.read_labels(demo / "labels.txt", features.K - 1)
+    )
+    summary = [line.split() for line in (demo / "summary.txt").read_text().splitlines()]
+    fields = {f[0]: f[1] for f in summary if f[0] != "lambda"}
+    sweep = [dict(zip(f[::2], f[1::2])) for f in summary if f[0] == "lambda"]
+    target = float(min(sweep, key=lambda rec: float(rec["lambda"]))["recon_decision"])
+    spec, weights = reference
+    image = formats.load_image(demo / "dataset" / "input.ppm")
+    calls = count_calls(monkeypatch, "adversarial_perturb")
+    res = match_regularizer(spec, weights, model, image, target, cfg=demo_module._ADV_SOLVER)
+    assert len(calls) <= 4
+    assert repr(res.c_adv) == fields["adversarial_c"]
+    assert repr(res.decision_value) == fields["adversarial_decision"]
