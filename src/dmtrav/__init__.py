@@ -56,7 +56,6 @@ from .mmd import (
     witness_grad_r,
 )
 from .optim import (
-    LineSearchConfig,
     MinimizeConfig,
     MinimizeTrace,
     minimize,

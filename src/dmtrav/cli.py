@@ -40,6 +40,29 @@ from .mmd import KernelConfig
 from .optim import MinimizeConfig
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+# The JSON values each RunConfig key accepts, with how to name them in an error.
+_CONFIG_VALUES = {
+    "extractor": (lambda v: isinstance(v, str), "a string"),
+    "weight_seed": (lambda v: _is_int(v) and v >= 0, "a nonnegative integer"),
+    "weight_file": (lambda v: v is None or isinstance(v, str), "a string or null"),
+    "sigma": (lambda v: v is None or v == "median" or _is_number(v), 'a number, "median" or null'),
+    "lambdas": (lambda v: isinstance(v, list) and all(map(_is_number, v)), "a list of numbers"),
+    "lambda_tv": (_is_number, "a number"),
+    "beta": (_is_number, "a number"),
+    "init": (lambda v: isinstance(v, str), "a string"),
+    "max_iters": (_is_int, "an integer"),
+    "out_dir": (lambda v: isinstance(v, str), "a string"),
+}
+
+
 @dataclass
 class RunConfig:
     """Pipeline settings shared by the CLI verbs; loadable from a JSON file.
@@ -61,7 +84,7 @@ class RunConfig:
     @classmethod
     def from_json(cls, path) -> "RunConfig":
         try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+            raw = json.loads(formats.read_text(path))
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: invalid JSON ({exc})") from exc
         if not isinstance(raw, dict):
@@ -70,9 +93,15 @@ class RunConfig:
         unknown = set(raw) - known
         if unknown:
             raise InvalidInputError(f"{path}: unknown config keys {sorted(unknown)}")
+        for key, value in raw.items():
+            accepts, kind = _CONFIG_VALUES[key]
+            if not accepts(value):
+                raise InvalidInputError(
+                    f"{path}: config key {key!r} must be {kind}, got {value!r}"
+                )
         if "lambdas" in raw:
             raw["lambdas"] = tuple(float(v) for v in raw["lambdas"])
-        if "sigma" in raw and raw["sigma"] == "median":
+        if raw.get("sigma") == "median":
             raw["sigma"] = None
         return cls(**raw)
 
@@ -85,7 +114,7 @@ class RunConfig:
                     "identity extractor needs an image to take its dimensions from"
                 )
             return identity_spec(*input_shape)
-        return parse_spec_text(Path(self.extractor).read_text(encoding="utf-8"))
+        return parse_spec_text(formats.read_text(self.extractor))
 
     def resolve_weights(self, spec: ExtractorSpec) -> WeightSet:
         if self.weight_file is not None:
@@ -218,18 +247,9 @@ def sweep_to(
 ) -> tuple[evaluate.SweepReport, Path]:
     """Sweep the decisions over the r_<i>.dmtv files of a traversal and write sweep_report.txt."""
     tdir = Path(traversal_dir)
-    rows = formats.parse_traversal_records(
-        (tdir / "traversal_records.txt").read_text(encoding="utf-8")
-    )
-    records = []
-    for i, (lam, objective, witness_value, budget_value, iters) in enumerate(rows):
-        r = formats.read_vector(tdir / f"r_{i}.dmtv")
-        records.append(
-            traversal.LambdaRecord(
-                lam=lam, r=r, witness=None, budget=budget_value, objective=objective, trace=None
-            )
-        )
-    report = evaluate.sweep_decisions(model, traversal.TraversalResult(records), features)
+    rows = formats.parse_traversal_records(formats.read_text(tdir / "traversal_records.txt"))
+    points = [(row[0], formats.read_vector(tdir / f"r_{i}.dmtv")) for i, row in enumerate(rows)]
+    report = evaluate.sweep_decisions(model, points, features)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     out_path = out / "sweep_report.txt"
@@ -331,7 +351,12 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "lambdas", None):
         run = replace(run, lambdas=tuple(args.lambdas))
     if getattr(args, "sigma", None):
-        sigma = None if args.sigma == "median" else float(args.sigma)
+        try:
+            sigma = None if args.sigma == "median" else float(args.sigma)
+        except ValueError as exc:
+            raise InvalidInputError(
+                f"--sigma must be a number or 'median', got {args.sigma!r}"
+            ) from exc
         run = replace(run, sigma=sigma)
     if getattr(args, "init", None):
         run = replace(run, init=args.init)

@@ -3,8 +3,8 @@ sweeps across a traversal, and a gradient-based adversarial baseline.
 
 The sign convention is fixed by the training labels: +1 marks the
 target block, -1 the source block, so a positive decision value reads
-"target-like". ClassifierModel.trained_on records this alongside the
-feature configuration.
+"target-like". The adversarial baseline always pushes toward the target
+class, that is, it raises the decision value.
 
 The adversarial baseline is matched to a requested decision value by a
 search over its trade-off constant c_adv (Szegedy et al. 2014, Carlini &
@@ -22,6 +22,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from . import mmd
 from .errors import DegenerateDataError, InvalidInputError, NoMatchError
 from .features import ExtractorSpec, ImageTensor, WeightSet, forward
 from .optim import MinimizeConfig, minimize
-from .traversal import TraversalResult, materialize
+from .traversal import materialize
 
 _log = logging.getLogger(__name__)
 
@@ -39,6 +40,10 @@ _C_ADV_RANGE = (1e-12, 1e12)
 # gives way to the bisection midpoint.
 _SECANT_MARGIN = 0.01
 _SVM_C = 1.0  # SVM regularization constant of fit_classifier
+_SVM_EPOCHS = 2000  # subgradient epochs of train_svm
+# A matched decision lies within this fraction of its target (or within
+# it absolutely, for a zero target).
+_MATCH_REL_TOL = 0.01
 
 
 @dataclass
@@ -47,7 +52,6 @@ class ClassifierModel:
     b: float
     platt_a: float
     platt_b: float
-    trained_on: str = ""
 
     def __post_init__(self) -> None:
         # platt_a = 0 would make the probability constant in the decision value
@@ -76,24 +80,18 @@ class AdversarialResult:
     c_adv: float  # the trade-off constant this perturbation was solved at
 
 
-def svm_objective(w, b: float, X, y, c_reg: float) -> float:
-    """Primal objective 0.5|w|^2 + c_reg * sum hinge(y_i (w.x_i + b))."""
-    w = np.asarray(w, dtype=float)
-    return _svm_primal(float(w @ w), y * (X @ w + b), c_reg)
-
-
 def _svm_primal(w_sq: float, margins: np.ndarray, c_reg: float) -> float:
     return 0.5 * w_sq + c_reg * float(np.sum(np.maximum(0.0, 1.0 - margins)))
 
 
 def train_svm(
-    features, labels, c_reg: float, *, epochs: int = 2000, trace: list | None = None
+    features, labels, c_reg: float, *, trace: list | None = None
 ) -> tuple[np.ndarray, float]:
     """Train a linear SVM by deterministic full-batch subgradient descent.
 
-    Starts at w = 0, b = 0 and runs a fixed number of epochs with step
-    1/t on the unit-strongly-convex primal, which makes the iterates
-    invariant under duplicating the data while halving c_reg. The best
+    Starts at w = 0, b = 0 and runs 2000 epochs with step 1/t on the
+    unit-strongly-convex primal, which makes the iterates invariant
+    under duplicating the data while halving c_reg. The best
     iterate seen (by objective) is returned, so the result never scores
     worse than the starting point; when `trace` is given, the best
     objective so far is appended once per epoch (a non-increasing
@@ -131,7 +129,7 @@ def train_svm(
     best_obj = _svm_primal(float(beta @ g_beta), margins, c_reg)
     if trace is not None:
         trace.append(best_obj)
-    for t in range(1, epochs + 1):
+    for t in range(1, _SVM_EPOCHS + 1):
         # The subgradient step w <- w - eta * (w - c_reg * X^T (y * active)).
         ya = np.where(margins < 1.0, y, 0.0)
         eta = 1.0 / t
@@ -230,13 +228,7 @@ def fit_classifier(features: mmd.FeatureMatrix, labels: np.ndarray) -> Classifie
     w, b = train_svm(X[~held], labels[~held], _SVM_C)
     held_decisions = X[held] @ w + b
     platt_a, platt_b = platt_fit(held_decisions, (labels[held] > 0).astype(int))
-    return ClassifierModel(
-        w=w,
-        b=b,
-        platt_a=platt_a,
-        platt_b=platt_b,
-        trained_on="reference extractor taps; positive decision = target block",
-    )
+    return ClassifierModel(w=w, b=b, platt_a=platt_a, platt_b=platt_b)
 
 
 def predict(model: ClassifierModel, z) -> tuple[float, float]:
@@ -250,9 +242,11 @@ def predict(model: ClassifierModel, z) -> tuple[float, float]:
 
 
 def sweep_decisions(
-    model: ClassifierModel, traversal: TraversalResult, features: mmd.FeatureMatrix
+    model: ClassifierModel,
+    points: Iterable[tuple[float, np.ndarray]],
+    features: mmd.FeatureMatrix,
 ) -> SweepReport:
-    """Decision value and probability at the untraversed point and at every lambda."""
+    """Decision value and probability at the untraversed point and at every (lambda, r)."""
     if model.w.size != features.D:
         raise InvalidInputError(
             f"model dimension {model.w.size} does not match features ({features.D})"
@@ -260,10 +254,9 @@ def sweep_decisions(
     records = []
     base_decision, base_prob = predict(model, features.V[features.test_row])
     records.append(SweepRecord(None, base_decision, base_prob))
-    for rec in traversal.records:
-        z = materialize(features, rec.r)
-        decision, prob = predict(model, z)
-        records.append(SweepRecord(rec.lam, decision, prob))
+    for lam, r in points:
+        decision, prob = predict(model, materialize(features, r))
+        records.append(SweepRecord(lam, decision, prob))
     return SweepReport(records)
 
 
@@ -274,13 +267,11 @@ def adversarial_perturb(
     image: ImageTensor,
     c_adv: float,
     cfg: MinimizeConfig | None = None,
-    sign_target: float = -1.0,
 ) -> AdversarialResult:
-    """Smallest-change pixel perturbation that shifts the decision value.
+    """Smallest-change pixel perturbation that raises the decision value.
 
-    Minimizes sign_target * (w . phi(x + delta) + b) + c_adv * |delta|^2
-    over delta with x + delta kept inside [0, 1]; the default
-    sign_target = -1 pushes the decision value up.
+    Minimizes -(w . phi(x + delta) + b) + c_adv * |delta|^2 over delta
+    with x + delta kept inside [0, 1].
     """
     if not c_adv > 0:
         raise InvalidInputError("c_adv must be positive")
@@ -297,9 +288,9 @@ def adversarial_perturb(
         delta = flat - x
 
         def grad() -> np.ndarray:
-            return sign_target * fp.vjp(model.w).ravel() + 2.0 * c_adv * delta
+            return -fp.vjp(model.w).ravel() + 2.0 * c_adv * delta
 
-        return sign_target * decision + c_adv * float(delta @ delta), grad
+        return -decision + c_adv * float(delta @ delta), grad
 
     x_star, _ = minimize(fun, x, bounds=(0.0, 1.0), cfg=cfg)
     perturbed = ImageTensor(np.clip(x_star.reshape(shape), 0.0, 1.0))
@@ -321,8 +312,6 @@ def match_regularizer(
     image: ImageTensor,
     target_decision: float,
     cfg: MinimizeConfig | None = None,
-    sign_target: float = -1.0,
-    rel_tol: float = 0.01,
     max_steps: int = 40,
 ) -> AdversarialResult:
     """Find the perturbation, and its c_adv, that reaches a requested decision value.
@@ -330,9 +319,9 @@ def match_regularizer(
     The search runs over log c_adv in [1e-12, 1e12]. The top end stands
     for an unperturbed image: a solve there returns the clean image
     unchanged, so its decision comes from one forward pass. Every solve
-    starts at the clean image and only lowers sign_target * decision +
-    c_adv |delta|^2, so a target beyond the clean decision on the side
-    away from the push raises NoMatchError without a solve.
+    starts at the clean image and only lowers -decision + c_adv |delta|^2,
+    so a target below the clean decision raises NoMatchError without a
+    solve.
 
     The first solve is at the linearised c_adv. With decision ~ d0 +
     g.delta, where g is one VJP at the clean image, the solve at c_adv
@@ -351,13 +340,13 @@ def match_regularizer(
     1e-12, 1e-6 and 1e-3 give 25.45, 25.20 and 25.58), so the search
     relies only on the bracket keeping a sign change.
 
-    Returns the AdversarialResult of the first solve within rel_tol of
-    the target; its c_adv field holds the constant, and
+    Returns the AdversarialResult of the first solve within 1% of the
+    target; its c_adv field holds the constant, and
     adversarial_perturb at that c_adv reproduces it bit for bit. At most
     max_steps solves are made; when they end without a match, logs a
     warning and returns the result closest to the target seen.
     """
-    tol = rel_tol * abs(target_decision) if target_decision != 0 else rel_tol
+    tol = _MATCH_REL_TOL * (abs(target_decision) if target_decision != 0 else 1.0)
 
     def gap(res: AdversarialResult) -> float:
         return res.decision_value - target_decision
@@ -374,13 +363,13 @@ def match_regularizer(
     )
     if abs(gap(hi)) <= tol:
         return hi
-    if sign_target * gap(hi) < 0:
+    if gap(hi) > 0:
         raise NoMatchError(
             f"target decision {target_decision!r} lies on the far side of the clean "
-            f"image's {decision!r} from the push of sign_target {sign_target!r}"
+            f"image's {decision!r} from the push, which raises the decision"
         )
 
-    g = sign_target * fp.vjp(model.w).ravel()
+    g = fp.vjp(model.w).ravel()
     c0 = min(max(float(g @ g) / (2.0 * abs(gap(hi))), c_lo), c_hi)
     # Descending probes; the last one, at c_lo, is always there.
     probes = iter(sorted({c for c in (c0, 0.1 * c0, c_lo) if c_lo <= c < c_hi}, reverse=True))
@@ -400,7 +389,7 @@ def match_regularizer(
             if not _SECANT_MARGIN <= (u - a) / (b - a) <= 1.0 - _SECANT_MARGIN:
                 u = 0.5 * (a + b)
             c = math.exp(u)
-        res = adversarial_perturb(spec, weights, model, image, c, cfg=cfg, sign_target=sign_target)
+        res = adversarial_perturb(spec, weights, model, image, c, cfg=cfg)
         f = gap(res)
         if abs(f) <= tol:
             return res
@@ -427,9 +416,9 @@ def match_regularizer(
                 fa *= 0.5
             kept = -1
     _log.warning(
-        "no c_adv within rel_tol %g of target decision %r after %d steps; "
+        "no c_adv within a relative %g of target decision %r after %d steps; "
         "best decision %r at c_adv %r",
-        rel_tol,
+        _MATCH_REL_TOL,
         target_decision,
         max_steps,
         best.decision_value,

@@ -89,14 +89,6 @@ class ImageTensor:
     def channels(self) -> int:
         return self.pixels.shape[2]
 
-    @classmethod
-    def clamped(cls, arr) -> "ImageTensor":
-        """Build an image from an arbitrary finite array, clipping into [0, 1]."""
-        arr = np.asarray(arr, dtype=float)
-        if not np.all(np.isfinite(arr)):
-            raise InvalidInputError("pixel values must be finite")
-        return cls(np.clip(arr, 0.0, 1.0))
-
 
 @dataclass(frozen=True)
 class ExtractorSpec:
@@ -420,13 +412,18 @@ def _layer_line(layer: Layer) -> str:
     return "pool"
 
 
+def _is_ascii_int(text: str) -> bool:
+    # str.isdigit alone also accepts digits such as "²" that int() rejects.
+    return text.isascii() and text.isdigit()
+
+
 def _parse_layer_line(line: str) -> Layer:
     if line == "relu":
         return Relu()
     if line == "pool":
         return MaxPool()
     parts = line.split()
-    if len(parts) == 2 and parts[0] == "conv" and parts[1].isdigit():
+    if len(parts) == 2 and parts[0] == "conv" and _is_ascii_int(parts[1]):
         return Conv(int(parts[1]))
     raise FormatError(f"bad layer line {line!r}")
 
@@ -532,7 +529,7 @@ def parse_spec_text(text: str) -> ExtractorSpec:
     if not lines:
         raise FormatError("empty extractor spec")
     head = lines[0].split()
-    if len(head) != 4 or head[0] != "input" or not all(p.isdigit() for p in head[1:]):
+    if len(head) != 4 or head[0] != "input" or not all(_is_ascii_int(p) for p in head[1:]):
         raise FormatError(f"bad input line {lines[0]!r} (expected 'input H W C')")
     h, w, c = (int(p) for p in head[1:])
     layers: list[Layer] = []

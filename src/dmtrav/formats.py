@@ -222,6 +222,14 @@ def read_vector(path) -> np.ndarray:
 # Text records
 # ---------------------------------------------------------------------------
 
+def read_text(path) -> str:
+    """Read a UTF-8 text file; bytes that are not UTF-8 raise FormatError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})") from exc
+
+
 def format_traversal_records(records) -> str:
     """One line per lambda: lambda objective witness budget iterations."""
     lines = ["# lambda objective witness budget iterations"]
@@ -242,7 +250,12 @@ def parse_traversal_records(text: str) -> list[tuple[float, float, float, float,
         parts = line.split()
         if len(parts) != 5:
             raise FormatError(f"bad traversal record line {line!r}")
-        rows.append((float(parts[0]), float(parts[1]), float(parts[2]), float(parts[3]), int(parts[4])))
+        try:
+            rows.append(
+                (float(parts[0]), float(parts[1]), float(parts[2]), float(parts[3]), int(parts[4]))
+            )
+        except ValueError as exc:
+            raise FormatError(f"bad number in traversal record line {line!r}") from exc
     return rows
 
 
@@ -310,7 +323,7 @@ def parse_manifest(text: str) -> Manifest:
 
 def read_manifest(path) -> Manifest:
     """Parse a manifest file; relative paths are taken relative to its directory."""
-    manifest = parse_manifest(Path(path).read_text(encoding="utf-8"))
+    manifest = parse_manifest(read_text(path))
     base = Path(path).parent
 
     def resolve(p: str) -> str:
@@ -333,7 +346,7 @@ def format_manifest(manifest: Manifest) -> str:
 def read_labels(path, expected: int) -> np.ndarray:
     """Read one +1/-1 label per line, in feature-row order (targets then sources)."""
     values = []
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in read_text(path).splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

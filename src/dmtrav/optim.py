@@ -10,12 +10,16 @@ The objective is one callback, fun(x) -> (value, grad). Line-search
 trials read only the value; the zero-argument grad() is called at x0 and
 at each accepted point, which is always the point evaluated last, so it
 can reuse the work behind the value.
+
+The line search, the history length and the step tolerance are module
+constants; MinimizeConfig sets only the iteration cap and the gradient
+tolerance.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -23,45 +27,25 @@ import numpy as np
 from .errors import InvalidInputError, NumericalError
 
 
-@dataclass(frozen=True)
-class LineSearchConfig:
-    """Armijo backtracking parameters.
-
-    c1 is the sufficient-decrease constant, backtrack the multiplicative
-    step shrink factor, max_trials the number of shrinks before the
-    direction is abandoned.
-    """
-
-    c1: float = 1e-4
-    backtrack: float = 0.5
-    max_trials: int = 40
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.c1 < 1.0:
-            raise InvalidInputError(f"c1 must lie in (0, 1), got {self.c1}")
-        if not 0.0 < self.backtrack < 1.0:
-            raise InvalidInputError(
-                f"backtrack factor must lie in (0, 1), got {self.backtrack}"
-            )
-        if self.max_trials < 1:
-            raise InvalidInputError("max_trials must be at least 1")
+# Armijo backtracking: sufficient-decrease constant, step shrink factor,
+# and the number of shrinks before a direction is abandoned.
+_C1 = 1e-4
+_BACKTRACK = 0.5
+_MAX_TRIALS = 40
+_HISTORY_SIZE = 10  # curvature pairs kept by the two-loop recursion
+_STEP_TOL = 1e-10  # sup-norm of an accepted step that ends the solve on "step_tol"
 
 
 @dataclass(frozen=True)
 class MinimizeConfig:
     max_iters: int = 500
     grad_tol: float = 1e-6
-    step_tol: float = 1e-10
-    history_size: int = 10
-    line_search: LineSearchConfig = field(default_factory=LineSearchConfig)
 
     def __post_init__(self) -> None:
         if self.max_iters < 1:
             raise InvalidInputError("max_iters must be positive")
-        if self.grad_tol < 0 or self.step_tol < 0:
-            raise InvalidInputError("tolerances must be nonnegative")
-        if self.history_size < 1:
-            raise InvalidInputError("history_size must be at least 1")
+        if self.grad_tol < 0:
+            raise InvalidInputError("grad_tol must be nonnegative")
 
 
 @dataclass
@@ -133,8 +117,6 @@ def minimize(
     if box is not None and (np.any(x < box[0]) or np.any(x > box[1])):
         raise InvalidInputError("x0 violates the given bounds")
 
-    ls = cfg.line_search
-
     def eval_f(pt: np.ndarray, it: int) -> tuple[float, Callable[[], np.ndarray]]:
         v, grad = fun(pt)
         v = float(v)
@@ -159,7 +141,7 @@ def minimize(
     fx, grad = eval_f(x, 0)
     gx = eval_g(grad, x, 0)
     objective_values = [fx]
-    history: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=cfg.history_size)
+    history: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=_HISTORY_SIZE)
     gamma = 1.0  # scalar inverse-Hessian scale, refreshed with each stored pair
 
     grad_norm = projected_grad_norm(x, gx)
@@ -172,11 +154,11 @@ def minimize(
         iterations = it
         direction = _two_loop_direction(gx, history)
 
-        accepted = _armijo_search(x, fx, gx, direction, box, eval_f, it, ls)
+        accepted = _armijo_search(x, fx, gx, direction, box, eval_f, it)
         if accepted is None and history:
             # Quasi-Newton direction failed; retry once as steepest descent.
             history.clear()
-            accepted = _armijo_search(x, fx, gx, -gx, box, eval_f, it, ls)
+            accepted = _armijo_search(x, fx, gx, -gx, box, eval_f, it)
         if accepted is None:
             reason = "step_tol"
             iterations = it - 1
@@ -208,7 +190,7 @@ def minimize(
         if grad_norm <= cfg.grad_tol:
             reason = "grad_tol"
             break
-        if step_norm <= cfg.step_tol:
+        if step_norm <= _STEP_TOL:
             reason = "step_tol"
             break
 
@@ -243,7 +225,6 @@ def _armijo_search(
     box,
     eval_f,
     it: int,
-    ls: LineSearchConfig,
 ) -> tuple[np.ndarray, float, Callable[[], np.ndarray]] | None:
     """Backtrack along `direction`, projecting each trial onto the box.
 
@@ -253,13 +234,13 @@ def _armijo_search(
     exists.
     """
     t = 1.0
-    for _ in range(ls.max_trials):
+    for _ in range(_MAX_TRIALS):
         candidate = _project(x + t * direction, box)
         displacement = candidate - x
         slope = float(gx @ displacement)
         if slope < 0.0:
             f_candidate, grad = eval_f(candidate, it)
-            if f_candidate <= fx + ls.c1 * slope:
+            if f_candidate <= fx + _C1 * slope:
                 return candidate, f_candidate, grad
-        t *= ls.backtrack
+        t *= _BACKTRACK
     return None

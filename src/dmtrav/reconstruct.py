@@ -5,9 +5,10 @@ minimizing
 
     0.5 * |phi(x) - z|^2  +  lambda_tv * TV_beta(x)
 
-over the pixels inside a closed box, where TV_beta sums, per pixel and
-channel, the beta/2 power of the squared forward differences (rightward
-and downward; differences that would leave the image count as zero).
+over the pixels inside the image's own [0, 1] box, where TV_beta sums,
+per pixel and channel, the beta/2 power of the squared forward
+differences (rightward and downward; differences that would leave the
+image count as zero).
 """
 
 from __future__ import annotations
@@ -28,27 +29,21 @@ MID_GRAY = "mid_gray"
 class ReconstructionConfig:
     """Inversion settings.
 
-    init is either MID_GRAY or an explicit starting image (callers pass
-    the source image to preserve its content when inverting traversal
-    outputs). pixel_bounds must sit inside [0, 1].
+    init is either MID_GRAY (every pixel 0.5) or an explicit starting
+    image, used as is (callers pass the source image to preserve its
+    content when inverting traversal outputs).
     """
 
     lambda_tv: float = 0.001
     beta: float = 2.0
-    pixel_bounds: tuple[float, float] = (0.0, 1.0)
     init: Union[str, ImageTensor] = MID_GRAY
     solver: MinimizeConfig = field(default_factory=MinimizeConfig)
 
     def __post_init__(self) -> None:
-        if self.lambda_tv < 0:
-            raise InvalidInputError("lambda_tv must be nonnegative")
-        if not self.beta > 0:
-            raise InvalidInputError("beta must be positive")
-        lo, hi = self.pixel_bounds
-        if not (0.0 <= lo < hi <= 1.0):
-            raise InvalidInputError(
-                f"pixel_bounds must be a closed interval inside [0, 1], got {self.pixel_bounds}"
-            )
+        if not 0 <= self.lambda_tv < np.inf:
+            raise InvalidInputError(f"lambda_tv must be finite and >= 0, got {self.lambda_tv}")
+        if not 0 < self.beta < np.inf:
+            raise InvalidInputError(f"beta must be finite and positive, got {self.beta}")
         if isinstance(self.init, str) and self.init != MID_GRAY:
             raise InvalidInputError(f"unknown init {self.init!r}")
 
@@ -119,7 +114,7 @@ def invert(
 ) -> ReconstructionResult:
     """Reconstruct the image whose features best match z_t.
 
-    The solver works on the flattened pixels inside cfg.pixel_bounds;
+    The solver works on the flattened pixels inside [0, 1];
     the feature term's gradient is assembled through the extractor's
     vector-Jacobian product.
     """
@@ -131,13 +126,12 @@ def invert(
         raise InvalidInputError(f"z_t has length {z.size}, expected {want}")
 
     h, w, c = spec.input_shape
-    lo, hi = cfg.pixel_bounds
     if isinstance(cfg.init, ImageTensor):
         if (cfg.init.height, cfg.init.width, cfg.init.channels) != spec.input_shape:
             raise InvalidInputError("init image shape does not match the extractor input")
-        x0 = np.clip(cfg.init.pixels, lo, hi).ravel()
+        x0 = cfg.init.pixels.ravel()
     else:
-        x0 = np.full(h * w * c, np.clip(0.5, lo, hi))
+        x0 = np.full(h * w * c, 0.5)
 
     def as_image(flat: np.ndarray) -> ImageTensor:
         return ImageTensor(flat.reshape(h, w, c))
@@ -158,7 +152,7 @@ def invert(
 
         return loss, grad
 
-    x_star, trace = minimize(fun, x0, bounds=(lo, hi), cfg=cfg.solver)
+    x_star, trace = minimize(fun, x0, bounds=(0.0, 1.0), cfg=cfg.solver)
     image = as_image(x_star)
     resid = forward(spec, weights, image).features - z
     return ReconstructionResult(

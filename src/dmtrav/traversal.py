@@ -65,10 +65,10 @@ class LambdaRecord:
 
     lam: float
     r: np.ndarray
-    witness: WitnessValue | None
+    witness: WitnessValue
     budget: float
     objective: float
-    trace: MinimizeTrace | None
+    trace: MinimizeTrace
 
 
 @dataclass

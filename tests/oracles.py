@@ -235,6 +235,13 @@ def svm_grid_min(
     return grid_pass(axes)
 
 
+def svm_objective(w, b: float, X, y, c_reg: float) -> float:
+    """Primal objective 0.5|w|^2 + c_reg * sum hinge(y_i (w.x_i + b))."""
+    w = np.asarray(w, dtype=float)
+    margins = y * (X @ w + b)
+    return 0.5 * float(w @ w) + c_reg * float(np.sum(np.maximum(0.0, 1.0 - margins)))
+
+
 def primal_subgradient_svm(X, y, c_reg: float, epochs: int = 2000, trace: list | None = None):
     """Full-batch subgradient SVM run directly on w in feature space.
 

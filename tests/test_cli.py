@@ -32,6 +32,16 @@ from dmtrav.mmd import FeatureMatrix, KernelConfig
 from dmtrav.traversal import TraversalConfig, traverse
 
 
+def gram_file(tmp_path) -> Path:
+    """A small seeded feature file with its Gram section."""
+    from dmtrav.formats import write_feature_file
+
+    p = tmp_path / "f.dmtv"
+    write_feature_file(p, np.random.default_rng(49).standard_normal((5, 3)), 2, 2)
+    assert main(["gram", str(p), "--quiet"]) == 0
+    return p
+
+
 @pytest.fixture
 def tiny_dataset(tmp_path):
     """One source, one target, one input image at reference-extractor size."""
@@ -251,11 +261,7 @@ class TestMainExitCodes:
         ],
     )
     def test_non_finite_lambda_or_sigma_is_exit_2(self, tmp_path, capsys, args):
-        from dmtrav.formats import write_feature_file
-
-        p = tmp_path / "f.dmtv"
-        write_feature_file(p, np.random.default_rng(49).standard_normal((5, 3)), 2, 2)
-        assert main(["gram", str(p), "--quiet"]) == 0
+        p = gram_file(tmp_path)
         code = main(["traverse", str(p), *args, "--out", str(tmp_path), "--quiet"])
         assert code == 2
         assert "finite" in capsys.readouterr().err
@@ -284,6 +290,44 @@ class TestMainExitCodes:
         cfg.write_text('{"bogus": 1}')
         with pytest.raises(InvalidInputError, match="bogus"):
             RunConfig.from_json(cfg)
+
+    def test_config_file_accepts_every_key(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(
+            '{"extractor": "identity", "weight_seed": 7, "weight_file": null, "sigma": 2,'
+            ' "lambdas": [1, 0.5], "lambda_tv": 0, "beta": 1.5, "init": "mid_gray",'
+            ' "max_iters": 10, "out_dir": "o"}'
+        )
+        run = RunConfig.from_json(cfg)
+        assert run.sigma == 2 and run.lambdas == (1.0, 0.5) and run.weight_file is None
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            (b'{"lambdas": 5}', "'lambdas'"),
+            (b'{"lambdas": ["x"]}', "'lambdas'"),
+            (b'{"max_iters": "abc"}', "'max_iters'"),
+            (b'{"max_iters": 2.5}', "'max_iters'"),
+            (b'{"sigma": "foo"}', "'sigma'"),
+            (b'{"weight_seed": -1}', "'weight_seed'"),
+            (b'{"max_iters": 5\xff}', "UTF-8"),
+        ],
+    )
+    def test_bad_config_value_is_exit_2(self, tmp_path, capsys, config, message):
+        p = gram_file(tmp_path)
+        cfg = tmp_path / "run.json"
+        cfg.write_bytes(config)
+        code = main(["traverse", str(p), "--config", str(cfg), "--lambda", "1e-3",
+                     "--out", str(tmp_path), "--quiet"])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    def test_non_numeric_sigma_is_exit_2(self, tmp_path, capsys):
+        p = gram_file(tmp_path)
+        code = main(["traverse", str(p), "--lambda", "1e-3", "--sigma", "foo",
+                     "--out", str(tmp_path), "--quiet"])
+        assert code == 2
+        assert "--sigma" in capsys.readouterr().err
 
     def test_weight_file_reproduces_seeded_features(self, tiny_dataset):
         from dmtrav.features import save_weights

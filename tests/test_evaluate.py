@@ -15,7 +15,6 @@ from dmtrav.evaluate import (
     match_regularizer,
     platt_fit,
     predict,
-    svm_objective,
     sweep_decisions,
     train_svm,
 )
@@ -58,7 +57,7 @@ class TestTrainSvm:
     def test_matches_grid_oracle(self):
         X, y, c = svm_instance()
         w, b = train_svm(X, y, c)
-        obj = svm_objective(w, b, X, y, c)
+        obj = oracles.svm_objective(w, b, X, y, c)
         assert obj == pytest.approx(SVM_GRID_OBJECTIVE, abs=1e-3)
         # the live coarse-to-fine oracle reproduces the frozen value
         _, grid_obj = oracles.svm_grid_min(X, y, c)
@@ -67,7 +66,8 @@ class TestTrainSvm:
     def test_objective_never_worse_than_start(self):
         X, y, c = svm_instance()
         w, b = train_svm(X, y, c)
-        assert svm_objective(w, b, X, y, c) <= svm_objective(np.zeros(2), 0.0, X, y, c)
+        start = oracles.svm_objective(np.zeros(2), 0.0, X, y, c)
+        assert oracles.svm_objective(w, b, X, y, c) <= start
 
     def test_recorded_trace_non_increasing(self):
         X, y, c = svm_instance()
@@ -192,7 +192,7 @@ class TestSweepDecisions:
         fm = FeatureMatrix(V, 2, 2).with_gram()
         res = traverse(fm, TraversalConfig(lambdas=(0.5, 0.1)))
         model = ClassifierModel(np.ones(4) * 0.3, -0.1, -1.0, 0.0)
-        report = sweep_decisions(model, res, fm)
+        report = sweep_decisions(model, [(rec.lam, rec.r) for rec in res.records], fm)
         baseline = report.records[0]
         assert baseline.lam is None
         for rec in report.records[1:]:
@@ -203,7 +203,7 @@ class TestSweepDecisions:
         fm = FeatureMatrix(V, m, n).with_gram()
         res = traverse(fm, TraversalConfig(lambdas=(0.2,)))
         model = ClassifierModel(np.zeros(6), 0.0, -1.0, 0.0)
-        report = sweep_decisions(model, res, fm)
+        report = sweep_decisions(model, [(rec.lam, rec.r) for rec in res.records], fm)
         assert len(report.records) == 2
 
     def test_dimension_checked(self):
@@ -212,7 +212,7 @@ class TestSweepDecisions:
         res = traverse(fm, TraversalConfig(lambdas=(0.2,)))
         model = ClassifierModel(np.zeros(4), 0.0, -1.0, 0.0)
         with pytest.raises(InvalidInputError):
-            sweep_decisions(model, res, fm)
+            sweep_decisions(model, [(rec.lam, rec.r) for rec in res.records], fm)
 
 
 def count_calls(monkeypatch, name: str) -> list:
@@ -246,16 +246,16 @@ class TestAdversarial:
         assert res.decision_value == pytest.approx(base, abs=1e-3)
 
     def test_identity_extractor_closed_form(self):
-        # minimizing w.(x+delta) + c|delta|^2 in the interior gives
-        # delta = -w / (2c)
+        # minimizing -w.(x+delta) + c|delta|^2 in the interior gives
+        # delta = w / (2c)
         rng = np.random.default_rng(81)
         spec = identity_spec(4, 4, 1)
         weights = init_weights(spec, 0)
         model = pixel_model(rng, 16)
         img = ImageTensor(np.full((4, 4, 1), 0.5))
         c = 1.0
-        res = adversarial_perturb(spec, weights, model, img, c, sign_target=+1.0)
-        assert np.max(np.abs(res.delta.ravel() + model.w / (2 * c))) < 1e-8
+        res = adversarial_perturb(spec, weights, model, img, c)
+        assert np.max(np.abs(res.delta.ravel() - model.w / (2 * c))) < 1e-8
         assert res.l2_pixel_distance == pytest.approx(
             float(np.linalg.norm(model.w / (2 * c))), rel=1e-6
         )
@@ -365,15 +365,11 @@ class TestMatchRegularizer:
         assert len(calls) == max_steps
         assert len(caplog.records) == 1
 
-    @pytest.mark.parametrize("sign_target, offset", [(-1.0, -0.5), (1.0, 0.5)])
-    def test_wrong_side_target_raises_without_a_solve(self, monkeypatch, sign_target, offset):
-        # every solve only lowers sign_target * decision from its clean value
+    def test_wrong_side_target_raises_without_a_solve(self, monkeypatch):
+        # every solve only raises the decision from its clean value
         solves = count_calls(monkeypatch, "minimize")
         with pytest.raises(NoMatchError, match="far side"):
-            match_regularizer(
-                self.spec, self.weights, self.model, self.img, self.base + offset,
-                sign_target=sign_target,
-            )
+            match_regularizer(self.spec, self.weights, self.model, self.img, self.base - 0.5)
         assert solves == []
 
     def test_missed_match_warns_once(self, caplog):

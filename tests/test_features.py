@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -38,10 +40,6 @@ class TestImageTensor:
         with pytest.raises(InvalidInputError):
             ImageTensor(np.array([[[np.nan]]]))
 
-    def test_clamped_builder(self):
-        img = ImageTensor.clamped(np.array([[[-1.0], [2.0]]]))
-        assert img.pixels[0, 0, 0] == 0.0 and img.pixels[0, 1, 0] == 1.0
-
     def test_immutable(self):
         img = random_image(0)
         with pytest.raises(ValueError):
@@ -75,6 +73,10 @@ class TestSpec:
             parse_spec_text("conv 8\n")
         with pytest.raises(FormatError):
             parse_spec_text("input 8 8 1\nconv 8\n")  # no tap
+
+    def test_spec_text_non_ascii_digit(self):
+        with pytest.raises(FormatError, match="bad input line"):
+            parse_spec_text("input \u00b2 32 1\nconv 8\ntap\n")
 
 
 class TestExtract:
@@ -291,6 +293,16 @@ class TestWeightFile:
         data[4] = 99
         path.write_bytes(bytes(data))
         with pytest.raises(FormatError, match="version"):
+            load_weights(path)
+
+    def test_non_ascii_digit_in_layer_line(self, tmp_path):
+        def line(text: str) -> bytes:
+            data = text.encode("utf-8")
+            return struct.pack("<I", len(data)) + data
+
+        path = tmp_path / "w.dmtw"
+        path.write_bytes(b"DMTW" + struct.pack("<II", 1, 2) + line("conv \u00b2") + line("tap"))
+        with pytest.raises(FormatError, match="bad layer line"):
             load_weights(path)
 
     def test_trailing_garbage(self, reference, tmp_path):

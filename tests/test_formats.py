@@ -3,6 +3,7 @@ import pytest
 
 import oracles
 from dmtrav import mmd
+from dmtrav.cli import RunConfig
 from dmtrav.errors import FormatError, InvalidInputError
 from dmtrav.features import (
     Conv,
@@ -26,6 +27,7 @@ from dmtrav.formats import (
     read_feature_file,
     read_labels,
     read_manifest,
+    read_text,
     read_vector,
     save_image,
     write_feature_file,
@@ -330,11 +332,37 @@ def _dmtw(path):
     save_weights(init_weights(spec, 97), path)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
+def _records(path):
+    text = "# lambda objective witness budget iterations\n0.5 -0.12 -0.37 0.5 13\n0.05 -0.41 -0.45 0.8 7\n"
+    path.write_text(text, encoding="utf-8")
+
+
+def _manifest(path):
+    manifest = Manifest(["s0.ppm", "s1.ppm"], ["t0.ppm", "t1.ppm"], "input.ppm")
+    path.write_text(format_manifest(manifest), encoding="utf-8")
+
+
+def _labels(path):
+    path.write_text("+1\n+1\n-1\n-1\n", encoding="utf-8")
+
+
+def _spec(path):
+    text = "input 32 32 1\nconv 8\nrelu\npool\nconv 16\nrelu\ntap\npool\nconv 32\nrelu\ntap\n"
+    path.write_text(text, encoding="utf-8")
+
+
 @pytest.mark.parametrize(
     "write, read",
-    [(_dmtv_with_gram, read_feature_file), (_ppm, load_image), (_dmtw, load_weights)],
-    ids=["dmtv", "ppm", "dmtw"],
+    [
+        (_dmtv_with_gram, read_feature_file),
+        (_ppm, load_image),
+        (_dmtw, load_weights),
+        (_records, lambda p: parse_traversal_records(read_text(p))),
+        (_manifest, read_manifest),
+        (_labels, lambda p: read_labels(p, 4)),
+        (_spec, lambda p: RunConfig(extractor=str(p)).resolve_spec()),
+    ],
+    ids=["dmtv", "ppm", "dmtw", "records", "manifest", "labels", "spec"],
 )
 def test_mutated_files_raise_only_package_errors(tmp_path, write, read):
     original = tmp_path / "original"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dmtrav.errors import InvalidInputError, NumericalError
-from dmtrav.optim import LineSearchConfig, MinimizeConfig, minimize
+from dmtrav.optim import MinimizeConfig, minimize
 from oracles import finite_difference_gradient
 
 
@@ -180,11 +180,7 @@ def test_config_validation():
     with pytest.raises(InvalidInputError):
         MinimizeConfig(max_iters=0)
     with pytest.raises(InvalidInputError):
-        MinimizeConfig(history_size=0)
-    with pytest.raises(InvalidInputError):
-        LineSearchConfig(c1=1.5)
-    with pytest.raises(InvalidInputError):
-        LineSearchConfig(backtrack=1.0)
+        MinimizeConfig(grad_tol=-1.0)
 
 
 def test_fd_gradient_quadratic_exact():

@@ -153,8 +153,11 @@ class TestInvert:
             ReconstructionConfig(lambda_tv=-1.0)
         with pytest.raises(InvalidInputError):
             ReconstructionConfig(beta=0.0)
-        with pytest.raises(InvalidInputError):
-            ReconstructionConfig(pixel_bounds=(-0.5, 1.0))
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(InvalidInputError):
+                ReconstructionConfig(lambda_tv=bad)
+            with pytest.raises(InvalidInputError):
+                ReconstructionConfig(beta=bad)
         with pytest.raises(InvalidInputError):
             ReconstructionConfig(init="noise")
 
