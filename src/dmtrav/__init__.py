@@ -48,12 +48,10 @@ from .mmd import (
     KernelConfig,
     WitnessValue,
     budget,
-    budget_grad,
     gram,
     median_heuristic_sigma,
     witness_direct,
     witness_factored,
-    witness_grad_r,
 )
 from .optim import (
     MinimizeConfig,

@@ -26,6 +26,7 @@ import numpy as np
 
 from . import evaluate, formats, mmd, reconstruct, traversal
 from .cli import RunConfig, cmd_extract, cmd_gram, sweep_to, traverse_to, write_adversarial
+from .errors import InvalidInputError
 from .features import ImageTensor, forward
 from .optim import MinimizeConfig
 
@@ -80,6 +81,8 @@ class DemoOutcome:
 
 
 def run_demo(seed: int, out_dir, quiet: bool = False) -> DemoOutcome:
+    if seed < 0:
+        raise InvalidInputError(f"seed must be nonnegative, got {seed}")
     out = Path(out_dir)
     data_dir = out / "dataset"
     data_dir.mkdir(parents=True, exist_ok=True)

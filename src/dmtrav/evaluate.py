@@ -4,7 +4,8 @@ sweeps across a traversal, and a gradient-based adversarial baseline.
 The sign convention is fixed by the training labels: +1 marks the
 target block, -1 the source block, so a positive decision value reads
 "target-like". The adversarial baseline always pushes toward the target
-class, that is, it raises the decision value.
+class, that is, it raises the decision value. Platt calibration and
+every adversarial solve go through the one solver, optim.minimize.
 
 The adversarial baseline is matched to a requested decision value by a
 search over its trade-off constant c_adv (Szegedy et al. 2014, Carlini &
@@ -147,11 +148,12 @@ def train_svm(
 
 
 def platt_fit(decision_values, labels) -> tuple[float, float]:
-    """Fit the sigmoid p(f) = 1 / (1 + exp(a f + b)) by damped Newton steps.
+    """Fit the sigmoid p(f) = 1 / (1 + exp(a f + b)) by L-BFGS on its log-likelihood.
 
     Labels are 0/1; the standard smoothed targets (N+ + 1)/(N+ + 2) and
-    1/(N- + 2) are used. Iteration stops when the gradient sup-norm
-    drops below 1e-10 or after 100 steps.
+    1/(N- + 2) are used. The negative log-likelihood is minimized by
+    optim.minimize from a = 0, b = log((N- + 1)/(N+ + 1)), stopping when
+    the gradient sup-norm drops below 1e-10 or after 100 iterations.
     """
     f = np.asarray(decision_values, dtype=float).ravel()
     y = np.asarray(labels).ravel()
@@ -174,44 +176,23 @@ def platt_fit(decision_values, labels) -> tuple[float, float]:
     n_neg = int(np.sum(neg))
     t = np.where(pos, (n_pos + 1.0) / (n_pos + 2.0), 1.0 / (n_neg + 2.0))
 
-    def nll(a: float, b: float) -> float:
-        fab = a * f + b
-        # log(1 + exp(.)) evaluated stably on both signs.
-        val = np.where(
-            fab >= 0, t * fab + np.log1p(np.exp(-fab)), (t - 1.0) * fab + np.log1p(np.exp(fab))
-        )
-        return float(np.sum(val))
+    def nll(ab: np.ndarray):
+        fab = ab[0] * f + ab[1]
+        # Per point, log(1 + exp(fab)) - (1 - t) fab, taken through
+        # e = exp(-|fab|) only, so no sign of fab overflows.
+        e = np.exp(-np.abs(fab))
+        nonneg = fab >= 0
+        value = float(np.sum(np.where(nonneg, t * fab, (t - 1.0) * fab) + np.log1p(e)))
 
-    a = 0.0
-    b = float(np.log((n_neg + 1.0) / (n_pos + 1.0)))
-    obj = nll(a, b)
-    for _ in range(100):
-        fab = a * f + b
-        p = 1.0 / (1.0 + np.exp(fab))
-        d = t - p  # dNLL/dfab per point
-        ga = float(d @ f)
-        gb = float(np.sum(d))
-        if max(abs(ga), abs(gb)) < 1e-10:
-            break
-        h = p * (1.0 - p)
-        haa = float((f * f) @ h) + 1e-12
-        hab = float(f @ h)
-        hbb = float(np.sum(h)) + 1e-12
-        det = haa * hbb - hab * hab
-        da = -(hbb * ga - hab * gb) / det
-        db = -(-hab * ga + haa * gb) / det
-        step = 1.0
-        for _ in range(30):
-            cand = nll(a + step * da, b + step * db)
-            if cand < obj:
-                a += step * da
-                b += step * db
-                obj = cand
-                break
-            step *= 0.5
-        else:
-            break  # no decrease along the Newton direction; converged enough
-    return a, b
+        def grad() -> np.ndarray:
+            d = t - np.where(nonneg, e, 1.0) / (1.0 + e)  # t - p, dNLL/dfab per point
+            return np.array([float(d @ f), float(np.sum(d))])
+
+        return value, grad
+
+    x0 = np.array([0.0, np.log((n_neg + 1.0) / (n_pos + 1.0))])
+    ab, _ = minimize(nll, x0, cfg=MinimizeConfig(max_iters=100, grad_tol=1e-10))
+    return float(ab[0]), float(ab[1])
 
 
 def fit_classifier(features: mmd.FeatureMatrix, labels: np.ndarray) -> ClassifierModel:
@@ -271,10 +252,10 @@ def adversarial_perturb(
     """Smallest-change pixel perturbation that raises the decision value.
 
     Minimizes -(w . phi(x + delta) + b) + c_adv * |delta|^2 over delta
-    with x + delta kept inside [0, 1].
+    with x + delta kept inside [0, 1]; c_adv must be finite and positive.
     """
-    if not c_adv > 0:
-        raise InvalidInputError("c_adv must be positive")
+    if not 0 < c_adv < np.inf:
+        raise InvalidInputError(f"c_adv must be finite and positive, got {c_adv!r}")
     if model.w.size != spec.feature_dim():
         raise InvalidInputError("model dimension does not match the extractor")
     if (image.height, image.width, image.channels) != spec.input_shape:
@@ -316,12 +297,12 @@ def match_regularizer(
 ) -> AdversarialResult:
     """Find the perturbation, and its c_adv, that reaches a requested decision value.
 
-    The search runs over log c_adv in [1e-12, 1e12]. The top end stands
-    for an unperturbed image: a solve there returns the clean image
-    unchanged, so its decision comes from one forward pass. Every solve
-    starts at the clean image and only lowers -decision + c_adv |delta|^2,
-    so a target below the clean decision raises NoMatchError without a
-    solve.
+    The target must be finite. The search runs over log c_adv in
+    [1e-12, 1e12]. The top end stands for an unperturbed image: a solve
+    there returns the clean image unchanged, so its decision comes from
+    one forward pass. Every solve starts at the clean image and only
+    lowers -decision + c_adv |delta|^2, so a target below the clean
+    decision raises NoMatchError without a solve.
 
     The first solve is at the linearised c_adv. With decision ~ d0 +
     g.delta, where g is one VJP at the clean image, the solve at c_adv
@@ -346,6 +327,8 @@ def match_regularizer(
     max_steps solves are made; when they end without a match, logs a
     warning and returns the result closest to the target seen.
     """
+    if not math.isfinite(target_decision):
+        raise InvalidInputError(f"target decision must be finite, got {target_decision!r}")
     tol = _MATCH_REL_TOL * (abs(target_decision) if target_decision != 0 else 1.0)
 
     def gap(res: AdversarialResult) -> float:

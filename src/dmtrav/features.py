@@ -27,7 +27,7 @@ import io
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -428,6 +428,20 @@ def _parse_layer_line(line: str) -> Layer:
     raise FormatError(f"bad layer line {line!r}")
 
 
+def _parse_structure(lines: Iterable[str]) -> tuple[tuple[Layer, ...], tuple[int, ...]]:
+    """Layers and sorted tap indices from layer lines, each tapped one followed by "tap"."""
+    layers: list[Layer] = []
+    taps: set[int] = set()
+    for line in lines:
+        if line == "tap":
+            taps.add(len(layers) - 1)  # -1 before any layer = input tap
+        else:
+            layers.append(_parse_layer_line(line))
+    if not taps:
+        raise FormatError("no tap declared")
+    return tuple(layers), tuple(sorted(taps))
+
+
 def save_weights(weights: WeightSet, path) -> None:
     tap_count = len(weights.taps)
     line_count = len(weights.layers) + tap_count
@@ -478,16 +492,7 @@ def load_weights(path) -> WeightSet:
             except UnicodeDecodeError as exc:
                 raise FormatError("layer line is not valid UTF-8") from exc
 
-        layers: list[Layer] = []
-        taps: set[int] = set()
-        for _ in range(line_count):
-            line = get_line()
-            if line == "tap":
-                taps.add(len(layers) - 1)  # -1 before any layer = input tap
-            else:
-                layers.append(_parse_layer_line(line))
-        if not taps:
-            raise FormatError("no tap recorded")
+        layers, taps = _parse_structure(get_line() for _ in range(line_count))
 
         kernels = []
         biases = []
@@ -514,7 +519,7 @@ def load_weights(path) -> WeightSet:
             prev_out = out
         if fh.read(1):
             raise FormatError("trailing bytes after weight data")
-    return WeightSet(tuple(layers), tuple(sorted(taps)), tuple(kernels), tuple(biases))
+    return WeightSet(layers, taps, tuple(kernels), tuple(biases))
 
 
 def parse_spec_text(text: str) -> ExtractorSpec:
@@ -532,14 +537,6 @@ def parse_spec_text(text: str) -> ExtractorSpec:
     if len(head) != 4 or head[0] != "input" or not all(_is_ascii_int(p) for p in head[1:]):
         raise FormatError(f"bad input line {lines[0]!r} (expected 'input H W C')")
     h, w, c = (int(p) for p in head[1:])
-    layers: list[Layer] = []
-    taps: set[int] = set()
-    for line in lines[1:]:
-        if line == "tap":
-            taps.add(len(layers) - 1)
-        else:
-            layers.append(_parse_layer_line(line))
-    if not taps:
-        raise FormatError("extractor spec declares no tap")
-    return ExtractorSpec((h, w, c), tuple(layers), tuple(sorted(taps)))
+    layers, taps = _parse_structure(lines[1:])
+    return ExtractorSpec((h, w, c), layers, taps)
 

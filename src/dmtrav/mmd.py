@@ -194,14 +194,6 @@ def _witness_of_row(k: np.ndarray, m: int, n: int) -> WitnessValue:
     return WitnessValue(source_term - target_term, source_term, target_term)
 
 
-def _witness_grad_of_row(k, Gd, G, w, sigma: float) -> np.ndarray:
-    """Each kernel term with displacement d_i = e_i - e_K - r contributes
-    (2/sigma) * k_i * G d_i times its block weight w_i."""
-    wk = w * k
-    # sum_i wk_i * G d_i  with  G d_i = G[:, i] - G d.
-    return (2.0 / sigma) * (G @ wk - float(np.sum(wk)) * Gd)
-
-
 def _require_gram(G) -> np.ndarray:
     if G is None:
         raise InvalidInputError(
@@ -225,30 +217,15 @@ def witness_factored(r, G, m: int, n: int, kcfg: KernelConfig) -> WitnessValue:
     return _witness_of_row(k, m, n)
 
 
-def witness_grad_r(r, G, m: int, n: int, kcfg: KernelConfig) -> np.ndarray:
-    """Gradient of the factored witness with respect to r.
-
-    Each kernel term carries the sign of its block (+1/m source, -1/n
-    target); cost is O(K^2).
-    """
-    G = _require_gram(G)
-    if m < 1 or n < 1:
-        raise InvalidInputError("both source and target blocks must be non-empty")
-    K = G.shape[0]
-    if K != m + n + 1:
-        raise InvalidInputError("G must have m + n + 1 rows")
-    sigma = kcfg.resolve_sigma(G)
-    k, Gd = _factored_kernel_row(r, G, sigma)
-    return _witness_grad_of_row(k, Gd, G, _block_weights(m, n, K), sigma)
-
-
 def factored_objective(G, m: int, n: int, sigma: float, lam: float):
     """The traversal objective at one lambda as a solver callback r -> (value, grad).
 
-    value is witness_factored(r).value + lam * budget(r) and grad() is
-    witness_grad_r(r) + lam * budget_grad(r), bit for bit, but the two
-    share k, G d and G r: three K x K matrix-vector products per point
-    at which both are taken, not six.
+    value is witness_factored(r).value + lam * budget(r). Each kernel
+    term, with displacement d_i = e_i - e_K - r, contributes
+    (2/sigma) * k_i * G d_i times its block weight (+1/m source, -1/n
+    target) to the gradient, and the budget 2 G r times lam. Value and
+    gradient share k, G d and G r: three K x K matrix-vector products
+    per point at which both are taken.
     """
     G = _require_gram(G)
     diag = np.diag(G)
@@ -258,7 +235,13 @@ def factored_objective(G, m: int, n: int, sigma: float, lam: float):
         k, Gd = _factored_kernel_row(r, G, sigma, diag)
         Gr = G @ r
         value = _witness_of_row(k, m, n).value + lam * float(r @ Gr)
-        return value, lambda: _witness_grad_of_row(k, Gd, G, w, sigma) + lam * (2.0 * Gr)
+
+        def grad() -> np.ndarray:
+            wk = w * k
+            # sum_i wk_i * G d_i  with  G d_i = G[:, i] - G d.
+            return (2.0 / sigma) * (G @ wk - float(np.sum(wk)) * Gd) + lam * (2.0 * Gr)
+
+        return value, grad
 
     return fun
 
@@ -270,12 +253,3 @@ def budget(r, G) -> float:
     if r.size != G.shape[0]:
         raise InvalidInputError(f"r has length {r.size}, expected {G.shape[0]}")
     return float(r @ (G @ r))
-
-
-def budget_grad(r, G) -> np.ndarray:
-    """Gradient of the budget term: 2 G r."""
-    G = _require_gram(G)
-    r = np.asarray(r, dtype=float).ravel()
-    if r.size != G.shape[0]:
-        raise InvalidInputError(f"r has length {r.size}, expected {G.shape[0]}")
-    return 2.0 * (G @ r)

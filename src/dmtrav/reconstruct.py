@@ -65,16 +65,22 @@ def _diffs(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return dh, dv
 
 
-def _tv_array(arr: np.ndarray, beta: float) -> float:
-    dh, dv = _diffs(arr)
+def tv(image: ImageTensor, beta: float = 2.0) -> float:
+    """Total-variation value of an image (per channel, boundary differences zero)."""
+    if not beta > 0:
+        raise InvalidInputError("beta must be positive")
+    dh, dv = _diffs(image.pixels)
     s = dh * dh + dv * dv
     if beta == 2.0:
         return float(np.sum(s))
     return float(np.sum(s ** (beta / 2.0)))
 
 
-def _tv_grad_array(arr: np.ndarray, beta: float) -> np.ndarray:
-    dh, dv = _diffs(arr)
+def tv_grad(image: ImageTensor, beta: float = 2.0) -> np.ndarray:
+    """Exact gradient of tv() with respect to the pixels, same shape as the image."""
+    if not beta > 0:
+        raise InvalidInputError("beta must be positive")
+    dh, dv = _diffs(image.pixels)
     s = dh * dh + dv * dv
     if beta == 2.0:
         e = np.ones_like(s)
@@ -90,20 +96,6 @@ def _tv_grad_array(arr: np.ndarray, beta: float) -> np.ndarray:
     g[:, 1:, :] += 2.0 * wh[:, :-1, :]
     g[1:, :, :] += 2.0 * wv[:-1, :, :]
     return g
-
-
-def tv(image: ImageTensor, beta: float = 2.0) -> float:
-    """Total-variation value of an image (per channel, boundary differences zero)."""
-    if not beta > 0:
-        raise InvalidInputError("beta must be positive")
-    return _tv_array(np.asarray(image.pixels, dtype=float), beta)
-
-
-def tv_grad(image: ImageTensor, beta: float = 2.0) -> np.ndarray:
-    """Exact gradient of tv() with respect to the pixels, same shape as the image."""
-    if not beta > 0:
-        raise InvalidInputError("beta must be positive")
-    return _tv_grad_array(np.asarray(image.pixels, dtype=float), beta)
 
 
 def invert(
@@ -142,12 +134,12 @@ def invert(
         resid = fp.features - z
         loss = 0.5 * float(resid @ resid)
         if cfg.lambda_tv > 0:
-            loss += cfg.lambda_tv * _tv_array(img.pixels, cfg.beta)
+            loss += cfg.lambda_tv * tv(img, cfg.beta)
 
         def grad() -> np.ndarray:
             g = fp.vjp(resid)
             if cfg.lambda_tv > 0:
-                g = g + cfg.lambda_tv * _tv_grad_array(img.pixels, cfg.beta)
+                g = g + cfg.lambda_tv * tv_grad(img, cfg.beta)
             return g.ravel()
 
         return loss, grad
@@ -158,6 +150,6 @@ def invert(
     return ReconstructionResult(
         image=image,
         final_feature_loss=0.5 * float(resid @ resid),
-        final_tv=_tv_array(image.pixels, cfg.beta),
+        final_tv=tv(image, cfg.beta),
         trace=trace,
     )

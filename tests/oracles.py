@@ -139,6 +139,38 @@ def direct_objective(V: np.ndarray, m: int, n: int, sigma: float, lam: float, r:
     return witness + lam * bud, witness, bud
 
 
+def witness_grad_r(r, G, m: int, n: int, kcfg) -> np.ndarray:
+    """Gradient in r of the factored witness, taken on its own.
+
+    The unfused reference for mmd.factored_objective, whose gradient
+    shares its kernel row with the value: at lambda = 0 the two agree
+    bit for bit. Each kernel term with displacement d_i = e_i - e_K - r
+    contributes (2/sigma) * k_i * G d_i times its block weight (+1/m
+    source, -1/n target).
+    """
+    G = np.asarray(G, dtype=float)
+    K = G.shape[0]
+    sigma = kcfg.resolve_sigma(G)
+    d = np.asarray(r, dtype=float).ravel().copy()
+    d[K - 1] += 1.0
+    Gd = G @ d
+    quad = float(d @ Gd)
+    sq = np.maximum(np.diag(G) - 2.0 * Gd + quad, 0.0)
+    k = np.exp(-sq / sigma)
+    w = np.zeros(K)
+    w[:n] = -1.0 / n
+    w[n : n + m] = 1.0 / m
+    wk = w * k
+    # sum_i wk_i * G d_i  with  G d_i = G[:, i] - G d.
+    return (2.0 / sigma) * (G @ wk - float(np.sum(wk)) * Gd)
+
+
+def budget_grad(r, G) -> np.ndarray:
+    """Gradient of the budget r' G r: 2 G r."""
+    G = np.asarray(G, dtype=float)
+    return 2.0 * (G @ np.asarray(r, dtype=float).ravel())
+
+
 def _objective_on_grid(V, m, n, sigma, lam, axes):
     """Vectorized direct objective over the cartesian grid of three axes."""
     r0, r1, r2 = np.meshgrid(*axes, indexing="ij")

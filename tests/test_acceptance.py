@@ -29,7 +29,7 @@ from dmtrav.features import (
 )
 from dmtrav.mmd import FeatureMatrix, KernelConfig
 from oracles import finite_difference_gradient, weights_equal
-from dmtrav.reconstruct import ReconstructionConfig, _tv_array, _tv_grad_array, invert
+from dmtrav.reconstruct import ReconstructionConfig, invert, tv, tv_grad
 from dmtrav.traversal import TraversalConfig, materialize, traverse
 
 
@@ -72,31 +72,28 @@ def test_criterion_2_gradient_suite():
     with criterion(2, "analytic gradients match central finite differences", 60.0):
         rng = np.random.default_rng(2000)
 
-        # witness and budget gradients (tolerance 1e-5)
+        # traversal objective gradient, as the solver takes it from
+        # factored_objective, at lambda = 0 and at one lambda > 0 (tolerance 1e-5)
         for _ in range(5):
             K = int(rng.integers(4, 12))
             V = rng.standard_normal((K, int(rng.integers(3, 30))))
             m = int(rng.integers(1, K - 1))
             n = K - 1 - m
             G = mmd.gram(V)
-            kcfg = KernelConfig(mmd.median_heuristic_sigma(G))
+            sigma = mmd.median_heuristic_sigma(G)
             r = 0.2 * rng.standard_normal(K)
-            fd = finite_difference_gradient(
-                lambda rv: mmd.witness_factored(rv, G, m, n, kcfg).value, r, 1e-6
-            )
-            g = mmd.witness_grad_r(r, G, m, n, kcfg)
-            mask = np.abs(fd) > 1e-10
-            assert np.max(np.abs(g[mask] - fd[mask]) / np.abs(fd[mask])) < 1e-5
-            fd = finite_difference_gradient(lambda rv: mmd.budget(rv, G), r, 1e-6)
-            gb = mmd.budget_grad(r, G)
-            mask = np.abs(fd) > 1e-10
-            assert np.max(np.abs(gb[mask] - fd[mask]) / np.abs(fd[mask])) < 1e-5
+            for lam in (0.0, 1.0 / sigma):
+                fun = mmd.factored_objective(G, m, n, sigma, lam)
+                fd = finite_difference_gradient(lambda rv: fun(rv)[0], r, 1e-6)
+                g = fun(r)[1]()
+                mask = np.abs(fd) > 1e-10
+                assert np.max(np.abs(g[mask] - fd[mask]) / np.abs(fd[mask])) < 1e-5
 
         # total-variation gradient (tolerance 1e-5)
         arr = np.random.default_rng(2001).uniform(0.1, 0.9, (8, 8, 1))
-        g = _tv_grad_array(arr, 2.0).ravel()
+        g = tv_grad(ImageTensor(arr), 2.0).ravel()
         fd = finite_difference_gradient(
-            lambda flat: _tv_array(flat.reshape(8, 8, 1), 2.0), arr.ravel(), 1e-6
+            lambda flat: tv(ImageTensor(flat.reshape(8, 8, 1)), 2.0), arr.ravel(), 1e-6
         )
         mask = np.abs(fd) > 1e-10
         assert np.max(np.abs(g[mask] - fd[mask]) / np.abs(fd[mask])) < 1e-5
@@ -113,12 +110,12 @@ def test_criterion_2_gradient_suite():
         img = ImageTensor(x)
         fp = forward(spec, weights, img)
         resid = fp.features - z
-        g = (fp.vjp(resid) + lam_tv * _tv_grad_array(x, 2.0)).ravel()
+        g = (fp.vjp(resid) + lam_tv * tv_grad(img, 2.0)).ravel()
 
         def recon_obj(flat):
             i = ImageTensor(flat.reshape(8, 8, 1))
             r = forward(spec, weights, i).features - z
-            return 0.5 * float(r @ r) + lam_tv * _tv_array(i.pixels, 2.0)
+            return 0.5 * float(r @ r) + lam_tv * tv(i, 2.0)
 
         fd = finite_difference_gradient(recon_obj, x.ravel(), 1e-5)
         mask = np.abs(fd) > 1e-8

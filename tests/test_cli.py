@@ -322,6 +322,12 @@ class TestMainExitCodes:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    def test_negative_demo_seed_is_exit_2_before_any_write(self, tmp_path, capsys):
+        out = tmp_path / "demo"
+        assert main(["demo", "--seed", "-1", "--out", str(out), "--quiet"]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_numeric_sigma_is_exit_2(self, tmp_path, capsys):
         p = gram_file(tmp_path)
         code = main(["traverse", str(p), "--lambda", "1e-3", "--sigma", "foo",
@@ -518,6 +524,30 @@ class TestCmdAdversarial:
         assert (out / "c" / "adversarial.ppm").read_bytes() == (
             out / "m" / "adversarial.ppm"
         ).read_bytes()
+
+    @pytest.mark.parametrize(
+        "mode",
+        ["--c-adv=inf", "--c-adv=nan", "--match-decision=inf", "--match-decision=-inf",
+         "--match-decision=nan"],
+    )
+    def test_non_finite_value_exits_2_before_a_forward_pass(
+        self, adversarial_inputs, monkeypatch, mode
+    ):
+        from dmtrav import evaluate
+
+        feature_file, labels, inp, _, out = adversarial_inputs
+        passes = []
+        original = evaluate.forward
+
+        def counted(*args, **kwargs):
+            passes.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(evaluate, "forward", counted)
+        args = ["adversarial", str(feature_file), str(labels), str(inp), mode]
+        assert main([*args, "--out", str(out / "x"), "--quiet"]) == 2
+        assert passes == []
+        assert not (out / "x" / "adversarial.ppm").exists()
 
     def test_requires_exactly_one_mode(self, tmp_path):
         from dmtrav.cli import cmd_adversarial

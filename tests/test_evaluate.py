@@ -270,6 +270,20 @@ class TestAdversarial:
         assert res.perturbed.pixels.min() >= 0.0
         assert res.perturbed.pixels.max() <= 1.0
 
+    @pytest.mark.parametrize("c_adv", [0.0, -1.0, np.inf, np.nan])
+    def test_non_finite_or_nonpositive_c_adv_rejected_before_a_forward_pass(
+        self, monkeypatch, c_adv
+    ):
+        rng = np.random.default_rng(84)
+        spec = identity_spec(4, 4, 1)
+        model = pixel_model(rng, 16)
+        img = ImageTensor(np.full((4, 4, 1), 0.5))
+        passes = count_calls(monkeypatch, "forward")
+        solves = count_calls(monkeypatch, "minimize")
+        with pytest.raises(InvalidInputError, match="c_adv"):
+            adversarial_perturb(spec, init_weights(spec, 0), model, img, c_adv)
+        assert passes == [] and solves == []
+
 
 class TestMatchRegularizer:
     def setup_method(self):
@@ -371,6 +385,14 @@ class TestMatchRegularizer:
         with pytest.raises(NoMatchError, match="far side"):
             match_regularizer(self.spec, self.weights, self.model, self.img, self.base - 0.5)
         assert solves == []
+
+    @pytest.mark.parametrize("target", [np.inf, -np.inf, np.nan])
+    def test_non_finite_target_raises_before_a_forward_pass(self, monkeypatch, target):
+        passes = count_calls(monkeypatch, "forward")
+        solves = count_calls(monkeypatch, "minimize")
+        with pytest.raises(InvalidInputError, match="finite"):
+            match_regularizer(self.spec, self.weights, self.model, self.img, target)
+        assert passes == [] and solves == []
 
     def test_missed_match_warns_once(self, caplog):
         # At 0.9 of the largest shift the unit box clips the linearised

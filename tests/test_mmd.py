@@ -10,12 +10,11 @@ from dmtrav.mmd import (
     FeatureMatrix,
     KernelConfig,
     budget,
-    budget_grad,
+    factored_objective,
     gram,
     median_heuristic_sigma,
     witness_direct,
     witness_factored,
-    witness_grad_r,
 )
 from oracles import finite_difference_gradient, rbf_kernel
 
@@ -167,11 +166,17 @@ class TestWitnessFactored:
             witness_factored(np.zeros(3), None, 1, 1, KernelConfig(1.0))
 
 
+def witness_grad(r, G, m, n, sigma):
+    """The traversal solver's gradient at lambda = 0: the witness term alone."""
+    _, grad = factored_objective(G, m, n, sigma, 0.0)(r)
+    return grad()
+
+
 class TestWitnessGrad:
     def test_identical_blocks_zero_gradient(self):
         block = np.array([[1.0, 0.5], [0.2, 2.0]])
         V = np.vstack([block, block, [[0.3, 0.3]]])
-        g = witness_grad_r(np.array([0.1, -0.2, 0.05, 0.3, 0.0]), gram(V), 2, 2, KernelConfig(1.0))
+        g = witness_grad(np.array([0.1, -0.2, 0.05, 0.3, 0.0]), gram(V), 2, 2, 1.0)
         assert np.allclose(g, 0.0, atol=1e-15)
 
     def test_matches_finite_differences_seeded(self):
@@ -179,7 +184,7 @@ class TestWitnessGrad:
         G = gram(V)
         kcfg = KernelConfig(median_heuristic_sigma(G))
         r = 0.3 * np.random.default_rng(66).standard_normal(5)
-        g = witness_grad_r(r, G, m, n, kcfg)
+        g = witness_grad(r, G, m, n, kcfg.sigma)
         fd = finite_difference_gradient(
             lambda rv: witness_factored(rv, G, m, n, kcfg).value, r, 1e-6
         )
@@ -189,7 +194,7 @@ class TestWitnessGrad:
         # d witness / d r = (d witness / d z) * row values; at the midpoint of
         # the 1-D instance the z-derivative is -4/e, rows are (2, 0, 0.2).
         fm = hand_instance()
-        g = witness_grad_r(np.array([0.4, 0.0, 0.0]), fm.G, 1, 1, KernelConfig(1.0))
+        g = witness_grad(np.array([0.4, 0.0, 0.0]), fm.G, 1, 1, 1.0)
         expected = np.array([-8.0 / math.e, 0.0, -0.8 / math.e])
         assert np.allclose(g, expected, rtol=1e-12, atol=1e-15)
         # moving against the gradient raises the target coefficient
@@ -200,13 +205,13 @@ class TestBudget:
     def test_zero(self):
         G = np.eye(3)
         assert budget(np.zeros(3), G) == 0.0
-        assert np.array_equal(budget_grad(np.zeros(3), G), np.zeros(3))
+        assert np.array_equal(oracles.budget_grad(np.zeros(3), G), np.zeros(3))
 
     def test_euclidean_case(self):
         G = np.eye(4)
         r = np.array([3.0, 4.0, 0.0, 0.0])
         assert budget(r, G) == 25.0
-        assert np.array_equal(budget_grad(r, G), np.array([6.0, 8.0, 0.0, 0.0]))
+        assert np.array_equal(oracles.budget_grad(r, G), np.array([6.0, 8.0, 0.0, 0.0]))
 
     def test_matches_direct_norm(self):
         V, m, n = seeded_instance(9, K=6, D=13)
@@ -219,7 +224,7 @@ class TestBudget:
         G = gram(V)
         r = np.random.default_rng(11).standard_normal(6)
         fd = finite_difference_gradient(lambda rv: budget(rv, G), r, 1e-6)
-        assert np.max(np.abs(budget_grad(r, G) - fd)) < 1e-5
+        assert np.max(np.abs(oracles.budget_grad(r, G) - fd)) < 1e-5
 
 
 class TestProperties:

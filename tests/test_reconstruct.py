@@ -134,11 +134,9 @@ class TestInvert:
             resid = forward(spec, weights, img).features - z
             return 0.5 * float(resid @ resid) + lam_tv * oracles.naive_tv(img.pixels, beta)
 
-        from dmtrav.reconstruct import _tv_grad_array
-
         fp = forward(spec, weights, ImageTensor(x))
         resid = fp.features - z
-        g = (fp.vjp(resid) + lam_tv * _tv_grad_array(x, beta)).ravel()
+        g = (fp.vjp(resid) + lam_tv * tv_grad(ImageTensor(x), beta)).ravel()
         fd = finite_difference_gradient(objective, x.ravel(), 1e-5)
         mask = np.abs(fd) > 1e-8
         assert np.max(np.abs(g[mask] - fd[mask]) / np.abs(fd[mask])) < 1e-4

@@ -5,17 +5,19 @@ gradient sup-norm (1e-6). The instances are chosen so that both reach it;
 the final objectives must then agree, the iterates need not. On an
 ill-conditioned Gram the traversal stops on the gradient in its whitened
 coordinates and scipy on the gradient in r, so there the traversal's
-objective is only required to be no worse.
+objective is only required to be no worse. The Platt fit is checked the
+same way at its own gradient tolerance (1e-10).
 """
 
 import numpy as np
 import pytest
 
+import oracles
 from conftest import seeded_instance
-from dmtrav import mmd
+from dmtrav import evaluate, formats, mmd
 from dmtrav.features import Conv, ExtractorSpec, ImageTensor, Relu, forward, init_weights
 from dmtrav.mmd import FeatureMatrix, KernelConfig
-from dmtrav.reconstruct import ReconstructionConfig, _tv_array, _tv_grad_array, invert
+from dmtrav.reconstruct import ReconstructionConfig, invert, tv, tv_grad
 from dmtrav.traversal import TraversalConfig, traverse
 
 scipy_optimize = pytest.importorskip("scipy.optimize")
@@ -50,7 +52,7 @@ def test_traversal_objective_matches_scipy(seed, scale):
 
     def fun_and_grad(r):
         value = mmd.witness_factored(r, G, m, n, kcfg).value + lam * mmd.budget(r, G)
-        return value, mmd.witness_grad_r(r, G, m, n, kcfg) + lam * mmd.budget_grad(r, G)
+        return value, oracles.witness_grad_r(r, G, m, n, kcfg) + lam * oracles.budget_grad(r, G)
 
     res = scipy_solve(fun_and_grad, np.zeros(fm.K))
     assert rec.objective == pytest.approx(res.fun, rel=1e-8)
@@ -74,7 +76,7 @@ def test_ill_conditioned_traversal_no_worse_than_scipy(scale):
 
     def fun_and_grad(r):
         value = mmd.witness_factored(r, G, m, n, kcfg).value + lam * mmd.budget(r, G)
-        return value, mmd.witness_grad_r(r, G, m, n, kcfg) + lam * mmd.budget_grad(r, G)
+        return value, oracles.witness_grad_r(r, G, m, n, kcfg) + lam * oracles.budget_grad(r, G)
 
     res = scipy_solve(fun_and_grad, np.zeros(fm.K))
     assert rec.objective <= res.fun + 1e-9 * abs(res.fun)
@@ -91,12 +93,62 @@ def test_inversion_objective_matches_scipy(seed):
     assert out.trace.termination_reason == "grad_tol"
 
     def fun_and_grad(flat):
-        img = flat.reshape(5, 5, 1)
-        fp = forward(spec, weights, ImageTensor(img))
+        img = ImageTensor(flat.reshape(5, 5, 1))
+        fp = forward(spec, weights, img)
         resid = fp.features - z
-        value = 0.5 * float(resid @ resid) + lam_tv * _tv_array(img, 2.0)
-        return value, (fp.vjp(resid) + lam_tv * _tv_grad_array(img, 2.0)).ravel()
+        value = 0.5 * float(resid @ resid) + lam_tv * tv(img, 2.0)
+        return value, (fp.vjp(resid) + lam_tv * tv_grad(img, 2.0)).ravel()
 
     res = scipy_solve(fun_and_grad, np.full(25, 0.5), bounds=[(0.0, 1.0)] * 25)
     ours = out.final_feature_loss + lam_tv * out.final_tv
     assert ours == pytest.approx(res.fun, rel=1e-8)
+
+
+def platt_nll(ab, f, y):
+    """Smoothed-target Platt negative log-likelihood and its gradient in (a, b)."""
+    n_pos, n_neg = int(np.sum(y == 1)), int(np.sum(y == 0))
+    t = np.where(y == 1, (n_pos + 1.0) / (n_pos + 2.0), 1.0 / (n_neg + 2.0))
+    fab = ab[0] * f + ab[1]
+    p = np.exp(-np.logaddexp(0.0, fab))  # 1 / (1 + exp(fab))
+    value = float(np.sum(np.logaddexp(0.0, fab) - (1.0 - t) * fab))
+    d = t - p
+    return value, np.array([d @ f, np.sum(d)])
+
+
+def demo_held_out_decisions(demo_dir):
+    """The held-out decisions and 0/1 labels that fit_classifier Platt-scales."""
+    features = formats.read_feature_file(demo_dir / "features.dmtv").as_feature_matrix()
+    labels = formats.read_labels(demo_dir / "labels.txt", features.K - 1)
+    X = features.V[: features.K - 1]
+    held = np.arange(X.shape[0]) % 5 == 0
+    w, b = evaluate.train_svm(X[~held], labels[~held], 1.0)
+    return X[held] @ w + b, (labels[held] > 0).astype(int)
+
+
+def seeded_platt_instance(seed):
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(20, 200))
+    f = rng.uniform(-4.0, 4.0, size)
+    y = (rng.uniform(size=size) < 1.0 / (1.0 + np.exp(-1.5 * f + 0.3))).astype(int)
+    return f, y
+
+
+@pytest.mark.parametrize("instance", ["demo", 0, 1, 2, 3])
+def test_platt_matches_scipy(instance, demo_runs):
+    if instance == "demo":
+        f, y = demo_held_out_decisions(demo_runs[1])
+        assert f.size == 26
+    else:
+        f, y = seeded_platt_instance(instance)
+    a, b = evaluate.platt_fit(f, y)
+    res = scipy_optimize.minimize(
+        platt_nll,
+        np.array([0.0, np.log((np.sum(y == 0) + 1.0) / (np.sum(y == 1) + 1.0))]),
+        args=(f, y),
+        jac=True,
+        method="L-BFGS-B",
+        options={"gtol": 1e-10, "ftol": 0.0, "maxiter": 1000},
+    )
+    ours = platt_nll(np.array([a, b]), f, y)[0]
+    assert ours == pytest.approx(res.fun, rel=1e-12)
+    assert np.max(np.abs(np.array([a, b]) - res.x)) < 1e-6
