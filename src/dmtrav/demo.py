@@ -35,10 +35,12 @@ DEMO_LAMBDA_SCALES = (1e-2, 1e-3, 1e-4)
 _STRIPE_PERIOD = 8
 _NOISE_SIGMA = 0.08
 
-# Iteration caps keep the full run in the low minutes while leaving the
-# solves well converged at this scale.
-_RECON_SOLVER = MinimizeConfig(max_iters=400)
-_ADV_SOLVER = MinimizeConfig(max_iters=250)
+# Iteration caps of the pixel solves, sized by measurement. On this
+# nonsmooth ReLU/max-pool objective no solve reaches grad_tol (projected
+# gradients stay near 0.4), so each runs to its cap; at 100 iterations each
+# objective is within 5% of scipy L-BFGS-B's at the same cap.
+_RECON_SOLVER = MinimizeConfig(max_iters=100)
+_ADV_SOLVER = MinimizeConfig(max_iters=100)
 
 
 def _stripe_image(rng: np.random.Generator, vertical: bool) -> ImageTensor:

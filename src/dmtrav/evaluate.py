@@ -218,7 +218,10 @@ def predict(model: ClassifierModel, z) -> tuple[float, float]:
     if z.size != model.w.size:
         raise InvalidInputError(f"feature length {z.size} does not match model ({model.w.size})")
     decision = float(model.w @ z + model.b)
-    probability = float(1.0 / (1.0 + np.exp(model.platt_a * decision + model.platt_b)))
+    # 1 / (1 + exp(u)) through exp(-|u|), which cannot overflow
+    u = model.platt_a * decision + model.platt_b
+    e = math.exp(-abs(u))
+    probability = (e if u >= 0 else 1.0) / (1.0 + e)
     return decision, probability
 
 
@@ -317,8 +320,8 @@ def match_regularizer(
     midpoint when that point falls in the outer 1% of the bracket.
 
     The decision value need not be monotone in c_adv: at small c_adv the
-    solves stop on their iteration cap (with the demo's 250, c_adv =
-    1e-12, 1e-6 and 1e-3 give 25.45, 25.20 and 25.58), so the search
+    solves stop on their iteration cap (with the demo's 100, c_adv =
+    1e-12, 1e-6 and 1e-3 give 25.92, 25.93 and 26.06), so the search
     relies only on the bracket keeping a sign change.
 
     Returns the AdversarialResult of the first solve within 1% of the

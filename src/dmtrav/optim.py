@@ -6,6 +6,11 @@ is projected onto the feasible box *before* evaluation, and a step is
 accepted only under the Armijo sufficient-decrease test. There is no
 randomness anywhere, so identical inputs give bit-identical results.
 
+The update is plain L-BFGS (Liu & Nocedal 1989): every curvature pair
+with s'y > 0 is stored as it is. The Armijo-only search cannot rule out
+s'y <= 0, so such a pair gets Powell's damping against the scalar
+B0 = I/gamma before it is stored.
+
 The objective is one callback, fun(x) -> (value, grad). Line-search
 trials read only the value; the zero-argument grad() is called at x0 and
 at each accepted point, which is always the point evaluated last, so it
@@ -54,7 +59,10 @@ class MinimizeTrace:
 
     objective_values holds the objective at every accepted iterate,
     starting with the initial point; it is non-increasing by construction.
-    termination_reason is one of "grad_tol", "step_tol", "max_iters".
+    termination_reason is one of "grad_tol" (projected gradient at or
+    below the tolerance), "step_tol" (an accepted step no longer than
+    1e-10), "stalled" (the line search found no acceptable step, even
+    along steepest descent) or "max_iters".
     """
 
     iterations: int
@@ -160,7 +168,7 @@ def minimize(
             history.clear()
             accepted = _armijo_search(x, fx, gx, -gx, box, eval_f, it)
         if accepted is None:
-            reason = "step_tol"
+            reason = "stalled"
             iterations = it - 1
             break
 
@@ -168,12 +176,12 @@ def minimize(
         g_new = eval_g(grad, x_new, it)
         step = x_new - x
         y = g_new - gx
-        # Damped update: mix the raw y with the scaled step so the stored
-        # curvature stays positive even where the landscape is nonconvex
-        # (the Armijo-only search cannot guarantee s'y > 0 on its own).
+        # A pair with positive curvature is stored as it is. The Armijo-only
+        # search cannot guarantee s'y > 0, so a pair without it is damped:
+        # y is mixed with the scaled step until s'y = 0.2 s'B0 s.
         sy = float(step @ y)
-        s_bs = float(step @ step) / gamma
-        if sy < 0.2 * s_bs:
+        if sy <= 0.0:
+            s_bs = float(step @ step) / gamma
             theta = 0.8 * s_bs / (s_bs - sy)
             y = theta * y + (1.0 - theta) * (step / gamma)
             sy = float(step @ y)

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 
 import dmtrav
 
+from dmtrav import demo as demo_module
 from dmtrav.cli import (
     RunConfig,
     cmd_extract,
@@ -565,7 +567,7 @@ def test_cli_verbs_reproduce_demo_tree(demo_runs, tmp_path):
     out = str(tmp_path)
     features = str(tmp_path / "features.dmtv")
     config = tmp_path / "run.json"
-    config.write_text('{"max_iters": 250}')
+    config.write_text(json.dumps({"max_iters": demo_module._ADV_SOLVER.max_iters}))
 
     assert main(["extract", str(demo / "manifest.txt"), "--out", out, "--quiet"]) == 0
     assert main(["gram", features, "--quiet"]) == 0

@@ -1,5 +1,6 @@
 import dataclasses
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -178,6 +179,14 @@ class TestPredict:
     def test_zero_decision_with_zero_intercepts_gives_half(self):
         model = ClassifierModel(np.array([1.0]), 0.0, -1.5, 0.0)
         assert predict(model, [0.0])[1] == 0.5
+
+    def test_large_platt_argument_does_not_overflow(self):
+        # a * decision + b = 1000, past where exp overflows
+        model = ClassifierModel(np.array([1.0]), 0.0, -1.0, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            prob = predict(model, [-1000.0])[1]
+        assert 0.0 <= prob <= 1.0
 
     def test_dimension_mismatch(self):
         model = ClassifierModel(np.zeros(3), 0.0, -1.0, 0.0)

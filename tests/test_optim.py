@@ -162,6 +162,30 @@ def test_grad_runs_once_per_accepted_point(x0, bounds, cfg):
     assert len(values) > len(grad_calls)  # the search did reject some trials
 
 
+def test_wide_spectrum_quadratic_reaches_grad_tol():
+    # Eigenvalues over three decades: positive-curvature pairs must be
+    # stored undamped, or the inverse-Hessian scale collapses and the solve
+    # crawls to its cap.
+    rng = np.random.default_rng(0)
+    q, _ = np.linalg.qr(rng.standard_normal((1024, 1024)))
+    A = (q * np.logspace(-3.0, 0.0, 1024)) @ q.T
+    b = rng.standard_normal(1024)
+    cfg = MinimizeConfig(max_iters=500, grad_tol=1e-6)
+    _, trace = minimize(
+        lambda v: (float(0.5 * v @ A @ v - b @ v), lambda: A @ v - b), np.zeros(1024), cfg=cfg
+    )
+    assert trace.termination_reason == "grad_tol"
+
+
+def test_failed_line_search_reports_stalled():
+    # The gradient has the wrong sign, so no step along -grad decreases f.
+    x, trace = minimize(lambda v: (float(v @ v), lambda: -2 * v), [1.0])
+    assert trace.termination_reason == "stalled"
+    assert trace.iterations == 0
+    assert trace.final_grad_norm == 2.0
+    assert x[0] == 1.0
+
+
 def test_max_iters_termination():
     cfg = MinimizeConfig(max_iters=3, grad_tol=0.0)
     _, trace = minimize(rosenbrock, [-1.2, 1.0], cfg=cfg)

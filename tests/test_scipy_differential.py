@@ -6,7 +6,9 @@ the final objectives must then agree, the iterates need not. On an
 ill-conditioned Gram the traversal stops on the gradient in its whitened
 coordinates and scipy on the gradient in r, so there the traversal's
 objective is only required to be no worse. The Platt fit is checked the
-same way at its own gradient tolerance (1e-10).
+same way at its own gradient tolerance (1e-10). The demo's own pixel
+solves reach no gradient tolerance, so there both solvers run to the
+demo's iteration cap and our objective must come within 5% of scipy's.
 """
 
 import numpy as np
@@ -14,6 +16,7 @@ import pytest
 
 import oracles
 from conftest import seeded_instance
+from dmtrav import demo as demo_module
 from dmtrav import evaluate, formats, mmd
 from dmtrav.features import Conv, ExtractorSpec, ImageTensor, Relu, forward, init_weights
 from dmtrav.mmd import FeatureMatrix, KernelConfig
@@ -82,6 +85,19 @@ def test_ill_conditioned_traversal_no_worse_than_scipy(scale):
     assert rec.objective <= res.fun + 1e-9 * abs(res.fun)
 
 
+def inversion_objective(spec, weights, z, lam_tv):
+    """0.5 |phi(x) - z|^2 + lam_tv TV_2(x) and its gradient over the flattened pixels."""
+
+    def fun_and_grad(flat):
+        img = ImageTensor(flat.reshape(spec.input_shape))
+        fp = forward(spec, weights, img)
+        resid = fp.features - z
+        value = 0.5 * float(resid @ resid) + lam_tv * tv(img, 2.0)
+        return value, (fp.vjp(resid) + lam_tv * tv_grad(img, 2.0)).ravel()
+
+    return fun_and_grad
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_inversion_objective_matches_scipy(seed):
     spec = ExtractorSpec((5, 5, 1), (Conv(3), Relu()), taps=(1,))
@@ -92,16 +108,58 @@ def test_inversion_objective_matches_scipy(seed):
     out = invert(spec, weights, z, ReconstructionConfig(lambda_tv=lam_tv))
     assert out.trace.termination_reason == "grad_tol"
 
-    def fun_and_grad(flat):
-        img = ImageTensor(flat.reshape(5, 5, 1))
-        fp = forward(spec, weights, img)
-        resid = fp.features - z
-        value = 0.5 * float(resid @ resid) + lam_tv * tv(img, 2.0)
-        return value, (fp.vjp(resid) + lam_tv * tv_grad(img, 2.0)).ravel()
-
+    fun_and_grad = inversion_objective(spec, weights, z, lam_tv)
     res = scipy_solve(fun_and_grad, np.full(25, 0.5), bounds=[(0.0, 1.0)] * 25)
     ours = out.final_feature_loss + lam_tv * out.final_tv
     assert ours == pytest.approx(res.fun, rel=1e-8)
+
+
+def demo_pixel_problem(solve, demo_dir, spec, weights):
+    """A demo pixel solve rebuilt from its tree: (our objective, value-and-gradient, x0)."""
+    image = formats.load_image(demo_dir / "dataset" / "input.ppm")
+    shape, x0 = image.pixels.shape, image.pixels.ravel()
+    if solve == "adversarial":
+        features = formats.read_feature_file(demo_dir / "features.dmtv").as_feature_matrix()
+        model = evaluate.fit_classifier(
+            features, formats.read_labels(demo_dir / "labels.txt", features.K - 1)
+        )
+        summary = (demo_dir / "summary.txt").read_text().splitlines()
+        c = float(next(line.split()[1] for line in summary if line.startswith("adversarial_c ")))
+        res = evaluate.adversarial_perturb(
+            spec, weights, model, image, c, cfg=demo_module._ADV_SOLVER
+        )
+        ours = -res.decision_value + c * res.l2_pixel_distance**2
+
+        def fun_and_grad(flat):
+            fp = forward(spec, weights, ImageTensor(flat.reshape(shape)))
+            delta = flat - x0
+            value = -float(model.w @ fp.features + model.b) + c * float(delta @ delta)
+            return value, -fp.vjp(model.w).ravel() + 2.0 * c * delta
+
+        return ours, fun_and_grad, x0
+    z = formats.read_vector(demo_dir / f"{solve}.dmtv")
+    cfg = ReconstructionConfig(init=image, solver=demo_module._RECON_SOLVER)
+    assert cfg.beta == 2.0
+    out = invert(spec, weights, z, cfg)
+    ours = out.final_feature_loss + cfg.lambda_tv * out.final_tv
+    return ours, inversion_objective(spec, weights, z, cfg.lambda_tv), x0
+
+
+@pytest.mark.parametrize("solve", ["zt_0", "zt_1", "zt_2", "adversarial"])
+def test_demo_pixel_solves_near_scipy_at_demo_cap(solve, demo_runs, reference):
+    # The three inversions of the demo's traversal outputs and its
+    # adversarial solve at the matched c_adv, both solvers capped alike.
+    solver = demo_module._ADV_SOLVER if solve == "adversarial" else demo_module._RECON_SOLVER
+    ours, fun_and_grad, x0 = demo_pixel_problem(solve, demo_runs[1], *reference)
+    res = scipy_optimize.minimize(
+        fun_and_grad,
+        x0,
+        jac=True,
+        method="L-BFGS-B",
+        bounds=[(0.0, 1.0)] * x0.size,
+        options={"gtol": 0.0, "ftol": 0.0, "maxiter": solver.max_iters},
+    )
+    assert ours <= res.fun + 0.05 * abs(res.fun)
 
 
 def platt_nll(ab, f, y):
