@@ -12,13 +12,13 @@ Images are (height, width, channels) arrays with values in [0, 1].
 Internally activations use channel-first layout, and tap outputs are
 flattened in (channel, row, column) order.
 
-The arrays are small, so numpy call overhead, not arithmetic, sets the
-cost. A convolution is one GEMM over im2col columns (Chellapilla, Puri &
-Simard 2006): the padded input's 3x3 windows form a C-contiguous
-(h*w, cin*9) matrix that multiplies the transposed (cout, cin*9) kernel
-matrix; the VJP runs the same code with the flipped kernel. Max pooling
-compares strided views of the 2x2 windows' columns, then rows, and keeps
-the two comparisons to route the VJP.
+The arrays are small, so array copies and numpy call overhead, not
+arithmetic, set the cost. A convolution is one GEMM over im2col columns
+(Chellapilla, Puri & Simard 2006): the (cout, cin*9) kernel matrix times
+the padded input's 3x3 windows gathered into (cin*9, h*w) rows gives the
+channel-first output with no transpose; the VJP runs the same code with
+the flipped kernel. Max pooling compares strided views of the 2x2
+windows' columns, then rows, and keeps the two comparisons for the VJP.
 """
 
 from __future__ import annotations
@@ -255,12 +255,12 @@ def _check_compatible(spec: ExtractorSpec, weights: WeightSet) -> None:
 def _conv(x: np.ndarray, kmat: np.ndarray) -> np.ndarray:
     """Zero-padded 3x3 convolution of x (cin, h, w) by a (cout, cin*9) kernel matrix.
 
-    The column matrix is built by two copies with contiguous inner loops:
-    a strided (cin, 3, 3, h, w) window view read into (cin*9, h*w) rows,
-    then one 2-D transpose. Keep the product as cols @ kmat.T: a GEMM's
-    bits depend on operand shapes and layout, and the tests pin them to a
-    plain im2col. The result is a (cout, h, w) view of the (h*w, cout)
-    product.
+    One copy reads a strided (cin, 3, 3, h, w) window view into
+    (cin*9, h*w) rows; kmat @ rows is the C-contiguous channel-first
+    output. Keep that operand order: a GEMM's bits depend on its
+    operands' order, shapes and layout, which set how BLAS blocks and
+    sums each dot product, and the tests pin kmat @ rows bit for bit to
+    a plain im2col that forms the same product.
     """
     cin, h, w = x.shape
     xp = np.zeros((cin, h + 2, w + 2))
@@ -268,8 +268,7 @@ def _conv(x: np.ndarray, kmat: np.ndarray) -> np.ndarray:
     sc, sh, sw = xp.strides
     # The ndarray constructor makes the view; as_strided adds several microseconds per call.
     win = np.ndarray((cin, _KSIZE, _KSIZE, h, w), xp.dtype, xp, 0, (sc, sh, sw, sh, sw))
-    cols = np.ascontiguousarray(win.reshape(cin * _KSIZE * _KSIZE, h * w).T)
-    return (cols @ kmat.T).reshape(h, w, kmat.shape[0]).transpose(2, 0, 1)
+    return (kmat @ win.reshape(cin * _KSIZE * _KSIZE, h * w)).reshape(kmat.shape[0], h, w)
 
 
 def _pool_forward(x: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:

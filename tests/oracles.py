@@ -325,9 +325,11 @@ def naive_tv(image: np.ndarray, beta: float) -> float:
     return total
 
 
-# The extractor layers as first written: im2col through a transposed 5-D
-# sliding-window gather, and max pooling through argmax/take_along_axis.
-# The production layers must reproduce them bit for bit.
+# Plain forms of the extractor layers: im2col through a transposed 5-D
+# sliding-window gather whose (cin*9, h*w) rows the kernel matrix
+# multiplies from the left (the channel-first product), and max pooling
+# through argmax/take_along_axis. The production layers must reproduce
+# them bit for bit.
 
 
 def im2col_conv(x: np.ndarray, kmat: np.ndarray) -> np.ndarray:
@@ -336,8 +338,8 @@ def im2col_conv(x: np.ndarray, kmat: np.ndarray) -> np.ndarray:
     xp = np.zeros((cin, h + 2, w + 2))
     xp[:, 1:-1, 1:-1] = x
     win = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(1, 2))
-    cols = win.transpose(1, 2, 0, 3, 4).reshape(h * w, cin * 9)
-    return (cols @ kmat.T).T.reshape(kmat.shape[0], h, w)
+    rows = win.transpose(0, 3, 4, 1, 2).reshape(cin * 9, h * w)
+    return (kmat @ rows).reshape(kmat.shape[0], h, w)
 
 
 def argmax_pool_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -200,6 +200,32 @@ class TestVjp:
         assert len(calls) == 1
         assert g.shape == (32, 32, 1)
 
+    @pytest.mark.parametrize("case", ["conv1", "conv2", "conv3", "odd"])
+    def test_flipped_kernel_is_the_exact_adjoint(self, reference, case):
+        # <conv(x, K), g> = <x, conv(g, K_flipped)> holds in exact arithmetic
+        # for any GEMM operand order, so it pins the flipped kernels without
+        # depending on BLAS summation order. The tolerance is relative to
+        # <|conv(x, K)|, |g|>, the scale of the rounding error, which a sum
+        # with cancellation can leave far above |<conv(x, K), g>|.
+        if case == "odd":
+            spec = ExtractorSpec((5, 7, 3), (Conv(5),), taps=(0,))
+            weights, ki, (h, w) = init_weights(spec, 76), 0, (5, 7)
+        else:
+            weights = reference[1]
+            ki = int(case[-1]) - 1
+            h = w = 32 >> ki
+        kmat, flipped = weights._mats[ki], weights._flipped_mats[ki]
+        cout, cin = kmat.shape[0], kmat.shape[1] // 9
+        rng = np.random.default_rng(77 + ki)
+        x = rng.standard_normal((cin, h, w))
+        g = rng.standard_normal((cout, h, w))
+        y = features_mod._conv(x, kmat)
+        assert y.shape == (cout, h, w) and y.flags.c_contiguous
+        xt = features_mod._conv(g, flipped)
+        assert xt.shape == (cin, h, w) and xt.flags.c_contiguous
+        lhs, rhs = np.vdot(y, g), np.vdot(x, xt)
+        assert abs(lhs - rhs) <= 1e-12 * np.vdot(np.abs(y), np.abs(g))
+
     def test_cotangent_length_checked(self, reference):
         spec, weights = reference
         with pytest.raises(InvalidInputError):
@@ -329,7 +355,11 @@ def tied_signed(rng, shape):
 
 
 class TestLayersMatchOracles:
-    """The conv and pooling layers reproduce the first-written layers bit for bit."""
+    """The conv and pooling layers reproduce the oracle layers bit for bit.
+
+    The conv oracle forms the same channel-first product, kernel matrix
+    times window rows, so one BLAS call shape computes both.
+    """
 
     @pytest.mark.parametrize("ki, side", [(0, 32), (1, 16), (2, 8)], ids=["conv1", "conv2", "conv3"])
     def test_reference_convs_forward_and_flipped(self, reference, ki, side):
