@@ -198,8 +198,14 @@ def traverse_to(
     return result, records_path
 
 
-def cmd_reconstruct(zt_file, run: RunConfig) -> Path:
-    """Invert one traversed feature vector and write the image."""
+def cmd_reconstruct(zt_file, run: RunConfig) -> tuple[reconstruct.ReconstructionResult, Path]:
+    """Invert one traversed feature vector and write <stem>_recon.ppm in run.out_dir."""
+    out_path = Path(run.out_dir) / (Path(zt_file).stem + "_recon.ppm")
+    return reconstruct_to(zt_file, run, out_path), out_path
+
+
+def reconstruct_to(zt_file, run: RunConfig, out_path) -> reconstruct.ReconstructionResult:
+    """Invert the vector in zt_file with run's init, extractor and solver; write out_path."""
     z = formats.read_vector(zt_file)
     init: str | ImageTensor = reconstruct.MID_GRAY
     shape = None
@@ -216,15 +222,10 @@ def cmd_reconstruct(zt_file, run: RunConfig) -> Path:
         lambda_tv=run.lambda_tv, beta=run.beta, init=init, solver=run.solver()
     )
     res = reconstruct.invert(spec, weights, z, cfg)
-    out_dir = Path(run.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / (Path(zt_file).stem + "_recon.ppm")
+    out_path = Path(out_path)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     formats.save_image(res.image, out_path)
-    print(
-        f"feature_loss {res.final_feature_loss!r} tv {res.final_tv!r} "
-        f"iterations {res.trace.iterations}"
-    )
-    return out_path
+    return res
 
 
 def _model_from_file(feature_file, labels_file) -> tuple[evaluate.ClassifierModel, mmd.FeatureMatrix]:
@@ -380,8 +381,12 @@ def main(argv=None) -> int:
             if not args.quiet:
                 print(records_path)
         elif args.verb == "reconstruct":
-            path = cmd_reconstruct(args.zt_file, _run_config(args))
+            res, path = cmd_reconstruct(args.zt_file, _run_config(args))
             if not args.quiet:
+                print(
+                    f"feature_loss {res.final_feature_loss!r} tv {res.final_tv!r} "
+                    f"iterations {res.trace.iterations} stopped {res.trace.termination_reason}"
+                )
                 print(path)
         elif args.verb == "eval":
             path = cmd_eval(args.feature_file, args.traversal_dir, args.labels_file, args.out)

@@ -8,24 +8,23 @@ reconstruction of every traversed point, SVM + Platt evaluation of the
 decision sweep, and the matched adversarial baseline. Every output is a
 deterministic function of the seed, bit for bit.
 
-Extraction, the Gram section, the traversal files, the decision sweep
-and the adversarial files come from the same stages as the `extract`,
-`gram`, `traverse`, `eval` and `adversarial` verbs, so those verbs
-reproduce them byte for byte; the sweep reads back the float32
-r_<i>.dmtv files it sweeps, as `eval` does. The reconstructions run in
-memory on the traversal's float64 z: the `reconstruct` verb reads the
-float32 zt_<i>.dmtv files instead, which moves its results.
+Extraction, the Gram section, the traversal files, the reconstructions,
+the decision sweep and the adversarial files come from the same stages
+as the `extract`, `gram`, `traverse`, `reconstruct`, `eval` and
+`adversarial` verbs, so those verbs reproduce them byte for byte. Every
+number in summary.txt is computed from the files written: the sweep
+reads back the float32 r_<i>.dmtv files, and the reconstruction
+decisions and distances the recon_<i>.ppm images.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import evaluate, formats, mmd, reconstruct, traversal
-from .cli import RunConfig, cmd_extract, cmd_gram, sweep_to, traverse_to, write_adversarial
+from . import cli, evaluate, formats, mmd, traversal
 from .errors import InvalidInputError
 from .features import ImageTensor, forward
 from .optim import MinimizeConfig
@@ -70,7 +69,7 @@ class DemoOutcome:
     baseline_probability: float
     decisions: list[float]  # at the traversed feature points
     probabilities: list[float]
-    recon_decisions: list[float]  # at the reconstructed images
+    recon_decisions: list[float]  # at the written recon_<i>.ppm images
     recon_l2: list[float]
     adversarial_c: float
     adversarial_decision: float
@@ -105,49 +104,44 @@ def run_demo(seed: int, out_dir, quiet: bool = False) -> DemoOutcome:
     for name, img in zip(names, [*sources, *targets, test]):
         formats.save_image(img, out / name)
     (out / "manifest.txt").write_text(formats.format_manifest(rel), encoding="utf-8")
-    labels = ["+1"] * len(targets) + ["-1"] * len(sources)
-    (out / "labels.txt").write_text("\n".join(labels) + "\n", encoding="utf-8")
+    (out / "labels.txt").write_text("+1\n" * len(targets) + "-1\n" * len(sources), encoding="utf-8")
     say(f"dataset: {len(sources)} sources, {len(targets)} targets at {data_dir}")
 
     # Work from the quantized files so the pipeline matches what was written.
-    run = RunConfig(out_dir=str(out))
-    feature_path = cmd_extract(formats.read_manifest(out / "manifest.txt"), run)
-    cmd_gram(feature_path)
+    run = cli.RunConfig(out_dir=str(out))
+    feature_path = cli.cmd_extract(formats.read_manifest(out / "manifest.txt"), run)
+    cli.cmd_gram(feature_path)
     features = formats.read_feature_file(feature_path).as_feature_matrix()
     say(f"features: K={features.K} D={features.D}")
 
     sigma = mmd.median_heuristic_sigma(features.G)
     lambdas = tuple(s / sigma for s in DEMO_LAMBDA_SCALES)
     tcfg = traversal.TraversalConfig(lambdas=lambdas, kernel=mmd.KernelConfig(sigma))
-    result, _ = traverse_to(features, tcfg, out)
+    result, _ = cli.traverse_to(features, tcfg, out)
     say(f"traversal: sigma={sigma:.6g}, lambdas={[f'{l:.3g}' for l in lambdas]}")
 
+    labels = formats.read_labels(out / "labels.txt", features.K - 1)
+    model = evaluate.fit_classifier(features, labels)
     spec = run.resolve_spec()
     weights = run.resolve_weights(spec)
     test_img = formats.load_image(out / rel.input_path)
+    pixel_run = replace(run, init=str(out / rel.input_path), max_iters=_RECON_SOLVER.max_iters)
+    recon_decisions = []
     recon_l2 = []
-    recons = []
     for i, rec in enumerate(result.records):
-        z = traversal.materialize(features, rec.r)
-        rcfg = reconstruct.ReconstructionConfig(init=test_img, solver=_RECON_SOLVER)
-        rres = reconstruct.invert(spec, weights, z, rcfg)
-        formats.save_image(rres.image, out / f"recon_{i}.ppm")
-        recons.append(rres.image)
-        recon_l2.append(float(np.linalg.norm(rres.image.pixels - test_img.pixels)))
+        rres = cli.reconstruct_to(out / f"zt_{i}.dmtv", pixel_run, out / f"recon_{i}.ppm")
+        recon = formats.load_image(out / f"recon_{i}.ppm")
+        recon_decisions.append(evaluate.predict(model, forward(spec, weights, recon).features)[0])
+        recon_l2.append(float(np.linalg.norm(recon.pixels - test_img.pixels)))
         say(
             f"reconstruct lambda={rec.lam:.3g}: feature_loss={rres.final_feature_loss:.4g} "
             f"pixel_l2={recon_l2[-1]:.4g}"
         )
 
-    model = evaluate.fit_classifier(features, np.array([1.0] * features.n + [-1.0] * features.m))
-    report, _ = sweep_to(model, features, out, out)
-    base = report.records[0]
-    swept = report.records[1:]
+    report, _ = cli.sweep_to(model, features, out, out)
+    base, *swept = report.records
     decisions = [r.decision_value for r in swept]
     probabilities = [r.probability for r in swept]
-    recon_decisions = [
-        evaluate.predict(model, forward(spec, weights, img).features)[0] for img in recons
-    ]
     say(f"eval: baseline decision={base.decision_value:.4g}, swept={[f'{d:.4g}' for d in decisions]}")
 
     # Match the adversarial image to the decision value of the generated
@@ -156,7 +150,7 @@ def run_demo(seed: int, out_dir, quiet: bool = False) -> DemoOutcome:
     adv = evaluate.match_regularizer(
         spec, weights, model, test_img, target_decision, cfg=_ADV_SOLVER
     )
-    write_adversarial(adv, out)
+    cli.write_adversarial(adv, out)
     say(
         f"adversarial: c={adv.c_adv:.4g} decision={adv.decision_value:.4g} "
         f"l2={adv.l2_pixel_distance:.4g} vs traversal l2={recon_l2[-1]:.4g}"

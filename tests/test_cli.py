@@ -26,6 +26,7 @@ from dmtrav.formats import (
     load_image,
     parse_traversal_records,
     read_feature_file,
+    read_labels,
     read_vector,
     save_image,
     write_vector,
@@ -144,7 +145,7 @@ class TestCmdTraverse:
         zt_path = tmp_path / "zt.dmtv"
         write_vector(zt_path, z)
         run = RunConfig(out_dir=str(tmp_path / "rec"), init=str(paths["input"]), lambda_tv=0.0)
-        out = cmd_reconstruct(zt_path, run)
+        _, out = cmd_reconstruct(zt_path, run)
         recon = load_image(out)
         assert np.max(np.abs(recon.pixels - x0.pixels)) <= 1.0 / 255.0 + 1e-12
 
@@ -171,10 +172,32 @@ class TestCmdTraverse:
         run = RunConfig(
             extractor="identity", out_dir=str(tmp_path), init=str(img_path), lambda_tv=0.0
         )
-        out = cmd_reconstruct(zt_path, run)
+        _, out = cmd_reconstruct(zt_path, run)
         recon = load_image(out)
         expected = np.clip(z.astype(np.float32).astype(float), 0.0, 1.0).reshape(8, 8, 1)
         assert np.max(np.abs(recon.pixels - expected)) <= 1.0 / 255.0 + 1e-12
+
+    def reconstruct_argv(self, tiny_dataset, max_iters: int) -> list[str]:
+        tmp_path, _, paths = tiny_dataset
+        spec = reference_spec()
+        z = forward(spec, init_weights(spec, 42), load_image(paths["target"])).features
+        write_vector(tmp_path / "zt.dmtv", z)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"max_iters": max_iters}))
+        return ["reconstruct", str(tmp_path / "zt.dmtv"), "--init", str(paths["input"]),
+                "--config", str(config), "--out", str(tmp_path / "rec")]
+
+    def test_reconstruct_quiet_prints_nothing(self, tiny_dataset, capsys):
+        assert main([*self.reconstruct_argv(tiny_dataset, 5), "--quiet"]) == 0
+        assert capsys.readouterr().out == ""
+        assert (tiny_dataset[0] / "rec" / "zt_recon.ppm").exists()
+
+    def test_reconstruct_line_says_why_the_solve_stopped(self, tiny_dataset, capsys):
+        assert main(self.reconstruct_argv(tiny_dataset, 1)) == 0
+        line, path = capsys.readouterr().out.splitlines()
+        assert line.startswith("feature_loss ")
+        assert line.endswith(" iterations 1 stopped max_iters")
+        assert path == str(tiny_dataset[0] / "rec" / "zt_recon.ppm")
 
 
 class TestMainExitCodes:
@@ -384,7 +407,8 @@ class TestMainExitCodes:
         run_rec = RunConfig(
             extractor="identity", out_dir=out, init=str(paths["input"]), lambda_tv=0.0
         )
-        recon = load_image(cmd_reconstruct(tmp_path / "shallow" / "zt_0.dmtv", run_rec))
+        _, recon_path = cmd_reconstruct(tmp_path / "shallow" / "zt_0.dmtv", run_rec)
+        recon = load_image(recon_path)
         expected = np.clip(zt, 0.0, 1.0).reshape(32, 32, 1)
         assert np.max(np.abs(recon.pixels - expected)) <= 1.0 / 255.0 + 1e-12
 
@@ -558,32 +582,53 @@ class TestCmdAdversarial:
             cmd_adversarial("f", "l", "i", RunConfig(), c_adv=None, match_decision=None)
 
 
-def test_cli_verbs_reproduce_demo_tree(demo_runs, tmp_path):
+def test_cli_verbs_reproduce_demo_tree(demo_runs, reference, tmp_path):
     _, demo, _, _ = demo_runs
     summary = [line.split() for line in (demo / "summary.txt").read_text().splitlines()]
     sigma = next(f[1] for f in summary if f[0] == "sigma")
-    lambdas = [f[1] for f in summary if f[0] == "lambda"]
-    c_adv = next(f[1] for f in summary if f[0] == "adversarial_c")
+    sweep = [dict(zip(f[::2], f[1::2])) for f in summary if f[0] == "lambda"]
+    lambdas = [rec["lambda"] for rec in sweep]
+    target = min(sweep, key=lambda rec: float(rec["lambda"]))["recon_decision"]
     out = str(tmp_path)
     features = str(tmp_path / "features.dmtv")
-    config = tmp_path / "run.json"
-    config.write_text(json.dumps({"max_iters": demo_module._ADV_SOLVER.max_iters}))
+    labels = str(demo / "labels.txt")
+    input_image = str(demo / "dataset" / "input.ppm")
+    recon_config = tmp_path / "recon.json"
+    recon_config.write_text(json.dumps({"max_iters": demo_module._RECON_SOLVER.max_iters}))
+    adv_config = tmp_path / "adversarial.json"
+    adv_config.write_text(json.dumps({"max_iters": demo_module._ADV_SOLVER.max_iters}))
 
     assert main(["extract", str(demo / "manifest.txt"), "--out", out, "--quiet"]) == 0
     assert main(["gram", features, "--quiet"]) == 0
     lambda_args = [arg for lam in lambdas for arg in ("--lambda", lam)]
     assert main(["traverse", features, "--sigma", sigma, *lambda_args, "--out", out,
                  "--quiet"]) == 0
-    assert main(["eval", features, out, str(demo / "labels.txt"), "--quiet"]) == 0
-    assert main(["adversarial", features, str(demo / "labels.txt"),
-                 str(demo / "dataset" / "input.ppm"), "--c-adv", c_adv,
-                 "--config", str(config), "--out", out, "--quiet"]) == 0
+    for i in range(len(lambdas)):
+        assert main(["reconstruct", str(tmp_path / f"zt_{i}.dmtv"), "--init", input_image,
+                     "--config", str(recon_config), "--out", out, "--quiet"]) == 0
+    assert main(["eval", features, out, labels, "--quiet"]) == 0
+    assert main(["adversarial", features, labels, input_image, "--match-decision", target,
+                 "--config", str(adv_config), "--out", out, "--quiet"]) == 0
 
     names = ["features.dmtv", "traversal_records.txt", "sweep_report.txt", "adversarial.ppm",
              "adversarial_report.txt"]
     names += [f"{kind}_{i}.dmtv" for kind in ("r", "zt") for i in range(len(lambdas))]
     for name in names:
         assert (tmp_path / name).read_bytes() == (demo / name).read_bytes(), name
+    for i in range(len(lambdas)):
+        recon = (tmp_path / f"zt_{i}_recon.ppm").read_bytes()
+        assert recon == (demo / f"recon_{i}.ppm").read_bytes(), i
+
+    # every recon_decision and recon_l2 of the summary follows from the written files
+    fm = read_feature_file(demo / "features.dmtv").as_feature_matrix()
+    model = dmtrav.fit_classifier(fm, read_labels(labels, fm.K - 1))
+    spec, weights = reference
+    source = load_image(input_image)
+    for i, rec in enumerate(sweep):
+        recon = load_image(demo / f"recon_{i}.ppm")
+        decision, _ = dmtrav.predict(model, forward(spec, weights, recon).features)
+        assert repr(decision) == rec["recon_decision"], i
+        assert repr(float(np.linalg.norm(recon.pixels - source.pixels))) == rec["recon_l2"], i
 
 
 def test_cli_does_not_import_demo():
