@@ -205,7 +205,7 @@ def cmd_reconstruct(zt_file, run: RunConfig) -> tuple[reconstruct.Reconstruction
 
 
 def reconstruct_to(zt_file, run: RunConfig, out_path) -> reconstruct.ReconstructionResult:
-    """Invert the vector in zt_file with run's init, extractor and solver; write out_path."""
+    """Invert the vector in zt_file with run's settings; the result holds out_path read back."""
     z = formats.read_vector(zt_file)
     init: str | ImageTensor = reconstruct.MID_GRAY
     shape = None
@@ -225,7 +225,11 @@ def reconstruct_to(zt_file, run: RunConfig, out_path) -> reconstruct.Reconstruct
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     formats.save_image(res.image, out_path)
-    return res
+    # Report the 8-bit image as written, with its own loss and TV.
+    written = formats.load_image(out_path)
+    resid = forward(spec, weights, written).features - z
+    loss, tv = 0.5 * float(resid @ resid), reconstruct.tv(written, run.beta)
+    return replace(res, image=written, final_feature_loss=loss, final_tv=tv)
 
 
 def _model_from_file(feature_file, labels_file) -> tuple[evaluate.ClassifierModel, mmd.FeatureMatrix]:
@@ -300,8 +304,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dmtrav", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="JSON run-config file")
+    def common(p: argparse.ArgumentParser, config: bool = True) -> None:
+        if config:
+            p.add_argument("--config", help="JSON run-config file")
         p.add_argument("--out", help="output directory")
         p.add_argument("--quiet", action="store_true")
 
@@ -329,7 +334,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("feature_file")
     p.add_argument("traversal_dir")
     p.add_argument("labels_file")
-    common(p)
+    common(p, config=False)
 
     p = sub.add_parser("adversarial", help="perturb an image against the classifier")
     p.add_argument("feature_file")
@@ -341,7 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("demo", help="run the synthetic end-to-end task")
     p.add_argument("--seed", type=int, default=0)
-    common(p)
+    common(p, config=False)
     return parser
 
 

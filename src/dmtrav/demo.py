@@ -130,7 +130,7 @@ def run_demo(seed: int, out_dir, quiet: bool = False) -> DemoOutcome:
     recon_l2 = []
     for i, rec in enumerate(result.records):
         rres = cli.reconstruct_to(out / f"zt_{i}.dmtv", pixel_run, out / f"recon_{i}.ppm")
-        recon = formats.load_image(out / f"recon_{i}.ppm")
+        recon = rres.image
         recon_decisions.append(evaluate.predict(model, forward(spec, weights, recon).features)[0])
         recon_l2.append(float(np.linalg.norm(recon.pixels - test_img.pixels)))
         say(

@@ -7,9 +7,10 @@ is the difference of mean kernel similarities,
 
 negative when z sits closer to the target distribution. All rows live in
 one K x D matrix V ordered [targets, sources, test]; once the K x K Gram
-matrix G = V V^T is available, the witness of any point z = V^T (e_K + r)
-and its gradient in the coefficients r reduce to quadratic forms in G, so
-their cost depends on K only, never on the feature dimension D.
+matrix G = V V^T is available, the witness of V^T (e_K + r) and the budget
+r' G r are quadratic forms in G. The traversal objective runs on rows X
+with X X^T = G (kernel PCA's exact embedding): z = x_K + a, budget |a|^2.
+Either way the cost depends on K only, never on the feature dimension D.
 """
 
 from __future__ import annotations
@@ -169,23 +170,9 @@ def witness_direct(z, V, m: int, n: int, kcfg: KernelConfig) -> WitnessValue:
     return WitnessValue(source_term - target_term, source_term, target_term)
 
 
-def _factored_kernel_row(r, G, sigma: float, diag=None) -> tuple[np.ndarray, np.ndarray]:
-    """k(row_i, V^T(e_K + r)) for every row i, via quadratic forms in G, and G d.
-
-    |V^T e_i - V^T d|^2 = G_ii - 2 (G d)_i + d' G d  with  d = e_K + r.
-    diag, when given, is np.diag(G).
-    """
-    G = np.asarray(G, dtype=float)
-    K = G.shape[0]
-    r = np.asarray(r, dtype=float).ravel()
-    if r.size != K:
-        raise InvalidInputError(f"r has length {r.size}, expected {K}")
-    d = r.copy()
-    d[K - 1] += 1.0
-    Gd = G @ d
-    quad = float(d @ Gd)
-    sq = np.maximum((np.diag(G) if diag is None else diag) - 2.0 * Gd + quad, 0.0)
-    return np.exp(-sq / sigma), Gd
+def _kernel_row(sq_norms, cross, z_sq: float, sigma: float) -> np.ndarray:
+    """k(x_i, z) = exp(-max(|x_i|^2 - 2 x_i.z + |z|^2, 0) / sigma) for every row i."""
+    return np.exp(-np.maximum(sq_norms - 2.0 * cross + z_sq, 0.0) / sigma)
 
 
 def _witness_of_row(k: np.ndarray, m: int, n: int) -> WitnessValue:
@@ -213,33 +200,38 @@ def witness_factored(r, G, m: int, n: int, kcfg: KernelConfig) -> WitnessValue:
         raise InvalidInputError("both source and target blocks must be non-empty")
     if G.shape[0] != m + n + 1:
         raise InvalidInputError("G must have m + n + 1 rows")
-    k, _ = _factored_kernel_row(r, G, kcfg.resolve_sigma(G))
+    K = G.shape[0]
+    r = np.asarray(r, dtype=float).ravel()
+    if r.size != K:
+        raise InvalidInputError(f"r has length {r.size}, expected {K}")
+    # The rows against d = e_K + r: |V^T e_i - V^T d|^2 = G_ii - 2 (G d)_i + d' G d.
+    d = r.copy()
+    d[K - 1] += 1.0
+    Gd = G @ d
+    k = _kernel_row(np.diag(G), Gd, float(d @ Gd), kcfg.resolve_sigma(G))
     return _witness_of_row(k, m, n)
 
 
-def factored_objective(G, m: int, n: int, sigma: float, lam: float):
-    """The traversal objective at one lambda as a solver callback r -> (value, grad).
+def embedded_objective(X, m: int, n: int, sigma: float, lam: float):
+    """The traversal objective at one lambda as a solver callback a -> (value, grad).
 
-    value is witness_factored(r).value + lam * budget(r). Each kernel
-    term, with displacement d_i = e_i - e_K - r, contributes
-    (2/sigma) * k_i * G d_i times its block weight (+1/m source, -1/n
-    target) to the gradient, and the budget 2 G r times lam. Value and
-    gradient share k, G d and G r: three K x K matrix-vector products
-    per point at which both are taken.
+    value is the witness of z = x_K + a against the rows x_i of X (any
+    X with X X' = G) plus lam * |a|^2; the gradient, sharing its kernel
+    row, is (2/sigma) (X'(w k) - sum(w k) z) + 2 lam a, with block weights
+    w (+1/m source, -1/n target).
     """
-    G = _require_gram(G)
-    diag = np.diag(G)
-    w = _block_weights(m, n, G.shape[0])
+    X = np.asarray(X, dtype=float)
+    sq_norms = np.einsum("ij,ij->i", X, X)
+    w = _block_weights(m, n, X.shape[0])
 
-    def fun(r: np.ndarray):
-        k, Gd = _factored_kernel_row(r, G, sigma, diag)
-        Gr = G @ r
-        value = _witness_of_row(k, m, n).value + lam * float(r @ Gr)
+    def fun(a: np.ndarray):
+        z = X[-1] + a
+        k = _kernel_row(sq_norms, X @ z, float(z @ z), sigma)
+        value = _witness_of_row(k, m, n).value + lam * float(a @ a)
 
         def grad() -> np.ndarray:
             wk = w * k
-            # sum_i wk_i * G d_i  with  G d_i = G[:, i] - G d.
-            return (2.0 / sigma) * (G @ wk - float(np.sum(wk)) * Gd) + lam * (2.0 * Gr)
+            return (2.0 / sigma) * (wk @ X - float(np.sum(wk)) * z) + lam * (2.0 * a)
 
         return value, grad
 

@@ -9,14 +9,14 @@ the previous one. Everything runs on the precomputed Gram matrix, so the
 cost after extraction depends on the number of images K and the
 iteration count, never on the feature dimension.
 
-The solves run in whitened coordinates. With G = U S U' (eigenvalues
-s), the directions with s > K * eps * max(s) (numpy's matrix_rank
-threshold) are kept and r = P a with P = U_keep S_keep^(-1/2). Then
-V^T r = W a for an orthonormal basis W of the row space of V, so the
-budget is |a|^2 and the gradient in a is the feature-space gradient of
-the objective expressed in that basis: the solver's grad_tol bounds it
-whatever the conditioning of G. The dropped directions do not move the
-traversed point, so r is the minimum-norm coefficient vector for it.
+The solves run on kernel PCA's exact embedding of the rows. With
+G = U S U' (eigenvalues s), the directions with s > K * eps * max(s)
+(numpy's matrix_rank threshold) are kept; X = U_keep S_keep^(1/2) gives
+G = X X'. The point z = x_K + a, with budget |a|^2, is V^T(e_K + r) at
+r = P a, P = U_keep S_keep^(-1/2). The gradient in a is the feature-space
+gradient in an orthonormal basis of the span of the rows, so grad_tol
+bounds it whatever the conditioning of G. The dropped directions do not
+move the point, so r is the minimum-norm coefficient vector for it.
 """
 
 from __future__ import annotations
@@ -38,9 +38,9 @@ _log = logging.getLogger(__name__)
 class TraversalConfig:
     """Sweep settings: strictly descending lambdas, kernel width, solver.
 
-    solver.grad_tol applies to the gradient in the whitened coefficients a,
-    which is the objective's feature-space gradient in an orthonormal basis
-    of the span of the rows, so it does not depend on the scale or the
+    solver.grad_tol applies to the gradient in the displacement a, which
+    is the objective's feature-space gradient in an orthonormal basis of
+    the span of the rows, so it does not depend on the scale or the
     conditioning of G.
     """
 
@@ -79,11 +79,11 @@ class TraversalResult:
 def traverse(features: FeatureMatrix, cfg: TraversalConfig) -> TraversalResult:
     """Run the descending-lambda sweep; requires the Gram matrix to be present.
 
-    Each lambda is solved over the whitened coefficients a (see the
-    module docstring), from a = 0 and then from the previous solution;
-    the records hold r = P a. When G has no kept direction (G = 0), r
-    stays 0 and no solve runs. A solve that stops on anything but
-    grad_tol logs a warning on the "dmtrav.traversal" logger.
+    Each lambda is solved over the displacement a on the embedded rows
+    (see the module docstring), from a = 0 and then from the previous
+    solution; the records hold r = P a. When G has no kept direction
+    (G = 0), r stays 0 and no solve runs. A solve that stops on anything
+    but grad_tol logs a warning on the "dmtrav.traversal" logger.
     """
     G = features.G
     if G is None:
@@ -93,14 +93,14 @@ def traverse(features: FeatureMatrix, cfg: TraversalConfig) -> TraversalResult:
     m, n = features.m, features.n
     sigma = cfg.kernel.resolve_sigma(G)
     kcfg = KernelConfig(sigma)
-    P = _whitening(G)
+    X, P = _embedding(G)
 
     records: list[LambdaRecord] = []
     a = np.zeros(P.shape[1])
     for lam in cfg.lambdas:
         trace = None
         if a.size:
-            fun = _whitened(mmd.factored_objective(G, m, n, sigma, lam), P)
+            fun = mmd.embedded_objective(X, m, n, sigma, lam)
             try:
                 a, trace = minimize(fun, a, bounds=None, cfg=cfg.solver)
             except NumericalError as exc:
@@ -123,22 +123,13 @@ def traverse(features: FeatureMatrix, cfg: TraversalConfig) -> TraversalResult:
     return TraversalResult(records)
 
 
-def _whitening(G: np.ndarray) -> np.ndarray:
-    """P = U_keep S_keep^(-1/2) from G = U S U', keeping s > K * eps * max(s)."""
+def _embedding(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """X = U_keep S_keep^(1/2) and P = U_keep S_keep^(-1/2) of G = U S U', s > K*eps*max(s)."""
     s, U = np.linalg.eigh(G)
     # max(s) <= 0 (G = 0, or no positive curvature at all) keeps nothing.
     keep = s > G.shape[0] * np.finfo(float).eps * max(s[-1], 0.0)
-    return U[:, keep] / np.sqrt(s[keep])
-
-
-def _whitened(fun_r, P: np.ndarray):
-    """The solver callback in a: fun_r taken at r = P a, its gradient mapped by P'."""
-
-    def fun(a: np.ndarray):
-        value, grad = fun_r(P @ a)
-        return value, lambda: grad() @ P
-
-    return fun
+    U, root = U[:, keep], np.sqrt(s[keep])
+    return U * root, U / root
 
 
 def materialize(features: FeatureMatrix, r) -> np.ndarray:

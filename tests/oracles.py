@@ -142,11 +142,10 @@ def direct_objective(V: np.ndarray, m: int, n: int, sigma: float, lam: float, r:
 def witness_grad_r(r, G, m: int, n: int, kcfg) -> np.ndarray:
     """Gradient in r of the factored witness, taken on its own.
 
-    The unfused reference for mmd.factored_objective, whose gradient
-    shares its kernel row with the value: at lambda = 0 the two agree
-    bit for bit. Each kernel term with displacement d_i = e_i - e_K - r
-    contributes (2/sigma) * k_i * G d_i times its block weight (+1/m
-    source, -1/n target).
+    The reference, mapped by P', for the gradient of
+    mmd.embedded_objective at a with r = P a. Each kernel term with
+    displacement d_i = e_i - e_K - r contributes (2/sigma) * k_i * G d_i
+    times its block weight (+1/m source, -1/n target).
     """
     G = np.asarray(G, dtype=float)
     K = G.shape[0]
@@ -169,6 +168,37 @@ def budget_grad(r, G) -> np.ndarray:
     """Gradient of the budget r' G r: 2 G r."""
     G = np.asarray(G, dtype=float)
     return 2.0 * (G @ np.asarray(r, dtype=float).ravel())
+
+
+def _embedded_kernel_row(a, X, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    X = np.asarray(X, dtype=float)
+    z = X[-1] + np.asarray(a, dtype=float).ravel()
+    sq = np.maximum(np.einsum("ij,ij->i", X, X) - 2.0 * (X @ z) + float(z @ z), 0.0)
+    return np.exp(-sq / sigma), z
+
+
+def embedded_witness(a, X, m: int, n: int, sigma: float) -> float:
+    """Witness of z = x_K + a against the rows of X, taken on its own.
+
+    The unfused reference for the value of mmd.embedded_objective, in
+    the same arithmetic: at lambda = 0 the two agree bit for bit.
+    """
+    k, _ = _embedded_kernel_row(a, X, sigma)
+    return float(np.mean(k[n : n + m])) - float(np.mean(k[:n]))
+
+
+def embedded_witness_grad(a, X, m: int, n: int, sigma: float) -> np.ndarray:
+    """Gradient in a of embedded_witness: sum_i w_i (2/sigma) k_i (x_i - z).
+
+    With block weights w (+1/m source, -1/n target), summed as
+    X'(w k) - sum(w k) z, the arithmetic of mmd.embedded_objective.
+    """
+    k, z = _embedded_kernel_row(a, X, sigma)
+    w = np.zeros(len(k))
+    w[:n] = -1.0 / n
+    w[n : n + m] = 1.0 / m
+    wk = w * k
+    return (2.0 / sigma) * (wk @ np.asarray(X, dtype=float) - float(np.sum(wk)) * z)
 
 
 def _objective_on_grid(V, m, n, sigma, lam, axes):

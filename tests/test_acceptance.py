@@ -30,7 +30,7 @@ from dmtrav.features import (
 from dmtrav.mmd import FeatureMatrix, KernelConfig
 from oracles import finite_difference_gradient, weights_equal
 from dmtrav.reconstruct import ReconstructionConfig, invert, tv, tv_grad
-from dmtrav.traversal import TraversalConfig, materialize, traverse
+from dmtrav.traversal import TraversalConfig, _embedding, materialize, traverse
 
 
 @contextmanager
@@ -73,7 +73,9 @@ def test_criterion_2_gradient_suite():
         rng = np.random.default_rng(2000)
 
         # traversal objective gradient, as the solver takes it from
-        # factored_objective, at lambda = 0 and at one lambda > 0 (tolerance 1e-5)
+        # embedded_objective on the embedded rows X, at the displacement
+        # a = X' r of the point V^T(e_K + r), at lambda = 0 and at one
+        # lambda > 0 (tolerance 1e-5)
         for _ in range(5):
             K = int(rng.integers(4, 12))
             V = rng.standard_normal((K, int(rng.integers(3, 30))))
@@ -82,10 +84,12 @@ def test_criterion_2_gradient_suite():
             G = mmd.gram(V)
             sigma = mmd.median_heuristic_sigma(G)
             r = 0.2 * rng.standard_normal(K)
+            X, _ = _embedding(G)
+            a = X.T @ r
             for lam in (0.0, 1.0 / sigma):
-                fun = mmd.factored_objective(G, m, n, sigma, lam)
-                fd = finite_difference_gradient(lambda rv: fun(rv)[0], r, 1e-6)
-                g = fun(r)[1]()
+                fun = mmd.embedded_objective(X, m, n, sigma, lam)
+                fd = finite_difference_gradient(lambda av: fun(av)[0], a, 1e-6)
+                g = fun(a)[1]()
                 mask = np.abs(fd) > 1e-10
                 assert np.max(np.abs(g[mask] - fd[mask]) / np.abs(fd[mask])) < 1e-5
 

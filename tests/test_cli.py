@@ -32,6 +32,7 @@ from dmtrav.formats import (
     write_vector,
 )
 from dmtrav.mmd import FeatureMatrix, KernelConfig
+from dmtrav.reconstruct import tv
 from dmtrav.traversal import TraversalConfig, traverse
 
 
@@ -201,6 +202,18 @@ class TestCmdTraverse:
 
 
 class TestMainExitCodes:
+    @pytest.mark.parametrize("verb", ["eval", "demo"])
+    def test_config_flag_rejected_where_unread(self, verb, tmp_path, capsys):
+        # eval and demo take no run settings, so argparse refuses --config
+        args = {"eval": ["f.dmtv", "run", "labels.txt"], "demo": []}[verb]
+        config = tmp_path / "run.json"
+        config.write_text("{}")
+        with pytest.raises(SystemExit) as exc:
+            main([verb, *args, "--config", str(config), "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_manifest_is_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "m.txt"
         bad.write_text("[source]\nmissing.ppm\n[target]\n\n[input]\nx.ppm\n")
@@ -629,6 +642,29 @@ def test_cli_verbs_reproduce_demo_tree(demo_runs, reference, tmp_path):
         decision, _ = dmtrav.predict(model, forward(spec, weights, recon).features)
         assert repr(decision) == rec["recon_decision"], i
         assert repr(float(np.linalg.norm(recon.pixels - source.pixels))) == rec["recon_l2"], i
+
+
+def test_reconstruct_reports_the_loss_of_the_written_image(demo_runs, reference, tmp_path,
+                                                           capsys):
+    # the feature loss and TV printed for each demo lambda's inversion are
+    # those of recon_<i>.ppm as read back, not of the float solve
+    _, demo, _, _ = demo_runs
+    spec, weights = reference
+    n_lambdas = len(demo_module.DEMO_LAMBDA_SCALES)
+    config = tmp_path / "recon.json"
+    config.write_text(json.dumps({"max_iters": demo_module._RECON_SOLVER.max_iters}))
+    input_image = str(demo / "dataset" / "input.ppm")
+    for i in range(n_lambdas):
+        zt = demo / f"zt_{i}.dmtv"
+        assert main(["reconstruct", str(zt), "--init", input_image, "--config", str(config),
+                     "--out", str(tmp_path)]) == 0
+        fields = capsys.readouterr().out.split()
+        written = demo / f"recon_{i}.ppm"
+        assert (tmp_path / f"zt_{i}_recon.ppm").read_bytes() == written.read_bytes(), i
+        recon = load_image(written)
+        resid = forward(spec, weights, recon).features - read_vector(zt)
+        assert fields[:4] == ["feature_loss", repr(0.5 * float(resid @ resid)),
+                              "tv", repr(tv(recon))], i
 
 
 def test_cli_does_not_import_demo():

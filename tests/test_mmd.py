@@ -10,12 +10,13 @@ from dmtrav.mmd import (
     FeatureMatrix,
     KernelConfig,
     budget,
-    factored_objective,
+    embedded_objective,
     gram,
     median_heuristic_sigma,
     witness_direct,
     witness_factored,
 )
+from dmtrav.traversal import _embedding
 from oracles import finite_difference_gradient, rbf_kernel
 
 # Rows [target=2, source=0, test=0.2] in 1-D; the hand-checkable instance.
@@ -166,39 +167,44 @@ class TestWitnessFactored:
             witness_factored(np.zeros(3), None, 1, 1, KernelConfig(1.0))
 
 
-def witness_grad(r, G, m, n, sigma):
+def witness_grad(a, X, m, n, sigma):
     """The traversal solver's gradient at lambda = 0: the witness term alone."""
-    _, grad = factored_objective(G, m, n, sigma, 0.0)(r)
+    _, grad = embedded_objective(X, m, n, sigma, 0.0)(a)
     return grad()
 
 
 class TestWitnessGrad:
     def test_identical_blocks_zero_gradient(self):
+        # the feature rows themselves are an exact embedding: V V' = G
         block = np.array([[1.0, 0.5], [0.2, 2.0]])
         V = np.vstack([block, block, [[0.3, 0.3]]])
-        g = witness_grad(np.array([0.1, -0.2, 0.05, 0.3, 0.0]), gram(V), 2, 2, 1.0)
+        g = witness_grad(np.array([0.1, -0.2]), V, 2, 2, 1.0)
         assert np.allclose(g, 0.0, atol=1e-15)
 
     def test_matches_finite_differences_seeded(self):
+        # against the Gram-form witness at r = P a
         V, m, n = seeded_instance(5, K=5, D=11)
         G = gram(V)
         kcfg = KernelConfig(median_heuristic_sigma(G))
-        r = 0.3 * np.random.default_rng(66).standard_normal(5)
-        g = witness_grad(r, G, m, n, kcfg.sigma)
+        X, P = _embedding(G)
+        a = 0.3 * np.random.default_rng(66).standard_normal(X.shape[1])
+        g = witness_grad(a, X, m, n, kcfg.sigma)
         fd = finite_difference_gradient(
-            lambda rv: witness_factored(rv, G, m, n, kcfg).value, r, 1e-6
+            lambda av: witness_factored(P @ av, G, m, n, kcfg).value, a, 1e-6
         )
         assert np.max(np.abs(g - fd) / np.maximum(np.abs(fd), 1e-10)) < 1e-5
 
     def test_hand_derived_value_at_equidistant_point(self):
-        # d witness / d r = (d witness / d z) * row values; at the midpoint of
-        # the 1-D instance the z-derivative is -4/e, rows are (2, 0, 0.2).
-        fm = hand_instance()
-        g = witness_grad(np.array([0.4, 0.0, 0.0]), fm.G, 1, 1, 1.0)
+        # d witness / d r = (d witness / d z) * row values; at the midpoint
+        # z = 1 of the 1-D instance (a = 0.8 from the test row 0.2, which
+        # is r = (0.4, 0, 0)) the z-derivative is -4/e, rows are (2, 0, 0.2).
+        g = witness_grad(np.array([0.8]), HAND_V, 1, 1, 1.0)
+        assert np.allclose(g, [-4.0 / math.e], rtol=1e-12, atol=1e-15)
+        g_r = HAND_V @ g
         expected = np.array([-8.0 / math.e, 0.0, -0.8 / math.e])
-        assert np.allclose(g, expected, rtol=1e-12, atol=1e-15)
+        assert np.allclose(g_r, expected, rtol=1e-12, atol=1e-15)
         # moving against the gradient raises the target coefficient
-        assert -g[0] > 0
+        assert -g_r[0] > 0
 
 
 class TestBudget:

@@ -3,12 +3,13 @@
 Both solvers start from the same point and stop on the same projected
 gradient sup-norm (1e-6). The instances are chosen so that both reach it;
 the final objectives must then agree, the iterates need not. On an
-ill-conditioned Gram the traversal stops on the gradient in its whitened
-coordinates and scipy on the gradient in r, so there the traversal's
-objective is only required to be no worse. The Platt fit is checked the
-same way at its own gradient tolerance (1e-10). The demo's own pixel
-solves reach no gradient tolerance, so there both solvers run to the
-demo's iteration cap and our objective must come within 5% of scipy's.
+ill-conditioned Gram the traversal stops on the gradient in its
+displacement a on the embedded rows and scipy on the gradient in r, so
+there the traversal's objective is only required to be no worse. The
+Platt fit is checked the same way at its own gradient tolerance (1e-10).
+The demo's own pixel solves reach no gradient tolerance, so there both
+solvers run to the demo's iteration cap and our objective must come
+within 5% of scipy's.
 """
 
 import numpy as np

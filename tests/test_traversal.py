@@ -11,12 +11,12 @@ from dmtrav.mmd import (
     FeatureMatrix,
     KernelConfig,
     budget,
-    factored_objective,
+    embedded_objective,
     median_heuristic_sigma,
     witness_direct,
     witness_factored,
 )
-from dmtrav.traversal import TraversalConfig, materialize, traverse
+from dmtrav.traversal import TraversalConfig, _embedding, materialize, traverse
 
 # Rows [target=2, source=0, test=0.2] in 1-D. Global optimum objective for
 # sigma=1, lambda=0.01 frozen from the brute-force grid over r in [-2, 2]^3
@@ -235,17 +235,43 @@ class TestWarmStart:
 
 
 @pytest.mark.parametrize("seed, lam", [(50, 1e-3), (51, 0.5)])
-def test_factored_objective_equals_separate_terms_bit_for_bit(seed, lam):
+def test_embedded_objective_equals_separate_terms_bit_for_bit(seed, lam):
     V, m, n = seeded_instance(seed, K=11, D=30)
     G = FeatureMatrix(V, m, n).with_gram().G
     sigma = median_heuristic_sigma(G)
-    kcfg = KernelConfig(sigma)
-    fun = factored_objective(G, m, n, sigma, lam)
+    X, _ = _embedding(G)
+    fun = embedded_objective(X, m, n, sigma, lam)
     rng = np.random.default_rng(seed)
     for _ in range(4):
-        r = 0.3 * rng.standard_normal(11)
-        value, grad = fun(r)
-        expected = witness_factored(r, G, m, n, kcfg).value + lam * budget(r, G)
-        expected_grad = oracles.witness_grad_r(r, G, m, n, kcfg) + lam * oracles.budget_grad(r, G)
+        a = 0.3 * rng.standard_normal(X.shape[1])
+        value, grad = fun(a)
+        expected = oracles.embedded_witness(a, X, m, n, sigma) + lam * float(a @ a)
+        expected_grad = oracles.embedded_witness_grad(a, X, m, n, sigma) + lam * (2.0 * a)
         assert np.float64(value).view(np.int64) == np.float64(expected).view(np.int64)
         assert np.array_equal(grad().view(np.int64), expected_grad.view(np.int64))
+
+
+@pytest.mark.parametrize("seed, K, D", [(50, 11, 30), (21, 9, 3)])
+def test_embedded_objective_agrees_with_gram_and_feature_forms(seed, K, D):
+    # full rank, then rank(G) = 3 < K: X X' = G, and the callback at a is
+    # the objective at r = P a, its gradient the r-gradient mapped by P'
+    V, m, n = seeded_instance(seed, K=K, D=D)
+    fm = FeatureMatrix(V, m, n).with_gram()
+    G = fm.G
+    sigma = median_heuristic_sigma(G)
+    kcfg = KernelConfig(sigma)
+    X, P = _embedding(G)
+    assert X.shape[1] == min(K, D)
+    assert np.max(np.abs(X @ X.T - G)) <= 1e-12 * np.max(np.abs(G))
+    rng = np.random.default_rng(seed)
+    for lam in (0.0, 1.0 / sigma):
+        fun = embedded_objective(X, m, n, sigma, lam)
+        for _ in range(3):
+            a = 0.3 * rng.standard_normal(X.shape[1])
+            r = P @ a
+            value, grad = fun(a)
+            expected = witness_direct(materialize(fm, r), V, m, n, kcfg).value + lam * budget(r, G)
+            assert value == pytest.approx(expected, rel=1e-12, abs=0)
+            grad_r = oracles.witness_grad_r(r, G, m, n, kcfg) + lam * oracles.budget_grad(r, G)
+            expected_grad = P.T @ grad_r
+            assert np.linalg.norm(grad() - expected_grad) <= 1e-10 * np.linalg.norm(expected_grad)
