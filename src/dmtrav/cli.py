@@ -227,9 +227,10 @@ def reconstruct_to(zt_file, run: RunConfig, out_path) -> reconstruct.Reconstruct
     formats.save_image(res.image, out_path)
     # Report the 8-bit image as written, with its own loss and TV.
     written = formats.load_image(out_path)
-    resid = forward(spec, weights, written).features - z
+    features = forward(spec, weights, written).features
+    resid = features - z
     loss, tv = 0.5 * float(resid @ resid), reconstruct.tv(written, run.beta)
-    return replace(res, image=written, final_feature_loss=loss, final_tv=tv)
+    return replace(res, image=written, features=features, final_feature_loss=loss, final_tv=tv)
 
 
 def _model_from_file(feature_file, labels_file) -> tuple[evaluate.ClassifierModel, mmd.FeatureMatrix]:

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import cli, evaluate, formats, mmd, traversal
 from .errors import InvalidInputError
-from .features import ImageTensor, forward
+from .features import ImageTensor
 from .optim import MinimizeConfig
 
 DEMO_CLASS_SIZE = 64
@@ -34,12 +34,11 @@ DEMO_LAMBDA_SCALES = (1e-2, 1e-3, 1e-4)
 _STRIPE_PERIOD = 8
 _NOISE_SIGMA = 0.08
 
-# Iteration caps of the pixel solves, sized by measurement. On this
+# Iteration cap of the pixel solves, sized by measurement. On this
 # nonsmooth ReLU/max-pool objective no solve reaches grad_tol (projected
 # gradients stay near 0.4), so each runs to its cap; at 100 iterations each
 # objective is within 5% of scipy L-BFGS-B's at the same cap.
-_RECON_SOLVER = MinimizeConfig(max_iters=100)
-_ADV_SOLVER = MinimizeConfig(max_iters=100)
+_PIXEL_SOLVER = MinimizeConfig(max_iters=100)
 
 
 def _stripe_image(rng: np.random.Generator, vertical: bool) -> ImageTensor:
@@ -125,14 +124,13 @@ def run_demo(seed: int, out_dir, quiet: bool = False) -> DemoOutcome:
     spec = run.resolve_spec()
     weights = run.resolve_weights(spec)
     test_img = formats.load_image(out / rel.input_path)
-    pixel_run = replace(run, init=str(out / rel.input_path), max_iters=_RECON_SOLVER.max_iters)
+    pixel_run = replace(run, init=str(out / rel.input_path), max_iters=_PIXEL_SOLVER.max_iters)
     recon_decisions = []
     recon_l2 = []
     for i, rec in enumerate(result.records):
         rres = cli.reconstruct_to(out / f"zt_{i}.dmtv", pixel_run, out / f"recon_{i}.ppm")
-        recon = rres.image
-        recon_decisions.append(evaluate.predict(model, forward(spec, weights, recon).features)[0])
-        recon_l2.append(float(np.linalg.norm(recon.pixels - test_img.pixels)))
+        recon_decisions.append(evaluate.predict(model, rres.features)[0])
+        recon_l2.append(float(np.linalg.norm(rres.image.pixels - test_img.pixels)))
         say(
             f"reconstruct lambda={rec.lam:.3g}: feature_loss={rres.final_feature_loss:.4g} "
             f"pixel_l2={recon_l2[-1]:.4g}"
@@ -148,7 +146,7 @@ def run_demo(seed: int, out_dir, quiet: bool = False) -> DemoOutcome:
     # image (the smallest-lambda reconstruction), image against image.
     target_decision = recon_decisions[-1]
     adv = evaluate.match_regularizer(
-        spec, weights, model, test_img, target_decision, cfg=_ADV_SOLVER
+        spec, weights, model, test_img, target_decision, cfg=_PIXEL_SOLVER
     )
     cli.write_adversarial(adv, out)
     say(

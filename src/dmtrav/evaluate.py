@@ -4,8 +4,8 @@ sweeps across a traversal, and a gradient-based adversarial baseline.
 The sign convention is fixed by the training labels: +1 marks the
 target block, -1 the source block, so a positive decision value reads
 "target-like". The adversarial baseline always pushes toward the target
-class, that is, it raises the decision value. Platt calibration and
-every adversarial solve go through the one solver, optim.minimize.
+class, that is, it raises the decision value. Platt calibration runs on
+optim.minimize, every adversarial solve on reconstruct.solve_pixels.
 
 The adversarial baseline is matched to a requested decision value by a
 search over its trade-off constant c_adv (Szegedy et al. 2014, Carlini &
@@ -31,6 +31,7 @@ from . import mmd
 from .errors import DegenerateDataError, InvalidInputError, NoMatchError
 from .features import ExtractorSpec, ImageTensor, WeightSet, forward
 from .optim import MinimizeConfig, minimize
+from .reconstruct import solve_pixels
 from .traversal import materialize
 
 _log = logging.getLogger(__name__)
@@ -261,29 +262,22 @@ def adversarial_perturb(
         raise InvalidInputError(f"c_adv must be finite and positive, got {c_adv!r}")
     if model.w.size != spec.feature_dim():
         raise InvalidInputError("model dimension does not match the extractor")
-    if (image.height, image.width, image.channels) != spec.input_shape:
-        raise InvalidInputError("image shape does not match the extractor input")
-    x = image.pixels.ravel()
-    shape = image.pixels.shape
+    # J^T(-w) = -J^T w exactly, so the cotangent -w gives the gradient of -decision.
+    neg_w = -model.w
 
-    def fun(flat: np.ndarray):
-        fp = forward(spec, weights, ImageTensor(flat.reshape(shape)))
-        decision = float(model.w @ fp.features + model.b)
-        delta = flat - x
+    def feature_term(features: np.ndarray):
+        return -float(model.w @ features + model.b), neg_w
 
-        def grad() -> np.ndarray:
-            return -fp.vjp(model.w).ravel() + 2.0 * c_adv * delta
+    def pixel_term(img: ImageTensor):
+        delta = img.pixels - image.pixels
+        return c_adv * float(delta.ravel() @ delta.ravel()), lambda: 2.0 * c_adv * delta
 
-        return -decision + c_adv * float(delta @ delta), grad
-
-    x_star, _ = minimize(fun, x, bounds=(0.0, 1.0), cfg=cfg)
-    perturbed = ImageTensor(np.clip(x_star.reshape(shape), 0.0, 1.0))
+    perturbed, fp, _ = solve_pixels(spec, weights, image, feature_term, pixel_term, cfg)
     delta = perturbed.pixels - image.pixels
-    decision, _ = predict(model, forward(spec, weights, perturbed).features)
     return AdversarialResult(
         delta=delta,
         perturbed=perturbed,
-        decision_value=decision,
+        decision_value=predict(model, fp.features)[0],
         l2_pixel_distance=float(np.linalg.norm(delta)),
         c_adv=c_adv,
     )

@@ -1,14 +1,15 @@
 """Pixel reconstruction from a prescribed feature vector.
 
-Recovers an image whose extracted features match a target vector z by
-minimizing
+solve_pixels is the one bounded pixel solve: it minimizes
+feature_term(phi(x)) + pixel_term(x) over the pixels x in [0, 1]. invert
+recovers an image whose features match a target vector z with the terms
 
-    0.5 * |phi(x) - z|^2  +  lambda_tv * TV_beta(x)
+    0.5 * |phi(x) - z|^2  +  lambda_tv * TV_beta(x),
 
-over the pixels inside the image's own [0, 1] box, where TV_beta sums,
-per pixel and channel, the beta/2 power of the squared forward
-differences (rightward and downward; differences that would leave the
-image count as zero).
+where TV_beta sums, per pixel and channel, the beta/2 power of the
+squared forward differences (rightward and downward; differences that
+would leave the image count as zero). evaluate.adversarial_perturb
+supplies its own two terms.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Union
 import numpy as np
 
 from .errors import InvalidInputError
-from .features import ExtractorSpec, ImageTensor, WeightSet, forward
+from .features import ExtractorSpec, ForwardPass, ImageTensor, WeightSet, forward
 from .optim import MinimizeConfig, MinimizeTrace, minimize
 
 MID_GRAY = "mid_gray"
@@ -51,6 +52,7 @@ class ReconstructionConfig:
 @dataclass
 class ReconstructionResult:
     image: ImageTensor
+    features: np.ndarray  # phi(image)
     final_feature_loss: float
     final_tv: float
     trace: MinimizeTrace
@@ -98,58 +100,62 @@ def tv_grad(image: ImageTensor, beta: float = 2.0) -> np.ndarray:
     return g
 
 
+def solve_pixels(
+    spec: ExtractorSpec, weights: WeightSet, start: ImageTensor, feature_term, pixel_term,
+    cfg: MinimizeConfig | None = None,
+) -> tuple[ImageTensor, ForwardPass, MinimizeTrace]:
+    """Minimize feature_term(phi(x)) + pixel_term(x) over the pixels x in [0, 1], from start.
+
+    feature_term(features) returns a value and the cotangent whose VJP is
+    its pixel gradient; pixel_term(image) returns a value and a zero-argument
+    callback for its gradient (an image-shaped array, or 0). Returns the
+    final image, its forward pass and the solver trace.
+    """
+    if (start.height, start.width, start.channels) != spec.input_shape:
+        raise InvalidInputError("start image shape does not match the extractor input")
+
+    def fun(flat: np.ndarray):
+        img = ImageTensor(flat.reshape(spec.input_shape))
+        fp = forward(spec, weights, img)
+        feature_value, cotangent = feature_term(fp.features)
+        pixel_value, pixel_grad = pixel_term(img)
+        return feature_value + pixel_value, lambda: (fp.vjp(cotangent) + pixel_grad()).ravel()
+
+    x_star, trace = minimize(fun, start.pixels.ravel(), bounds=(0.0, 1.0), cfg=cfg)
+    image = ImageTensor(x_star.reshape(spec.input_shape))
+    return image, forward(spec, weights, image), trace
+
+
 def invert(
     spec: ExtractorSpec,
     weights: WeightSet,
     z_t,
     cfg: ReconstructionConfig | None = None,
 ) -> ReconstructionResult:
-    """Reconstruct the image whose features best match z_t.
-
-    The solver works on the flattened pixels inside [0, 1];
-    the feature term's gradient is assembled through the extractor's
-    vector-Jacobian product.
-    """
+    """Reconstruct the image whose features best match z_t, through solve_pixels."""
     if cfg is None:
         cfg = ReconstructionConfig()
     z = np.asarray(z_t, dtype=float).ravel()
-    want = spec.feature_dim()
-    if z.size != want:
-        raise InvalidInputError(f"z_t has length {z.size}, expected {want}")
+    if z.size != spec.feature_dim():
+        raise InvalidInputError(f"z_t has length {z.size}, expected {spec.feature_dim()}")
 
-    h, w, c = spec.input_shape
-    if isinstance(cfg.init, ImageTensor):
-        if (cfg.init.height, cfg.init.width, cfg.init.channels) != spec.input_shape:
-            raise InvalidInputError("init image shape does not match the extractor input")
-        x0 = cfg.init.pixels.ravel()
-    else:
-        x0 = np.full(h * w * c, 0.5)
+    def feature_term(features: np.ndarray):
+        resid = features - z
+        return 0.5 * float(resid @ resid), resid
 
-    def as_image(flat: np.ndarray) -> ImageTensor:
-        return ImageTensor(flat.reshape(h, w, c))
+    def pixel_term(img: ImageTensor):
+        if cfg.lambda_tv == 0:
+            return 0.0, lambda: 0.0
+        return cfg.lambda_tv * tv(img, cfg.beta), lambda: cfg.lambda_tv * tv_grad(img, cfg.beta)
 
-    def fun(flat: np.ndarray):
-        img = as_image(flat)
-        fp = forward(spec, weights, img)
-        resid = fp.features - z
-        loss = 0.5 * float(resid @ resid)
-        if cfg.lambda_tv > 0:
-            loss += cfg.lambda_tv * tv(img, cfg.beta)
-
-        def grad() -> np.ndarray:
-            g = fp.vjp(resid)
-            if cfg.lambda_tv > 0:
-                g = g + cfg.lambda_tv * tv_grad(img, cfg.beta)
-            return g.ravel()
-
-        return loss, grad
-
-    x_star, trace = minimize(fun, x0, bounds=(0.0, 1.0), cfg=cfg.solver)
-    image = as_image(x_star)
-    resid = forward(spec, weights, image).features - z
+    start = cfg.init
+    if not isinstance(start, ImageTensor):
+        start = ImageTensor(np.full(spec.input_shape, 0.5))
+    image, fp, trace = solve_pixels(spec, weights, start, feature_term, pixel_term, cfg.solver)
     return ReconstructionResult(
         image=image,
-        final_feature_loss=0.5 * float(resid @ resid),
+        features=fp.features,
+        final_feature_loss=feature_term(fp.features)[0],
         final_tv=tv(image, cfg.beta),
         trace=trace,
     )

@@ -11,6 +11,19 @@ from dmtrav.demo import run_demo
 from dmtrav.features import init_weights, reference_spec
 
 
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Record the arguments of every call of module.<name>, which still runs."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def reference():
     """(spec, weights) for the built-in desk extractor at its documented seed."""

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import dmtrav
-
+from conftest import count_calls
 from dmtrav import demo as demo_module
 from dmtrav.cli import (
     RunConfig,
@@ -146,9 +146,12 @@ class TestCmdTraverse:
         zt_path = tmp_path / "zt.dmtv"
         write_vector(zt_path, z)
         run = RunConfig(out_dir=str(tmp_path / "rec"), init=str(paths["input"]), lambda_tv=0.0)
-        _, out = cmd_reconstruct(zt_path, run)
+        res, out = cmd_reconstruct(zt_path, run)
         recon = load_image(out)
         assert np.max(np.abs(recon.pixels - x0.pixels)) <= 1.0 / 255.0 + 1e-12
+        # the result carries the written image and its features
+        assert np.array_equal(res.image.pixels, recon.pixels)
+        assert np.array_equal(res.features, forward(spec, weights, recon).features)
 
     def test_traversal_output_reconstructs_with_monotone_trace(self, tiny_dataset):
         tmp_path, run, feature_file = self.prepared(tiny_dataset)
@@ -575,17 +578,12 @@ class TestCmdAdversarial:
         from dmtrav import evaluate
 
         feature_file, labels, inp, _, out = adversarial_inputs
-        passes = []
-        original = evaluate.forward
-
-        def counted(*args, **kwargs):
-            passes.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(evaluate, "forward", counted)
+        # the solves run every forward pass of adversarial_perturb
+        passes = count_calls(monkeypatch, evaluate, "forward")
+        solves = count_calls(monkeypatch, evaluate, "solve_pixels")
         args = ["adversarial", str(feature_file), str(labels), str(inp), mode]
         assert main([*args, "--out", str(out / "x"), "--quiet"]) == 2
-        assert passes == []
+        assert passes == [] and solves == []
         assert not (out / "x" / "adversarial.ppm").exists()
 
     def test_requires_exactly_one_mode(self, tmp_path):
@@ -606,10 +604,8 @@ def test_cli_verbs_reproduce_demo_tree(demo_runs, reference, tmp_path):
     features = str(tmp_path / "features.dmtv")
     labels = str(demo / "labels.txt")
     input_image = str(demo / "dataset" / "input.ppm")
-    recon_config = tmp_path / "recon.json"
-    recon_config.write_text(json.dumps({"max_iters": demo_module._RECON_SOLVER.max_iters}))
-    adv_config = tmp_path / "adversarial.json"
-    adv_config.write_text(json.dumps({"max_iters": demo_module._ADV_SOLVER.max_iters}))
+    pixel_config = tmp_path / "pixel.json"
+    pixel_config.write_text(json.dumps({"max_iters": demo_module._PIXEL_SOLVER.max_iters}))
 
     assert main(["extract", str(demo / "manifest.txt"), "--out", out, "--quiet"]) == 0
     assert main(["gram", features, "--quiet"]) == 0
@@ -618,10 +614,10 @@ def test_cli_verbs_reproduce_demo_tree(demo_runs, reference, tmp_path):
                  "--quiet"]) == 0
     for i in range(len(lambdas)):
         assert main(["reconstruct", str(tmp_path / f"zt_{i}.dmtv"), "--init", input_image,
-                     "--config", str(recon_config), "--out", out, "--quiet"]) == 0
+                     "--config", str(pixel_config), "--out", out, "--quiet"]) == 0
     assert main(["eval", features, out, labels, "--quiet"]) == 0
     assert main(["adversarial", features, labels, input_image, "--match-decision", target,
-                 "--config", str(adv_config), "--out", out, "--quiet"]) == 0
+                 "--config", str(pixel_config), "--out", out, "--quiet"]) == 0
 
     names = ["features.dmtv", "traversal_records.txt", "sweep_report.txt", "adversarial.ppm",
              "adversarial_report.txt"]
@@ -644,6 +640,20 @@ def test_cli_verbs_reproduce_demo_tree(demo_runs, reference, tmp_path):
         assert repr(float(np.linalg.norm(recon.pixels - source.pixels))) == rec["recon_l2"], i
 
 
+def test_verbs_print_what_they_wrote(demo_runs, tmp_path, capsys):
+    # without --quiet, extract, gram, traverse and eval each print one line
+    _, demo, _, _ = demo_runs
+    features = tmp_path / "features.dmtv"
+    assert main(["extract", str(demo / "manifest.txt"), "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == f"{features}\n"
+    assert main(["gram", str(features)]) == 0
+    assert capsys.readouterr().out == f"Gram section written to {features}\n"
+    assert main(["traverse", str(features), "--lambda", "1e-3", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == f"{tmp_path / 'traversal_records.txt'}\n"
+    assert main(["eval", str(features), str(tmp_path), str(demo / "labels.txt")]) == 0
+    assert capsys.readouterr().out == f"{tmp_path / 'sweep_report.txt'}\n"
+
+
 def test_reconstruct_reports_the_loss_of_the_written_image(demo_runs, reference, tmp_path,
                                                            capsys):
     # the feature loss and TV printed for each demo lambda's inversion are
@@ -652,7 +662,7 @@ def test_reconstruct_reports_the_loss_of_the_written_image(demo_runs, reference,
     spec, weights = reference
     n_lambdas = len(demo_module.DEMO_LAMBDA_SCALES)
     config = tmp_path / "recon.json"
-    config.write_text(json.dumps({"max_iters": demo_module._RECON_SOLVER.max_iters}))
+    config.write_text(json.dumps({"max_iters": demo_module._PIXEL_SOLVER.max_iters}))
     input_image = str(demo / "dataset" / "input.ppm")
     for i in range(n_lambdas):
         zt = demo / f"zt_{i}.dmtv"

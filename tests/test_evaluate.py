@@ -1,16 +1,18 @@
 import dataclasses
 import logging
+import math
 import warnings
 
 import numpy as np
 import pytest
 
 import oracles
-from conftest import seeded_instance
+from conftest import count_calls, seeded_instance
 from dmtrav import demo as demo_module
-from dmtrav import evaluate, formats
+from dmtrav import evaluate, formats, reconstruct
 from dmtrav.errors import InvalidInputError, NoMatchError
 from dmtrav.evaluate import (
+    AdversarialResult,
     ClassifierModel,
     adversarial_perturb,
     match_regularizer,
@@ -224,19 +226,6 @@ class TestSweepDecisions:
             sweep_decisions(model, [(rec.lam, rec.r) for rec in res.records], fm)
 
 
-def count_calls(monkeypatch, name: str) -> list:
-    """Record the arguments of every call of evaluate.<name>, which still runs."""
-    calls = []
-    original = getattr(evaluate, name)
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(evaluate, name, counted)
-    return calls
-
-
 def pixel_model(rng, size, scale=0.01):
     w = scale * rng.standard_normal(size)
     return ClassifierModel(w, 0.0, -1.0, 0.0)
@@ -287,11 +276,29 @@ class TestAdversarial:
         spec = identity_spec(4, 4, 1)
         model = pixel_model(rng, 16)
         img = ImageTensor(np.full((4, 4, 1), 0.5))
-        passes = count_calls(monkeypatch, "forward")
-        solves = count_calls(monkeypatch, "minimize")
+        # every forward pass of adversarial_perturb runs inside its pixel solve
+        solves = count_calls(monkeypatch, evaluate, "solve_pixels")
         with pytest.raises(InvalidInputError, match="c_adv"):
             adversarial_perturb(spec, init_weights(spec, 0), model, img, c_adv)
-        assert passes == [] and solves == []
+        assert solves == []
+
+    def test_model_dimension_checked_before_a_solve(self, monkeypatch):
+        rng = np.random.default_rng(85)
+        spec = identity_spec(4, 4, 1)
+        img = ImageTensor(np.full((4, 4, 1), 0.5))
+        solves = count_calls(monkeypatch, evaluate, "solve_pixels")
+        with pytest.raises(InvalidInputError, match="model dimension"):
+            adversarial_perturb(spec, init_weights(spec, 0), pixel_model(rng, 15), img, 1.0)
+        assert solves == []
+
+    def test_image_shape_checked_before_a_solve(self, monkeypatch):
+        rng = np.random.default_rng(86)
+        spec = identity_spec(4, 4, 1)
+        img = ImageTensor(np.full((4, 2, 2), 0.5))  # 16 pixels, but not 4x4x1
+        solves = count_calls(monkeypatch, reconstruct, "minimize")
+        with pytest.raises(InvalidInputError, match="shape"):
+            adversarial_perturb(spec, init_weights(spec, 0), pixel_model(rng, 16), img, 1.0)
+        assert solves == []
 
 
 class TestMatchRegularizer:
@@ -348,7 +355,7 @@ class TestMatchRegularizer:
         self.assert_reproduced(res)
 
     def test_unperturbed_end_takes_no_solve(self, monkeypatch):
-        solves = count_calls(monkeypatch, "minimize")
+        solves = count_calls(monkeypatch, evaluate, "solve_pixels")
         res = match_regularizer(self.spec, self.weights, self.model, self.img, self.base)
         assert solves == []
         monkeypatch.undo()
@@ -361,7 +368,7 @@ class TestMatchRegularizer:
         # decision is linear in the pixels and this perturbation stays inside
         # the unit box, so the linearised start matches in one solve.
         target = self.target_at(0.5)
-        calls = count_calls(monkeypatch, "adversarial_perturb")
+        calls = count_calls(monkeypatch, evaluate, "adversarial_perturb")
         res = match_regularizer(self.spec, self.weights, self.model, self.img, target)
         assert abs(res.decision_value - target) <= 0.01 * abs(target)
         assert len(calls) == 1
@@ -371,7 +378,7 @@ class TestMatchRegularizer:
         # perturbation, so the search brackets; Illinois from the ends of the
         # range made 15 solves here.
         target = self.target_at(0.9)
-        calls = count_calls(monkeypatch, "adversarial_perturb")
+        calls = count_calls(monkeypatch, evaluate, "adversarial_perturb")
         res = match_regularizer(self.spec, self.weights, self.model, self.img, target)
         assert abs(res.decision_value - target) <= 0.01 * abs(target)
         assert len(calls) <= 5
@@ -379,7 +386,7 @@ class TestMatchRegularizer:
     @pytest.mark.parametrize("max_steps", [0, 1, 2, 4])
     def test_max_steps_bounds_the_solves(self, monkeypatch, caplog, max_steps):
         # this target needs 8 solves, so each budget runs out
-        calls = count_calls(monkeypatch, "adversarial_perturb")
+        calls = count_calls(monkeypatch, evaluate, "adversarial_perturb")
         with caplog.at_level(logging.WARNING, logger="dmtrav.evaluate"):
             match_regularizer(
                 self.spec, self.weights, self.model, self.img, self.target_at(0.95),
@@ -390,18 +397,54 @@ class TestMatchRegularizer:
 
     def test_wrong_side_target_raises_without_a_solve(self, monkeypatch):
         # every solve only raises the decision from its clean value
-        solves = count_calls(monkeypatch, "minimize")
+        solves = count_calls(monkeypatch, evaluate, "solve_pixels")
         with pytest.raises(NoMatchError, match="far side"):
             match_regularizer(self.spec, self.weights, self.model, self.img, self.base - 0.5)
         assert solves == []
 
     @pytest.mark.parametrize("target", [np.inf, -np.inf, np.nan])
     def test_non_finite_target_raises_before_a_forward_pass(self, monkeypatch, target):
-        passes = count_calls(monkeypatch, "forward")
-        solves = count_calls(monkeypatch, "minimize")
+        passes = count_calls(monkeypatch, evaluate, "forward")
+        solves = count_calls(monkeypatch, evaluate, "solve_pixels")
         with pytest.raises(InvalidInputError, match="finite"):
             match_regularizer(self.spec, self.weights, self.model, self.img, target)
         assert passes == [] and solves == []
+
+    def test_bracket_takes_the_midpoint_and_halves_a_kept_end(self, monkeypatch):
+        # A stubbed decision curve in c_adv drives the search through the
+        # midpoint fallback and the Illinois halving. It need not be monotone
+        # in c_adv, as the search itself allows. The clean decision is 0 and
+        # |g|^2 = 4, so with target 2 the first probe is c0 = 4 / (2 * 2) = 1.
+        target = 2.0
+        model = ClassifierModel(np.full(16, 0.5), -4.0, -1.0, 0.0)
+        probed = []
+
+        def curve(spec, weights, model, image, c, cfg=None):
+            level = math.log10(c)
+            if level > -0.25:
+                gap = -0.1
+            elif level > -0.55:
+                gap = -1.0
+            elif level > -0.7:
+                gap = 0.0
+            else:
+                gap = 20.0
+            probed.append(c)
+            return AdversarialResult(np.zeros((4, 4, 1)), image, target + gap, 0.0, c)
+
+        monkeypatch.setattr(evaluate, "adversarial_perturb", curve)
+        res = match_regularizer(self.spec, self.weights, model, self.img, target)
+        # With a = log 0.1: c = 1 falls short (gap -0.1) and c = 0.1 overshoots
+        # (+20), which brackets [a, 0]. The secant point lies 99.5% of the way
+        # to 0, in the outer 1%, so the midpoint a/2 is taken; it falls short
+        # (-1). The secant then gives 11a/21, short again, so a has been kept
+        # twice and its gap is halved to 10; the secant on (a, 10), (11a/21, -1)
+        # gives 131a/231, which matches. Without the halving it would be
+        # 241a/441, short once more.
+        assert probed == pytest.approx(
+            [1.0, 0.1, 10 ** -0.5, 10 ** (-11 / 21), 10 ** (-131 / 231)], rel=1e-12
+        )
+        assert res.c_adv == probed[-1] and res.decision_value == target
 
     def test_missed_match_warns_once(self, caplog):
         # At 0.9 of the largest shift the unit box clips the linearised
@@ -434,8 +477,8 @@ def test_demo_match_solve_count(demo_runs, reference, monkeypatch):
     target = float(min(sweep, key=lambda rec: float(rec["lambda"]))["recon_decision"])
     spec, weights = reference
     image = formats.load_image(demo / "dataset" / "input.ppm")
-    calls = count_calls(monkeypatch, "adversarial_perturb")
-    res = match_regularizer(spec, weights, model, image, target, cfg=demo_module._ADV_SOLVER)
+    calls = count_calls(monkeypatch, evaluate, "adversarial_perturb")
+    res = match_regularizer(spec, weights, model, image, target, cfg=demo_module._PIXEL_SOLVER)
     assert len(calls) <= 4
     assert repr(res.c_adv) == fields["adversarial_c"]
     assert repr(res.decision_value) == fields["adversarial_decision"]

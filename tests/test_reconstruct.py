@@ -2,13 +2,17 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import count_calls
+from dmtrav import reconstruct
 from dmtrav.errors import InvalidInputError
 from dmtrav.features import ExtractorSpec, ImageTensor, forward, identity_spec, init_weights
+from dmtrav.optim import MinimizeConfig
 from oracles import finite_difference_gradient
 from dmtrav.reconstruct import (
     MID_GRAY,
     ReconstructionConfig,
     invert,
+    solve_pixels,
     tv,
     tv_grad,
 )
@@ -79,6 +83,25 @@ class TestTvGrad:
         assert np.max(np.abs(g[mask] - fd[mask]) / np.abs(fd[mask])) < 1e-5
 
 
+class TestSolvePixels:
+    def test_identity_closed_form(self):
+        # 0.5 |x - z|^2 + 0.5 |x|^2 is least at x = z / 2, inside the box
+        spec = identity_spec(4, 4, 1)
+        weights = init_weights(spec, 0)
+        z = np.random.default_rng(59).uniform(0.1, 0.9, 16)
+
+        def feature_term(features):
+            return 0.5 * float((features - z) @ (features - z)), features - z
+
+        def pixel_term(img):
+            return 0.5 * float(img.pixels.ravel() @ img.pixels.ravel()), lambda: img.pixels
+
+        image, fp, trace = solve_pixels(spec, weights, gray(0.5), feature_term, pixel_term)
+        assert trace.termination_reason == "grad_tol"
+        assert np.max(np.abs(image.pixels.ravel() - z / 2)) < 1e-6
+        assert np.array_equal(fp.features, forward(spec, weights, image).features)
+
+
 class TestInvert:
     def test_identity_recovers_exactly(self):
         spec = identity_spec(6, 6, 1)
@@ -140,6 +163,30 @@ class TestInvert:
         fd = finite_difference_gradient(objective, x.ravel(), 1e-5)
         mask = np.abs(fd) > 1e-8
         assert np.max(np.abs(g[mask] - fd[mask]) / np.abs(fd[mask])) < 1e-4
+
+    def test_init_shape_checked_before_a_solve(self, monkeypatch):
+        spec = identity_spec(4, 4, 1)
+        solves = count_calls(monkeypatch, reconstruct, "minimize")
+        cfg = ReconstructionConfig(init=gray(0.5, (4, 2, 2)))  # 16 pixels, but not 4x4x1
+        with pytest.raises(InvalidInputError, match="shape"):
+            invert(spec, init_weights(spec, 0), np.zeros(16), cfg)
+        assert solves == []
+
+    def test_features_are_those_of_the_image(self, reference):
+        spec, weights = reference
+        z = forward(spec, weights, gray(0.3, (32, 32, 1))).features
+        res = invert(spec, weights, z, ReconstructionConfig(solver=MinimizeConfig(max_iters=3)))
+        assert np.array_equal(res.features, forward(spec, weights, res.image).features)
+
+    def test_zero_lambda_tv_evaluates_no_tv_in_the_solve(self, monkeypatch):
+        # the reported final_tv is the one TV evaluation
+        spec = identity_spec(4, 4, 1)
+        values = count_calls(monkeypatch, reconstruct, "tv")
+        grads = count_calls(monkeypatch, reconstruct, "tv_grad")
+        z = np.random.default_rng(60).uniform(0.1, 0.9, 16)
+        res = invert(spec, init_weights(spec, 0), z, ReconstructionConfig(lambda_tv=0.0))
+        assert res.trace.iterations > 0
+        assert len(values) == 1 and grads == []
 
     def test_dimension_mismatch_rejected(self, reference):
         spec, weights = reference
