@@ -151,9 +151,13 @@ def cmd_extract(manifest: formats.Manifest, run: RunConfig) -> Path:
     shape = (images[0].height, images[0].width, images[0].channels)
     spec = run.resolve_spec(shape)
     weights = run.resolve_weights(spec)
-    rows = np.empty((len(images), spec.feature_dim()))
-    for i, img in enumerate(images):
-        rows[i] = forward(spec, weights, img).features
+    # Each row is rounded to f32 once, as the file stores it.
+    rows = np.empty((len(images), spec.feature_dim()), dtype=np.float32)
+    with np.errstate(over="ignore"):  # a row that overflows f32 is reported below
+        for path, img, row in zip(paths, images, rows):
+            row[:] = forward(spec, weights, img).features
+            if not np.isfinite(row).all():
+                raise NumericalError(f"features of image {path} are not finite in float32")
     out_dir = Path(run.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "features.dmtv"

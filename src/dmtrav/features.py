@@ -17,8 +17,10 @@ arithmetic, set the cost. A convolution is one GEMM over im2col columns
 (Chellapilla, Puri & Simard 2006): the (cout, cin*9) kernel matrix times
 the padded input's 3x3 windows gathered into (cin*9, h*w) rows gives the
 channel-first output with no transpose; the VJP runs the same code with
-the flipped kernel. Max pooling compares strided views of the 2x2
-windows' columns, then rows, and keeps the two comparisons for the VJP.
+the flipped kernel. Max pooling takes two np.maximum passes over
+strided views of the 2x2 windows, columns then rows, and keeps nothing
+else: the VJP works out the two window comparisons from the stored pool
+input, so forward-only passes build no masks.
 """
 
 from __future__ import annotations
@@ -69,9 +71,10 @@ class ImageTensor:
             raise InvalidInputError(
                 f"pixels must be a (height, width, channels) array, got shape {arr.shape}"
             )
-        if not np.all(np.isfinite(arr)):
-            raise InvalidInputError("pixel values must be finite")
-        if arr.min() < 0.0 or arr.max() > 1.0:
+        # min and max propagate NaN, so one of the tests fails on NaN and on inf.
+        if not (arr.min() >= 0.0 and arr.max() <= 1.0):
+            if not np.all(np.isfinite(arr)):
+                raise InvalidInputError("pixel values must be finite")
             raise InvalidInputError("pixel values must lie in [0, 1]")
         arr = arr.copy()
         arr.setflags(write=False)
@@ -271,42 +274,44 @@ def _conv(x: np.ndarray, kmat: np.ndarray) -> np.ndarray:
     return (kmat @ win.reshape(cin * _KSIZE * _KSIZE, h * w)).reshape(kmat.shape[0], h, w)
 
 
-def _pool_forward(x: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+def _pool_forward(x: np.ndarray) -> np.ndarray:
     """2x2 stride-2 max pooling of x (c, h, w); an odd last row or column is cropped.
 
-    Each window compares its two columns, then the two row winners; `>`
-    keeps the earlier element on ties (-0.0 against 0.0 too), so the
-    result is the first maximum in row-major offset order, with its own
-    bits. Returns the maxima and the two comparisons, which locate each
-    maximum for the VJP. Images and weights are checked finite, so NaN
-    ordering is not handled.
+    Two np.maximum passes: the windows' columns, then the two row
+    winners. np.maximum returns its second operand on a tie (-0.0 against
+    0.0 too), so the earlier element goes second and the result is the
+    first maximum in row-major offset order, with its own bits. The VJP
+    works out which element that was from x (_pool_backward). Images and
+    weights are checked finite, so NaN ordering is not handled.
     """
     h2, w2 = x.shape[1] // 2 * 2, x.shape[2] // 2 * 2
+    col_max = np.maximum(x[:, :h2, 1:w2:2], x[:, :h2, 0:w2:2])
+    return np.maximum(col_max[:, 1::2], col_max[:, 0::2])
+
+
+def _pool_backward(g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Route each window's gradient to the maximum _pool_forward took from the pool input x.
+
+    `>` keeps the earlier element on ties, as the forward pass does;
+    every other input gets +0.0.
+    """
+    c, h, w = x.shape
+    h2, w2 = h // 2 * 2, w // 2 * 2
     left, right = x[:, :h2, 0:w2:2], x[:, :h2, 1:w2:2]
     right_wins = right > left
-    col_max = np.where(right_wins, right, left)
+    col_max = np.maximum(right, left)
     bottom_wins = col_max[:, 1::2] > col_max[:, 0::2]
-    out = np.where(bottom_wins, col_max[:, 1::2], col_max[:, 0::2])
-    return out, (right_wins, bottom_wins)
-
-
-def _pool_backward(g: np.ndarray, wins, in_shape: tuple[int, int]) -> np.ndarray:
-    """Route each window's gradient to its maximum; every other input gets +0.0."""
-    right_wins, bottom_wins = wins
-    c, h2, wo = right_wins.shape
-    col = np.empty((c, h2, wo))
+    col = np.empty(right_wins.shape)
     col[:, 0::2] = np.where(bottom_wins, 0.0, g)
     col[:, 1::2] = np.where(bottom_wins, g, 0.0)
-    full = np.zeros((c, *in_shape))
-    full[:, :h2, 0 : 2 * wo : 2] = np.where(right_wins, 0.0, col)
-    full[:, :h2, 1 : 2 * wo : 2] = np.where(right_wins, col, 0.0)
+    full = np.zeros((c, h, w))
+    full[:, :h2, 0:w2:2] = np.where(right_wins, 0.0, col)
+    full[:, :h2, 1:w2:2] = np.where(right_wins, col, 0.0)
     return full
 
 
-def _run_forward(
-    spec: ExtractorSpec, weights: WeightSet, image: ImageTensor
-) -> tuple[list[np.ndarray], list]:
-    """Forward pass returning all activations (input first) and per-layer caches."""
+def _run_forward(spec: ExtractorSpec, weights: WeightSet, image: ImageTensor) -> list[np.ndarray]:
+    """Forward pass returning all activations, input first."""
     if (image.height, image.width, image.channels) != spec.input_shape:
         raise InvalidInputError(
             f"image shape {(image.height, image.width, image.channels)} does not match "
@@ -315,22 +320,19 @@ def _run_forward(
     _check_compatible(spec, weights)
     x = np.ascontiguousarray(image.pixels.transpose(2, 0, 1), dtype=np.float64)
     acts = [x]
-    caches = []
     ki = 0
     for layer in spec.layers:
         x = acts[-1]
         if isinstance(layer, Conv):
-            acts.append(_conv(x, weights._mats[ki]) + weights._biases64[ki][:, None, None])
-            caches.append(ki)
+            y = _conv(x, weights._mats[ki])
+            y += weights._biases64[ki][:, None, None]
+            acts.append(y)
             ki += 1
         elif isinstance(layer, Relu):
             acts.append(np.maximum(x, 0.0))
-            caches.append(None)
         else:
-            out, wins = _pool_forward(x)
-            acts.append(out)
-            caches.append(wins)
-    return acts, caches
+            acts.append(_pool_forward(x))
+    return acts
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,17 +342,16 @@ class ForwardPass:
     features is the concatenated flattened tap outputs, one float64 vector
     of length feature_dim(). vjp(u) is the pixel-space gradient J^T u at
     the same image, shaped like the image, built from the stored
-    activations and pooling comparisons without a second forward pass.
+    activations without a second forward pass.
     """
 
     spec: ExtractorSpec
     weights: WeightSet
     acts: list[np.ndarray]  # every layer output, input first
-    caches: list  # per layer: kernel index, None, or pooling comparisons
     features: np.ndarray
 
     def vjp(self, cotangent) -> np.ndarray:
-        spec, acts, caches = self.spec, self.acts, self.caches
+        spec, acts = self.spec, self.acts
         cot = np.asarray(cotangent, dtype=float).ravel()
         want = self.features.size
         if cot.size != want:
@@ -365,16 +366,18 @@ class ForwardPass:
             offset += size
 
         g = np.zeros_like(acts[-1])
+        ki = len(self.weights.kernels)  # conv layers are met last to first
         for i in range(len(spec.layers) - 1, -1, -1):
             if i in pieces:
                 g = g + pieces[i]
             layer = spec.layers[i]
             if isinstance(layer, Conv):
-                g = _conv(g, self.weights._flipped_mats[caches[i]])
+                ki -= 1
+                g = _conv(g, self.weights._flipped_mats[ki])
             elif isinstance(layer, Relu):
                 g = g * (acts[i + 1] > 0.0)
             else:
-                g = _pool_backward(g, caches[i], acts[i].shape[1:])
+                g = _pool_backward(g, acts[i])
         if INPUT_TAP in pieces:
             g = g + pieces[INPUT_TAP]
         return np.ascontiguousarray(g.transpose(1, 2, 0))
@@ -382,9 +385,9 @@ class ForwardPass:
 
 def forward(spec: ExtractorSpec, weights: WeightSet, image: ImageTensor) -> ForwardPass:
     """Run the extractor once on `image`; see ForwardPass for what it returns."""
-    acts, caches = _run_forward(spec, weights, image)
+    acts = _run_forward(spec, weights, image)
     features = np.concatenate([acts[t + 1].ravel() for t in spec.taps])
-    return ForwardPass(spec, weights, acts, caches, features)
+    return ForwardPass(spec, weights, acts, features)
 
 
 # ---------------------------------------------------------------------------

@@ -82,7 +82,8 @@ def _read_header_tokens(data: bytes, count: int, path) -> tuple[list[int], int]:
 
 def load_image(path) -> ImageTensor:
     """Read a binary PPM/PGM file with maxval 255 into a [0, 1] image."""
-    data = Path(path).read_bytes()
+    with open(path, "rb") as fh:
+        data = fh.read()
     if data[:2] == b"P5":
         channels = 1
     elif data[:2] == b"P6":
@@ -99,10 +100,10 @@ def load_image(path) -> ImageTensor:
         raise FormatError(f"{path}: missing whitespace after maxval")
     pos += 1  # exactly one whitespace byte separates header and raster
     need = width * height * channels
-    raster = data[pos : pos + need]
-    if len(raster) != need:
-        raise FormatError(f"{path}: truncated pixel data ({len(raster)} of {need} bytes)")
-    arr = np.frombuffer(raster, dtype=np.uint8).astype(float) / 255.0
+    have = min(len(data) - pos, need)
+    if have != need:
+        raise FormatError(f"{path}: truncated pixel data ({have} of {need} bytes)")
+    arr = np.divide(np.frombuffer(data, np.uint8, need, pos), 255.0)
     return ImageTensor(arr.reshape(height, width, channels))
 
 
@@ -110,8 +111,21 @@ def load_image(path) -> ImageTensor:
 # Feature-matrix container
 # ---------------------------------------------------------------------------
 
+def _all_finite(arr: np.ndarray) -> bool:
+    # min and max propagate NaN; unlike isfinite they need no array-sized temporary.
+    return bool(np.isfinite(arr.min(initial=0.0)) and np.isfinite(arr.max(initial=0.0)))
+
+
 def write_feature_file(path, V, m: int, n: int, G=None) -> None:
-    V = np.asarray(V, dtype=float)
+    """Write V (K x D) and, if given, its Gram G in the DMTV layout above.
+
+    A float32 V is stored as it is; any other V is rounded to the nearest
+    f32. A V that holds a value that is not finite in f32, or a G that is
+    not finite, raises InvalidInputError, since the reader rejects both.
+    """
+    V = np.asarray(V)
+    if V.dtype != np.float32:
+        V = np.asarray(V, dtype=float)
     if V.ndim != 2:
         raise InvalidInputError("V must be 2-D")
     K, D = V.shape
@@ -120,14 +134,21 @@ def write_feature_file(path, V, m: int, n: int, G=None) -> None:
     # m = n = 0 marks a bare vector container; otherwise the row count must add up.
     if not (m == 0 and n == 0) and K != m + n + 1:
         raise InvalidInputError(f"K={K} does not equal m+n+1={m + n + 1}")
+    with np.errstate(over="ignore"):  # a value that overflows f32 is rejected below
+        V = np.ascontiguousarray(V, dtype="<f4")
+    if not _all_finite(V):
+        raise InvalidInputError("V holds a value that is not finite in float32")
+    if G is not None:
+        G = np.asarray(G, dtype=float)
+        if G.shape != (K, K):
+            raise InvalidInputError(f"Gram shape {G.shape} does not match K={K}")
+        if not _all_finite(G):
+            raise InvalidInputError("Gram holds a value that is not finite")
     with open(path, "wb") as fh:
         fh.write(_V_MAGIC)
         fh.write(struct.pack("<IQQQQ", _V_VERSION, K, D, m, n))
-        fh.write(np.ascontiguousarray(V, dtype="<f4"))
+        fh.write(V)
         if G is not None:
-            G = np.asarray(G, dtype=float)
-            if G.shape != (K, K):
-                raise InvalidInputError(f"Gram shape {G.shape} does not match K={K}")
             fh.write(_G_MAGIC)
             fh.write(np.ascontiguousarray(G, dtype="<f8"))
 

@@ -109,21 +109,29 @@ def solve_pixels(
     feature_term(features) returns a value and the cotangent whose VJP is
     its pixel gradient; pixel_term(image) returns a value and a zero-argument
     callback for its gradient (an image-shaped array, or 0). Returns the
-    final image, its forward pass and the solver trace.
+    final image, its forward pass and the solver trace. minimize asks for
+    its last gradient at the point it returns, so that call's image and
+    pass are the result, with no closing forward pass.
     """
     if (start.height, start.width, start.channels) != spec.input_shape:
         raise InvalidInputError("start image shape does not match the extractor input")
+    last: list = []  # image and pass of the newest grad() call
 
     def fun(flat: np.ndarray):
         img = ImageTensor(flat.reshape(spec.input_shape))
         fp = forward(spec, weights, img)
         feature_value, cotangent = feature_term(fp.features)
         pixel_value, pixel_grad = pixel_term(img)
-        return feature_value + pixel_value, lambda: (fp.vjp(cotangent) + pixel_grad()).ravel()
 
-    x_star, trace = minimize(fun, start.pixels.ravel(), bounds=(0.0, 1.0), cfg=cfg)
-    image = ImageTensor(x_star.reshape(spec.input_shape))
-    return image, forward(spec, weights, image), trace
+        def grad() -> np.ndarray:
+            last[:] = img, fp
+            return (fp.vjp(cotangent) + pixel_grad()).ravel()
+
+        return feature_value + pixel_value, grad
+
+    _, trace = minimize(fun, start.pixels.ravel(), bounds=(0.0, 1.0), cfg=cfg)
+    image, fp = last
+    return image, fp, trace
 
 
 def invert(

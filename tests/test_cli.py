@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -70,8 +71,12 @@ class TestCmdExtract:
         assert (ff.m, ff.n) == (1, 1)
         spec = reference_spec()
         weights = init_weights(spec, 42)
-        expected_target = forward(spec, weights, load_image(paths["target"])).features
-        assert np.allclose(ff.V[0], expected_target.astype(np.float32), rtol=0, atol=0)
+        stored = out.read_bytes()[40:]  # V follows the 40-byte header
+        row_bytes = 4 * 6144
+        assert len(stored) == 3 * row_bytes
+        for i, name in enumerate(("target", "source", "input")):
+            expected = forward(spec, weights, load_image(paths[name])).features.astype("<f4")
+            assert stored[i * row_bytes : (i + 1) * row_bytes] == expected.tobytes()
 
     def test_idempotent_bytes(self, tiny_dataset):
         tmp_path, manifest, _ = tiny_dataset
@@ -389,6 +394,29 @@ class TestMainExitCodes:
             manifest, RunConfig(out_dir=str(tmp_path / "b"), weight_file=str(wpath))
         )
         assert seeded.read_bytes() == from_file.read_bytes()
+
+    def test_features_overflowing_float32_are_exit_3_and_write_no_file(
+        self, tiny_dataset, capsys
+    ):
+        from dmtrav.features import WeightSet, save_weights
+
+        tmp_path, manifest, paths = tiny_dataset
+        ref = init_weights(reference_spec(), 42)
+        scaled = WeightSet(ref.layers, ref.taps, tuple(k * 1e13 for k in ref.kernels), ref.biases)
+        wpath = tmp_path / "scaled.dmtw"
+        save_weights(scaled, wpath)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"weight_file": str(wpath)}))
+        mpath = tmp_path / "manifest.txt"
+        mpath.write_text(format_manifest(manifest))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning may escape
+            code = main(["extract", str(mpath), "--config", str(config), "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and str(paths["target"]) in err  # the first row
+        assert not (out / "features.dmtv").exists()
 
     def test_default_weight_seed_is_42_for_every_extractor(self, tmp_path):
         from oracles import weights_equal

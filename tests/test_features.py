@@ -31,14 +31,17 @@ def random_image(seed, shape=(32, 32, 1), lo=0.05, hi=0.95):
 
 class TestImageTensor:
     def test_range_enforced(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match=r"must lie in \[0, 1\]"):
             ImageTensor(np.full((2, 2, 1), 1.5))
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match=r"must lie in \[0, 1\]"):
             ImageTensor(np.full((2, 2, 1), -0.1))
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(InvalidInputError):
-            ImageTensor(np.array([[[np.nan]]]))
+        for value in (np.nan, np.inf, -np.inf):
+            # alone, and among in-range pixels on either side of the range
+            for pixels in ([value], [0.5, value], [value, -0.1], [2.0, value]):
+                with pytest.raises(InvalidInputError, match="must be finite"):
+                    ImageTensor(np.array(pixels).reshape(1, -1, 1))
 
     def test_immutable(self):
         img = random_image(0)
@@ -381,12 +384,12 @@ class TestLayersMatchOracles:
     def test_pooling_with_ties_and_signed_zeros(self, shape):
         rng = np.random.default_rng(sum(shape))
         x = tied_signed(rng, shape)
-        out, wins = features_mod._pool_forward(x)
+        out = features_mod._pool_forward(x)
         ref_out, ref_idx = oracles.argmax_pool_forward(x)
         assert bit_equal(out, ref_out)
         g = tied_signed(rng, out.shape)
         assert bit_equal(
-            features_mod._pool_backward(g, wins, shape[1:]),
+            features_mod._pool_backward(g, x),
             oracles.argmax_pool_backward(g, ref_idx, shape[1:]),
         )
 
@@ -396,10 +399,13 @@ class TestLayersMatchOracles:
             [[[-0.0, 0.0, 0.0, -0.0, 1.0, 1.0, -1.0, -1.0],
               [0.0, 0.0, -0.0, 0.0, 1.0, 1.0, -0.0, 0.0]]]
         )
-        out, wins = features_mod._pool_forward(x)
+        out = features_mod._pool_forward(x)
         assert np.signbit(out).tolist() == [[[True, False, False, True]]]
         g = np.array([[[1.0, 2.0, 3.0, 4.0]]])
-        routed = features_mod._pool_backward(g, wins, (2, 8))
+        routed = features_mod._pool_backward(g, x)
+        ref_out, ref_idx = oracles.argmax_pool_forward(x)
+        assert bit_equal(out, ref_out)
+        assert bit_equal(routed, oracles.argmax_pool_backward(g, ref_idx, (2, 8)))
         assert routed.tolist() == [
             [[1.0, 0.0, 2.0, 0.0, 3.0, 0.0, 0.0, 0.0],
              [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 4.0, 0.0]]

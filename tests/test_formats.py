@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -191,6 +193,24 @@ class TestFeatureFile:
         p.write_bytes(bytes(data))
         with pytest.raises(FormatError, match=f"non-finite value in {section}"):
             read_feature_file(p)
+
+    @pytest.mark.parametrize(
+        "value", [np.nan, np.inf, -np.inf, 1e39], ids=["nan", "inf", "minus-inf", "f32-overflow"]
+    )
+    def test_writer_refuses_what_the_reader_rejects(self, tmp_path, value):
+        V = np.ones((3, 2))
+        V[1, 1] = value
+        p = tmp_path / "f.dmtv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="not finite"):
+                write_feature_file(p, V, 1, 1)
+            if np.isfinite(value):
+                G = np.ones((3, 3))
+                G[0, 2] = np.inf
+                with pytest.raises(InvalidInputError, match="not finite"):
+                    write_feature_file(p, np.ones((3, 2)), 1, 1, G)
+        assert not p.exists()
 
     @pytest.mark.parametrize("zero_row", [False, True], ids=["other-rows", "zero-row"])
     def test_gram_diagonal_must_match_rows(self, tmp_path, zero_row):

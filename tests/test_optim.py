@@ -128,21 +128,31 @@ def test_nonfinite_gradient_at_accepted_point_raises():
         minimize(f, [0.0])
 
 
+def rosenbrock_wrong_way_past_half(v):
+    """Rosenbrock whose gradient points uphill once v[0] > 0.5, so the solve stalls there."""
+    value, grad = rosenbrock(v)
+    return value, (lambda: -grad()) if v[0] > 0.5 else grad
+
+
 @pytest.mark.parametrize(
-    "x0, bounds, cfg",
+    "fun, x0, bounds, cfg, reason",
     [
-        ([-1.2, 1.0], None, MinimizeConfig()),
-        ([-1.2, 1.0], None, MinimizeConfig(max_iters=3, grad_tol=0.0)),
-        ([0.5, 0.0], ([0.25, -0.5], [0.75, 0.5]), MinimizeConfig()),
+        (rosenbrock, [-1.2, 1.0], None, MinimizeConfig(), "grad_tol"),
+        (rosenbrock, [-1.2, 1.0], None, MinimizeConfig(max_iters=3, grad_tol=0.0), "max_iters"),
+        (rosenbrock, [0.5, 0.0], ([0.25, -0.5], [0.75, 0.5]), MinimizeConfig(), "grad_tol"),
+        (rosenbrock_wrong_way_past_half, [-1.2, 1.0], None, MinimizeConfig(), "stalled"),
+        (rosenbrock, [1.0, 1.0], None, MinimizeConfig(), "grad_tol"),
     ],
-    ids=["unbounded", "max_iters", "bounded"],
+    ids=["unbounded", "max_iters", "bounded", "stalled", "grad_tol"],
 )
-def test_grad_runs_once_per_accepted_point(x0, bounds, cfg):
-    values = []  # objective at every evaluated point, in call order
+def test_grad_runs_once_per_accepted_point(fun, x0, bounds, cfg, reason):
+    points = []  # every evaluated point, in call order
+    values = []  # objective at every evaluated point
     grad_calls = []  # (index of the point the grad belongs to, index of the newest point)
 
     def f(v):
-        value, grad = rosenbrock(v)
+        value, grad = fun(v)
+        points.append(v.copy())
         values.append(value)
         k = len(values) - 1
 
@@ -152,14 +162,21 @@ def test_grad_runs_once_per_accepted_point(x0, bounds, cfg):
 
         return value, counted
 
-    _, trace = minimize(f, x0, bounds=bounds, cfg=cfg)
+    x_star, trace = minimize(f, x0, bounds=bounds, cfg=cfg)
+    assert trace.termination_reason == reason
     assert len(grad_calls) == trace.iterations + 1
     # grad is asked for at the newest point only, once, and that point is
     # x0 or an accepted iterate; every other evaluation was a rejected trial
     assert all(k == newest for k, newest in grad_calls)
     assert len({k for k, _ in grad_calls}) == len(grad_calls)
     assert [values[k] for k, _ in grad_calls] == trace.objective_values
-    assert len(values) > len(grad_calls)  # the search did reject some trials
+    # the last grad() call is at the returned point, bit for bit
+    last = points[grad_calls[-1][0]]
+    assert np.array_equal(last.view(np.int64), x_star.view(np.int64))
+    if trace.iterations or reason == "stalled":
+        assert len(values) > len(grad_calls)  # the search did reject some trials
+    else:
+        assert len(values) == 1  # x0 met grad_tol: one evaluation, no search
 
 
 def test_wide_spectrum_quadratic_reaches_grad_tol():

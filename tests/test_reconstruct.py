@@ -178,6 +178,27 @@ class TestInvert:
         res = invert(spec, weights, z, ReconstructionConfig(solver=MinimizeConfig(max_iters=3)))
         assert np.array_equal(res.features, forward(spec, weights, res.image).features)
 
+    def test_one_forward_pass_per_objective_evaluation(self, reference, monkeypatch):
+        # the result reuses the pass behind the solver's last gradient: no closing pass
+        spec, weights = reference
+        passes = count_calls(monkeypatch, reconstruct, "forward")
+        evaluations = []
+        solve = reconstruct.minimize
+
+        def counting_minimize(fun, *args, **kwargs):
+            def counted(x):
+                evaluations.append(x)
+                return fun(x)
+
+            return solve(counted, *args, **kwargs)
+
+        monkeypatch.setattr(reconstruct, "minimize", counting_minimize)
+        target = ImageTensor(np.random.default_rng(61).uniform(0.0, 1.0, (32, 32, 1)))
+        z = forward(spec, weights, target).features
+        res = invert(spec, weights, z, ReconstructionConfig(solver=MinimizeConfig(max_iters=5)))
+        assert res.trace.iterations == 5
+        assert len(passes) == len(evaluations) > 0
+
     def test_zero_lambda_tv_evaluates_no_tv_in_the_solve(self, monkeypatch):
         # the reported final_tv is the one TV evaluation
         spec = identity_spec(4, 4, 1)
