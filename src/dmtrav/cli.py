@@ -167,10 +167,6 @@ def cmd_extract(manifest: formats.Manifest, run: RunConfig) -> Path:
     return out_path
 
 
-def cmd_gram(feature_file, overwrite: bool = False) -> None:
-    formats.append_gram(feature_file, overwrite=overwrite)
-
-
 def cmd_traverse(feature_file, run: RunConfig) -> tuple[traversal.TraversalResult, Path]:
     """Run the lambda sweep against a feature file; writes records plus r/z vectors."""
     ff = formats.read_feature_file(feature_file)
@@ -211,12 +207,8 @@ def cmd_reconstruct(zt_file, run: RunConfig) -> tuple[reconstruct.Reconstruction
 def reconstruct_to(zt_file, run: RunConfig, out_path) -> reconstruct.ReconstructionResult:
     """Invert the vector in zt_file with run's settings; the result holds out_path read back."""
     z = formats.read_vector(zt_file)
-    init: str | ImageTensor = reconstruct.MID_GRAY
-    shape = None
-    if run.init != "mid_gray":
-        init = formats.load_image(run.init)
-        shape = (init.height, init.width, init.channels)
-    spec = run.resolve_spec(shape)
+    init = None if run.init == "mid_gray" else formats.load_image(run.init)
+    spec = run.resolve_spec(None if init is None else init.pixels.shape)
     if z.size != spec.feature_dim():
         raise InvalidInputError(
             f"{zt_file} holds {z.size} values but the extractor produces {spec.feature_dim()}"
@@ -383,7 +375,7 @@ def main(argv=None) -> int:
             if not args.quiet:
                 print(path)
         elif args.verb == "gram":
-            cmd_gram(args.feature_file, overwrite=args.overwrite)
+            formats.append_gram(args.feature_file, overwrite=args.overwrite)
             if not args.quiet:
                 print(f"Gram section written to {args.feature_file}")
         elif args.verb == "traverse":

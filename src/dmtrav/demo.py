@@ -109,7 +109,7 @@ def run_demo(seed: int, out_dir, quiet: bool = False) -> DemoOutcome:
     # Work from the quantized files so the pipeline matches what was written.
     run = cli.RunConfig(out_dir=str(out))
     feature_path = cli.cmd_extract(formats.read_manifest(out / "manifest.txt"), run)
-    cli.cmd_gram(feature_path)
+    formats.append_gram(feature_path)
     features = formats.read_feature_file(feature_path).as_feature_matrix()
     say(f"features: K={features.K} D={features.D}")
 

@@ -46,6 +46,7 @@ _SVM_EPOCHS = 2000  # subgradient epochs of train_svm
 # A matched decision lies within this fraction of its target (or within
 # it absolutely, for a zero target).
 _MATCH_REL_TOL = 0.01
+_MATCH_MAX_SOLVES = 40  # adversarial solves match_regularizer makes at most
 
 
 @dataclass
@@ -290,7 +291,6 @@ def match_regularizer(
     image: ImageTensor,
     target_decision: float,
     cfg: MinimizeConfig | None = None,
-    max_steps: int = 40,
 ) -> AdversarialResult:
     """Find the perturbation, and its c_adv, that reaches a requested decision value.
 
@@ -321,8 +321,8 @@ def match_regularizer(
     Returns the AdversarialResult of the first solve within 1% of the
     target; its c_adv field holds the constant, and
     adversarial_perturb at that c_adv reproduces it bit for bit. At most
-    max_steps solves are made; when they end without a match, logs a
-    warning and returns the result closest to the target seen.
+    40 solves are made; when they end without a match, logs a warning
+    and returns the result closest to the target seen.
     """
     if not math.isfinite(target_decision):
         raise InvalidInputError(f"target decision must be finite, got {target_decision!r}")
@@ -360,7 +360,7 @@ def match_regularizer(
     a, fa = None, None
     b, fb = math.log(c_hi), gap(hi)
     kept = 0  # -1: a was kept last step, +1: b was kept
-    for _ in range(max_steps):
+    for _ in range(_MATCH_MAX_SOLVES):
         if fa is None:
             c = next(probes)
             u = math.log(c)
@@ -400,7 +400,7 @@ def match_regularizer(
         "best decision %r at c_adv %r",
         _MATCH_REL_TOL,
         target_decision,
-        max_steps,
+        _MATCH_MAX_SOLVES,
         best.decision_value,
         best.c_adv,
     )

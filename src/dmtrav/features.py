@@ -109,9 +109,8 @@ class ExtractorSpec:
     taps: tuple[int, ...] = (INPUT_TAP,)
 
     def __post_init__(self) -> None:
-        h, w, c = self.input_shape
-        if h < 1 or w < 1 or c < 1:
-            raise InvalidInputError(f"input shape must be positive, got {self.input_shape}")
+        if len(self.input_shape) != 3 or min(self.input_shape) < 1:
+            raise InvalidInputError(f"input shape must be 3 positive sizes, got {self.input_shape}")
         object.__setattr__(self, "layers", tuple(self.layers))
         taps = tuple(sorted(set(int(t) for t in self.taps)))
         if not taps:
@@ -150,8 +149,9 @@ class ExtractorSpec:
 class WeightSet:
     """Per-conv-layer 32-bit kernels and biases, tied to the layer skeleton they serve.
 
-    The kernels and biases are read-only copies, so the float64 forms
-    the convolutions use, computed once here, always match them.
+    Each kernel takes the channels the previous conv gives. The kernels
+    and biases are read-only copies, so the float64 forms the
+    convolutions use, computed once here, always match them.
     """
 
     layers: tuple[Layer, ...]
@@ -169,9 +169,14 @@ class WeightSet:
         convs = [l for l in self.layers if isinstance(l, Conv)]
         if len(convs) != len(self.kernels) or len(convs) != len(self.biases):
             raise InvalidInputError("one kernel and bias per conv layer required")
-        for conv, k, b in zip(convs, self.kernels, self.biases):
+        for i, (conv, k, b) in enumerate(zip(convs, self.kernels, self.biases)):
             if k.ndim != 4 or k.shape[0] != conv.out_channels or k.shape[2:] != (_KSIZE, _KSIZE):
                 raise InvalidInputError(f"kernel shape {k.shape} inconsistent with {conv}")
+            if i > 0 and k.shape[1] != convs[i - 1].out_channels:
+                raise InvalidInputError(
+                    f"kernel {i} takes {k.shape[1]} input channels, but conv {i - 1} "
+                    f"gives {convs[i - 1].out_channels}"
+                )
             if b.shape != (conv.out_channels,):
                 raise InvalidInputError(f"bias shape {b.shape} inconsistent with {conv}")
             if not (np.all(np.isfinite(k)) and np.all(np.isfinite(b))):
@@ -228,31 +233,25 @@ def init_weights(spec: ExtractorSpec, seed: int) -> WeightSet:
     rng = np.random.default_rng(seed)
     kernels = []
     biases = []
-    in_ch = spec.input_shape[2]
-    for layer in spec.layers:
+    for layer, (in_ch, _, _) in zip(spec.layers, spec.layer_shapes()):
         if isinstance(layer, Conv):
             fan_in = in_ch * _KSIZE * _KSIZE
             scale = np.sqrt(2.0 / fan_in)
             k = rng.standard_normal((layer.out_channels, in_ch, _KSIZE, _KSIZE)) * scale
             kernels.append(k.astype(np.float32))
             biases.append(np.zeros(layer.out_channels, dtype=np.float32))
-            in_ch = layer.out_channels
     return WeightSet(spec.layers, spec.taps, tuple(kernels), tuple(biases))
 
 
 def _check_compatible(spec: ExtractorSpec, weights: WeightSet) -> None:
+    """Layers, taps and the first kernel's input; WeightSet checked the rest of the chain."""
     if weights.layers != spec.layers or weights.taps != spec.taps:
         raise InvalidInputError("weight set was built for a different extractor layout")
-    in_ch = spec.input_shape[2]
-    ki = 0
-    for layer in spec.layers:
-        if isinstance(layer, Conv):
-            if weights.kernels[ki].shape[1] != in_ch:
-                raise InvalidInputError(
-                    f"kernel {ki} expects {weights.kernels[ki].shape[1]} input channels, got {in_ch}"
-                )
-            in_ch = layer.out_channels
-            ki += 1
+    if weights.kernels and weights.kernels[0].shape[1] != spec.input_shape[2]:
+        raise InvalidInputError(
+            f"kernel 0 expects {weights.kernels[0].shape[1]} input channels, "
+            f"got {spec.input_shape[2]}"
+        )
 
 
 def _conv(x: np.ndarray, kmat: np.ndarray) -> np.ndarray:
@@ -477,7 +476,10 @@ def _read_exact(fh, count: int, what: str) -> bytes:
 
 
 def load_weights(path) -> WeightSet:
-    """Read a weight file back; the result is bit-identical to what was saved."""
+    """Read a weight file back; the result is bit-identical to what was saved.
+
+    WeightSet raises InvalidInputError on a broken channel chain or non-finite weights.
+    """
     # Read from memory: a corrupt length field then yields a short read
     # instead of making a buffered file read allocate that many bytes.
     with io.BytesIO(Path(path).read_bytes()) as fh:
@@ -498,7 +500,6 @@ def load_weights(path) -> WeightSet:
 
         kernels = []
         biases = []
-        prev_out = None
         for i, layer in enumerate(layers):
             if not isinstance(layer, Conv):
                 continue
@@ -509,8 +510,6 @@ def load_weights(path) -> WeightSet:
                 raise FormatError(
                     f"conv layer {i}: header says {out} channels, spec line says {layer.out_channels}"
                 )
-            if prev_out is not None and cin != prev_out:
-                raise FormatError(f"conv layer {i}: input channels {cin} break the channel chain")
             ksize = out * cin * kh * kw
             kernel = np.frombuffer(
                 _read_exact(fh, 4 * ksize, f"kernel data {i}"), dtype="<f4"
@@ -518,7 +517,6 @@ def load_weights(path) -> WeightSet:
             bias = np.frombuffer(_read_exact(fh, 4 * out, f"bias data {i}"), dtype="<f4")
             kernels.append(kernel.copy())
             biases.append(bias.copy())
-            prev_out = out
         if fh.read(1):
             raise FormatError("trailing bytes after weight data")
     return WeightSet(layers, taps, tuple(kernels), tuple(biases))

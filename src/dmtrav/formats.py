@@ -13,12 +13,16 @@ its diagonal matches the squared norms of the stored rows. Single vectors
 1 x L matrix with m = n = 0.
 
 Images use binary PPM/PGM with maxval 255: P5 for grayscale, P6 for
-three channels. A pixel value v in [0, 1] is stored as round(v * 255)
-(ties to even), so save/load round-trips the quantized values exactly.
+three channels. The header is the magic, width, height and maxval,
+separated by ASCII whitespace or '#'-to-newline comments (optional right
+after the magic), and exactly one whitespace byte ends it. A pixel value
+v in [0, 1] is stored as round(v * 255) (ties to even), so save/load
+round-trips the quantized values exactly.
 """
 
 from __future__ import annotations
 
+import re
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,6 +36,10 @@ from .mmd import FeatureMatrix, gram
 _V_MAGIC = b"DMTV"
 _G_MAGIC = b"DMTG"
 _V_VERSION = 1
+_PPM_SEP = rb"(?:\s|#[^\n]*\n)"  # \s of a bytes pattern is the six ASCII whitespace bytes
+_PPM_HEADER = re.compile(
+    rb"P([56])%s*([0-9]+)%s+([0-9]+)%s+([0-9]+)\s" % (_PPM_SEP, _PPM_SEP, _PPM_SEP)
+)
 
 
 # ---------------------------------------------------------------------------
@@ -55,50 +63,22 @@ def save_image(image: ImageTensor, path) -> None:
         fh.write(quantized.tobytes())
 
 
-def _read_header_tokens(data: bytes, count: int, path) -> tuple[list[int], int]:
-    """Parse `count` whitespace-separated integers, honoring '#' comments."""
-    tokens: list[int] = []
-    i = 0
-    while len(tokens) < count:
-        if i >= len(data):
-            raise FormatError(f"{path}: truncated header")
-        ch = data[i : i + 1]
-        if ch == b"#":
-            while i < len(data) and data[i : i + 1] != b"\n":
-                i += 1
-        elif ch.isspace():
-            i += 1
-        else:
-            j = i
-            while j < len(data) and not data[j : j + 1].isspace() and data[j : j + 1] != b"#":
-                j += 1
-            tok = data[i:j]
-            if not tok.isdigit():
-                raise FormatError(f"{path}: bad header token {tok!r}")
-            tokens.append(int(tok))
-            i = j
-    return tokens, i
-
-
 def load_image(path) -> ImageTensor:
     """Read a binary PPM/PGM file with maxval 255 into a [0, 1] image."""
     with open(path, "rb") as fh:
         data = fh.read()
-    if data[:2] == b"P5":
-        channels = 1
-    elif data[:2] == b"P6":
-        channels = 3
-    else:
-        raise FormatError(f"{path}: unsupported magic {data[:2]!r}")
-    (width, height, maxval), pos = _read_header_tokens(data[2:], 3, path)
-    pos += 2
+    header = _PPM_HEADER.match(data)
+    if header is None:
+        if data[:2] not in (b"P5", b"P6"):
+            raise FormatError(f"{path}: unsupported magic {data[:2]!r}")
+        raise FormatError(f"{path}: malformed or truncated header")
+    width, height, maxval = (int(g) for g in header.groups()[1:])
+    channels = 1 if header[1] == b"5" else 3
     if maxval != 255:
         raise FormatError(f"{path}: unsupported maxval {maxval} (only 255)")
     if width < 1 or height < 1:
         raise FormatError(f"{path}: bad dimensions {width}x{height}")
-    if pos >= len(data) or not data[pos : pos + 1].isspace():
-        raise FormatError(f"{path}: missing whitespace after maxval")
-    pos += 1  # exactly one whitespace byte separates header and raster
+    pos = header.end()
     need = width * height * channels
     have = min(len(data) - pos, need)
     if have != need:

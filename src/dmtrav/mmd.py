@@ -95,14 +95,6 @@ class FeatureMatrix:
         return self.V.shape[1]
 
     @property
-    def target_rows(self) -> slice:
-        return slice(0, self.n)
-
-    @property
-    def source_rows(self) -> slice:
-        return slice(self.n, self.n + self.m)
-
-    @property
     def test_row(self) -> int:
         return self.K - 1
 
@@ -116,6 +108,8 @@ class FeatureMatrix:
 def gram(V) -> np.ndarray:
     """Pairwise inner products of the rows of V, as a 64-bit K x K matrix."""
     V = np.asarray(V, dtype=float)
+    if V.ndim != 2:
+        raise InvalidInputError("V must be a 2-D matrix")
     if not np.all(np.isfinite(V)):
         raise InvalidInputError("V must contain only finite values")
     return V @ V.T
@@ -127,10 +121,10 @@ def median_heuristic_sigma(G) -> float:
     Falls back to the mean when the median is zero; raises when every
     pairwise distance is zero (all rows identical).
     """
-    G = np.asarray(G, dtype=float)
+    G = _require_gram(G)
     K = G.shape[0]
-    if G.ndim != 2 or G.shape != (K, K) or K < 2:
-        raise InvalidInputError("G must be a square matrix with K >= 2")
+    if K < 2:
+        raise InvalidInputError("G must have K >= 2 rows")
     diag = np.diag(G)
     sq = diag[:, None] + diag[None, :] - 2.0 * G
     iu = np.triu_indices(K, k=1)
@@ -186,7 +180,10 @@ def _require_gram(G) -> np.ndarray:
         raise InvalidInputError(
             "Gram matrix is required; precompute it with gram() or FeatureMatrix.with_gram()"
         )
-    return np.asarray(G, dtype=float)
+    G = np.asarray(G, dtype=float)
+    if G.ndim != 2 or G.shape[0] != G.shape[1]:
+        raise InvalidInputError(f"G must be a square matrix, got shape {G.shape}")
+    return G
 
 
 def witness_factored(r, G, m: int, n: int, kcfg: KernelConfig) -> WitnessValue:

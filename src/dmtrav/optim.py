@@ -74,6 +74,8 @@ class MinimizeTrace:
 def _as_bounds(bounds, n: int) -> tuple[np.ndarray, np.ndarray] | None:
     if bounds is None:
         return None
+    if len(bounds) != 2:
+        raise InvalidInputError("bounds must be a (lower, upper) pair")
     lo, hi = bounds
     lo = np.broadcast_to(np.asarray(lo, dtype=float), (n,)).copy()
     hi = np.broadcast_to(np.asarray(hi, dtype=float), (n,)).copy()

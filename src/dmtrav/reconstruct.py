@@ -15,7 +15,6 @@ supplies its own two terms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
 
 import numpy as np
 
@@ -23,21 +22,19 @@ from .errors import InvalidInputError
 from .features import ExtractorSpec, ForwardPass, ImageTensor, WeightSet, forward
 from .optim import MinimizeConfig, MinimizeTrace, minimize
 
-MID_GRAY = "mid_gray"
-
 
 @dataclass(frozen=True)
 class ReconstructionConfig:
     """Inversion settings.
 
-    init is either MID_GRAY (every pixel 0.5) or an explicit starting
-    image, used as is (callers pass the source image to preserve its
-    content when inverting traversal outputs).
+    init is an explicit starting image, used as is (callers pass the
+    source image to preserve its content when inverting traversal
+    outputs), or None for mid-gray, every pixel 0.5.
     """
 
     lambda_tv: float = 0.001
     beta: float = 2.0
-    init: Union[str, ImageTensor] = MID_GRAY
+    init: ImageTensor | None = None
     solver: MinimizeConfig = field(default_factory=MinimizeConfig)
 
     def __post_init__(self) -> None:
@@ -45,8 +42,6 @@ class ReconstructionConfig:
             raise InvalidInputError(f"lambda_tv must be finite and >= 0, got {self.lambda_tv}")
         if not 0 < self.beta < np.inf:
             raise InvalidInputError(f"beta must be finite and positive, got {self.beta}")
-        if isinstance(self.init, str) and self.init != MID_GRAY:
-            raise InvalidInputError(f"unknown init {self.init!r}")
 
 
 @dataclass
@@ -156,9 +151,7 @@ def invert(
             return 0.0, lambda: 0.0
         return cfg.lambda_tv * tv(img, cfg.beta), lambda: cfg.lambda_tv * tv_grad(img, cfg.beta)
 
-    start = cfg.init
-    if not isinstance(start, ImageTensor):
-        start = ImageTensor(np.full(spec.input_shape, 0.5))
+    start = cfg.init if cfg.init is not None else ImageTensor(np.full(spec.input_shape, 0.5))
     image, fp, trace = solve_pixels(spec, weights, start, feature_term, pixel_term, cfg.solver)
     return ReconstructionResult(
         image=image,

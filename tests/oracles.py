@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from dmtrav.errors import InvalidInputError, NumericalError
+from dmtrav.errors import FormatError, InvalidInputError, NumericalError
 
 
 def finite_difference_gradient(fun, x, h: float) -> np.ndarray:
@@ -449,3 +449,53 @@ def layered_forward_vjp(spec, weights, image: np.ndarray, cotangent: np.ndarray)
     if INPUT_TAP in pieces:
         g = g + pieces[INPUT_TAP]
     return features, g.transpose(1, 2, 0)
+
+
+def _ppm_header_tokens(data: bytes, count: int) -> tuple[list[int], int]:
+    """Parse `count` whitespace-separated integers byte by byte, honoring '#' comments."""
+    tokens: list[int] = []
+    i = 0
+    while len(tokens) < count:
+        if i >= len(data):
+            raise FormatError("truncated header")
+        ch = data[i : i + 1]
+        if ch == b"#":
+            while i < len(data) and data[i : i + 1] != b"\n":
+                i += 1
+        elif ch.isspace():
+            i += 1
+        else:
+            j = i
+            while j < len(data) and not data[j : j + 1].isspace() and data[j : j + 1] != b"#":
+                j += 1
+            tok = data[i:j]
+            if not tok.isdigit():
+                raise FormatError(f"bad header token {tok!r}")
+            tokens.append(int(tok))
+            i = j
+    return tokens, i
+
+
+def decode_ppm(data: bytes) -> np.ndarray:
+    """Reference P5/P6 decoder: the (H, W, C) raster as uint8, or FormatError.
+
+    Walks the header with a per-byte tokenizer: magic, then width, height
+    and maxval 255 separated by whitespace or '#'-to-newline comments,
+    then exactly one whitespace byte and the raster.
+    """
+    channels = {b"P5": 1, b"P6": 3}.get(data[:2])
+    if channels is None:
+        raise FormatError(f"unsupported magic {data[:2]!r}")
+    (width, height, maxval), pos = _ppm_header_tokens(data[2:], 3)
+    pos += 2
+    if maxval != 255:
+        raise FormatError(f"unsupported maxval {maxval}")
+    if width < 1 or height < 1:
+        raise FormatError(f"bad dimensions {width}x{height}")
+    if pos >= len(data) or not data[pos : pos + 1].isspace():
+        raise FormatError("missing whitespace after maxval")
+    pos += 1
+    need = width * height * channels
+    if len(data) - pos < need:
+        raise FormatError("truncated pixel data")
+    return np.frombuffer(data, np.uint8, need, pos).reshape(height, width, channels)

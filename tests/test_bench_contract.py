@@ -1,0 +1,50 @@
+"""The benchmark's view of the program: its inputs, CLI calls and output checks.
+
+bench/ builds its inputs through the public formats and features API,
+drives `dmtrav.cli.main` with the argument lists below and judges each
+output tree with its own checks. These tests run the same steps at a
+small size, so a change to src/ that breaks the benchmark fails here.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from dmtrav import cli
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+import checks  # noqa: E402
+import inputs  # noqa: E402
+
+
+@pytest.fixture(scope="module")
+def bench_extractor():
+    """The spec and weights the benchmark checks against, built as it builds them."""
+    run = cli.RunConfig()
+    spec = run.resolve_spec()
+    return spec, run.resolve_weights(spec)
+
+
+def test_traverse_output_passes_the_benchmark_check(tmp_path, bench_extractor):
+    path, lambdas = inputs.write_traverse_file(
+        3, tmp_path / "input", 8, (1e-2, 1e-3, 1e-4), *bench_extractor
+    )
+    out = tmp_path / "out"
+    lam_args = [a for lam in lambdas for a in ("--lambda", repr(lam))]
+    argv = ["traverse", str(path), *lam_args, "--sigma", "median", "--out", str(out), "--quiet"]
+    assert cli.main(argv) == 0
+    problems, quality = checks.check_traverse(out, path, lambdas)
+    assert problems == []
+    assert quality["traverse_objective"] > 0
+
+
+def test_extract_then_gram_output_passes_the_benchmark_check(tmp_path, bench_extractor):
+    manifest = inputs.write_image_set(3, tmp_path / "input", 3, 2)
+    rows = inputs.manifest_rows(manifest)
+    out = tmp_path / "out"
+    assert cli.main(["extract", str(manifest), "--out", str(out), "--quiet"]) == 0
+    assert cli.main(["gram", str(out / "features.dmtv"), "--quiet"]) == 0
+    problems, _ = checks.check_extract(out, rows, 3, len(rows), *bench_extractor)
+    assert problems == []

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -14,15 +15,15 @@ from dmtrav import demo as demo_module
 from dmtrav.cli import (
     RunConfig,
     cmd_extract,
-    cmd_gram,
     cmd_reconstruct,
     cmd_traverse,
     main,
 )
-from dmtrav.errors import InvalidInputError
+from dmtrav.errors import FormatError, InvalidInputError
 from dmtrav.features import ImageTensor, forward, init_weights, reference_spec
 from dmtrav.formats import (
     Manifest,
+    append_gram,
     format_manifest,
     load_image,
     parse_traversal_records,
@@ -105,7 +106,7 @@ class TestCmdTraverse:
         tmp_path, manifest, paths = tiny_dataset
         run = RunConfig(out_dir=str(tmp_path / "out"))
         feature_file = cmd_extract(manifest, run)
-        cmd_gram(feature_file)
+        append_gram(feature_file)
         return tmp_path, run, feature_file
 
     def test_requires_gram(self, tiny_dataset):
@@ -445,7 +446,7 @@ class TestMainExitCodes:
         feature_file = cmd_extract(manifest, run)
         ff = read_feature_file(feature_file)
         assert ff.V.shape == (3, 32 * 32)
-        cmd_gram(feature_file)
+        append_gram(feature_file)
         cmd_traverse(feature_file, run)
         zt = read_vector(tmp_path / "shallow" / "zt_0.dmtv")
         run_rec = RunConfig(
@@ -478,7 +479,7 @@ class TestCmdEval:
         out = tmp_path / "out"
         run = RunConfig(out_dir=str(out), lambdas=(1e-3, 1e-5))
         feature_file = cmd_extract(manifest, run)
-        cmd_gram(feature_file)
+        append_gram(feature_file)
         cmd_traverse(feature_file, run)
         labels = tmp_path / "labels.txt"
         labels.write_text("+1\n+1\n+1\n-1\n-1\n-1\n")
@@ -499,7 +500,7 @@ class TestCmdEval:
         out = tmp_path / "out"
         run = RunConfig(out_dir=str(out), lambdas=(1e-3,))
         feature_file = cmd_extract(manifest, run)
-        cmd_gram(feature_file)
+        append_gram(feature_file)
         cmd_traverse(feature_file, run)
         labels = tmp_path / "labels.txt"
         labels.write_text("+1\n+1\n")
@@ -526,7 +527,7 @@ class TestCmdEval:
         out = tmp_path / "out"
         run = RunConfig(out_dir=str(out), lambdas=(1e-3,), sigma=1.0)
         feature_file = cmd_extract(manifest, run)
-        cmd_gram(feature_file)
+        append_gram(feature_file)
         cmd_traverse(feature_file, run)
         labels = tmp_path / "labels.txt"
         labels.write_text("\n".join(["+1"] * 6 + ["-1"] * 6) + "\n")
@@ -713,3 +714,35 @@ def test_cli_does_not_import_demo():
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
     )
     assert done.stdout.strip() == "False"
+
+
+def _config_file(tmp_path, text: str) -> Path:
+    path = tmp_path / "run.json"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def _short_zt_file(tmp_path) -> Path:
+    path = tmp_path / "zt.dmtv"
+    write_vector(path, np.zeros(5))
+    return path
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda tmp: RunConfig.from_json(_config_file(tmp, "{")), FormatError, "invalid JSON"),
+        (lambda tmp: RunConfig.from_json(_config_file(tmp, "[1]")), FormatError,
+         "config must be a JSON object"),
+        (lambda tmp: RunConfig(extractor="identity").resolve_spec(), InvalidInputError,
+         "identity extractor needs an image"),
+        (lambda tmp: cmd_traverse(gram_file(tmp), RunConfig(out_dir=str(tmp))), InvalidInputError,
+         "no lambdas given"),
+        (lambda tmp: cmd_reconstruct(_short_zt_file(tmp), RunConfig(out_dir=str(tmp))),
+         InvalidInputError, "holds 5 values but the extractor produces 6144"),
+    ],
+    ids=["json-syntax", "json-array", "identity-without-image", "no-lambdas", "zt-length"],
+)
+def test_checks_raise_package_errors(tmp_path, call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call(tmp_path)

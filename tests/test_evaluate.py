@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import math
+import re
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from dmtrav.evaluate import (
     AdversarialResult,
     ClassifierModel,
     adversarial_perturb,
+    fit_classifier,
     match_regularizer,
     platt_fit,
     predict,
@@ -386,12 +388,10 @@ class TestMatchRegularizer:
     @pytest.mark.parametrize("max_steps", [0, 1, 2, 4])
     def test_max_steps_bounds_the_solves(self, monkeypatch, caplog, max_steps):
         # this target needs 8 solves, so each budget runs out
+        monkeypatch.setattr(evaluate, "_MATCH_MAX_SOLVES", max_steps)
         calls = count_calls(monkeypatch, evaluate, "adversarial_perturb")
         with caplog.at_level(logging.WARNING, logger="dmtrav.evaluate"):
-            match_regularizer(
-                self.spec, self.weights, self.model, self.img, self.target_at(0.95),
-                max_steps=max_steps,
-            )
+            match_regularizer(self.spec, self.weights, self.model, self.img, self.target_at(0.95))
         assert len(calls) == max_steps
         assert len(caplog.records) == 1
 
@@ -446,16 +446,15 @@ class TestMatchRegularizer:
         )
         assert res.c_adv == probed[-1] and res.decision_value == target
 
-    def test_missed_match_warns_once(self, caplog):
+    def test_missed_match_warns_once(self, monkeypatch, caplog):
         # At 0.9 of the largest shift the unit box clips the linearised
         # perturbation, so the first solve falls short of the target.
         target = self.target_at(0.9)
         with caplog.at_level(logging.WARNING, logger="dmtrav.evaluate"):
             match_regularizer(self.spec, self.weights, self.model, self.img, target)
             assert caplog.records == []
-            res = match_regularizer(
-                self.spec, self.weights, self.model, self.img, target, max_steps=1
-            )
+            monkeypatch.setattr(evaluate, "_MATCH_MAX_SOLVES", 1)
+            res = match_regularizer(self.spec, self.weights, self.model, self.img, target)
         assert abs(res.decision_value - target) > 0.01 * abs(target)
         assert [r.name for r in caplog.records] == ["dmtrav.evaluate"]
         message = caplog.records[0].getMessage()
@@ -482,3 +481,22 @@ def test_demo_match_solve_count(demo_runs, reference, monkeypatch):
     assert len(calls) <= 4
     assert repr(res.c_adv) == fields["adversarial_c"]
     assert repr(res.decision_value) == fields["adversarial_decision"]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ClassifierModel(np.ones(2), 0.0, 0.0, 1.0), "platt_a must be nonzero"),
+        (lambda: train_svm(np.zeros(4), [1, -1, 1, -1], 1.0), "features must be a 2-D array"),
+        (lambda: train_svm(np.zeros((3, 2)), [1, -1], 1.0), "one label per feature row"),
+        (lambda: train_svm(np.eye(2), [1, -1], 0.0), "c_reg must be positive"),
+        (lambda: platt_fit([0.0, 1.0, 2.0], [0, 1]), "one label per decision value"),
+        (lambda: platt_fit([0.0, 1.0, 2.0], [0, 1, 2]), "labels must be 0 or 1"),
+        (lambda: fit_classifier(FeatureMatrix(np.eye(5), 2, 2), np.ones(3)),
+         "one label per non-test row"),
+    ],
+    ids=["platt-a", "svm-1d", "svm-labels", "svm-c", "platt-labels", "platt-values", "fit-labels"],
+)
+def test_checks_raise_package_errors(call, message):
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        call()

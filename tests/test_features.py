@@ -1,4 +1,6 @@
+import re
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -427,3 +429,64 @@ class TestLayersMatchOracles:
         feats, grad = oracles.layered_forward_vjp(spec, weights, np.asarray(img.pixels), u)
         assert bit_equal(fp.features, feats)
         assert bit_equal(fp.vjp(u), grad)
+
+
+def _broken_chain():
+    """Layers (Conv(2), Conv(3)) whose second kernel takes 4 channels, not the 2 it gets."""
+    kernels = (np.zeros((2, 1, 3, 3), np.float32), np.zeros((3, 4, 3, 3), np.float32))
+    biases = (np.zeros(2, np.float32), np.zeros(3, np.float32))
+    return (Conv(2), Conv(3)), (INPUT_TAP,), kernels, biases
+
+
+def _chain_broken_weight_file(tmp_path):
+    # save_weights writes whatever kernels it is handed; a WeightSet would refuse these.
+    layers, taps, kernels, biases = _broken_chain()
+    path = tmp_path / "broken.dmtw"
+    save_weights(SimpleNamespace(layers=layers, taps=taps, kernels=kernels, biases=biases), path)
+    return load_weights(path)
+
+
+def _forward_on_foreign_weights(spec, weights_spec):
+    image = ImageTensor(np.zeros(spec.input_shape))
+    return forward(spec, init_weights(weights_spec, 0), image)
+
+
+def _one_conv_weights(kernel_shape=(2, 1, 3, 3), bias_shape=(2,), fill=0.0):
+    kernels, biases = (np.full(kernel_shape, fill),), (np.zeros(bias_shape),)
+    return features_mod.WeightSet((Conv(2),), (INPUT_TAP,), kernels, biases)
+
+
+_one_conv = ExtractorSpec((4, 4, 1), (Conv(2),))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda tmp: ImageTensor(np.zeros((2, 2))), InvalidInputError, "(height, width, channels)"),
+        (lambda tmp: ExtractorSpec((4, 0, 1)), InvalidInputError, "3 positive sizes"),
+        (lambda tmp: ExtractorSpec((4, 4, 1), (Conv(0),)), InvalidInputError,
+         "layer 0: out_channels must be positive"),
+        (lambda tmp: features_mod.WeightSet((Conv(2),), (INPUT_TAP,), (), ()), InvalidInputError,
+         "one kernel and bias per conv layer"),
+        (lambda tmp: _one_conv_weights(kernel_shape=(3, 1, 3, 3)), InvalidInputError,
+         "kernel shape (3, 1, 3, 3) inconsistent with Conv(out_channels=2)"),
+        (lambda tmp: _one_conv_weights(bias_shape=(3,)), InvalidInputError,
+         "bias shape (3,) inconsistent"),
+        (lambda tmp: _one_conv_weights(fill=np.nan), InvalidInputError, "weights must be finite"),
+        (lambda tmp: features_mod.WeightSet(*_broken_chain()), InvalidInputError,
+         "kernel 1 takes 4 input channels, but conv 0 gives 2"),
+        (_chain_broken_weight_file, InvalidInputError,
+         "kernel 1 takes 4 input channels, but conv 0 gives 2"),
+        (lambda tmp: _forward_on_foreign_weights(_one_conv, ExtractorSpec((4, 4, 1), (Conv(3),))),
+         InvalidInputError, "weight set was built for a different extractor layout"),
+        (lambda tmp: _forward_on_foreign_weights(ExtractorSpec((4, 4, 3), (Conv(2),)), _one_conv),
+         InvalidInputError, "kernel 0 expects 1 input channels, got 3"),
+    ],
+    ids=[
+        "image-2d", "spec-shape", "conv-out", "weights-count", "weights-kernel",
+        "weights-bias", "weights-finite", "weights-chain", "dmtw-chain", "layout", "input-channels",
+    ],
+)
+def test_checks_raise_package_errors(tmp_path, call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call(tmp_path)

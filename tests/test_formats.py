@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -395,3 +396,78 @@ def test_mutated_files_raise_only_package_errors(tmp_path, write, read):
             read(path)
         except (FormatError, InvalidInputError):
             pass
+
+
+# Bytes the PPM header grammar gives a meaning to, plus a few it does not.
+_HEADER_ALPHABET = b" \t\n\r\x0b\x0c#0123456789P56xA\x00\xff"
+_HEADER_SEPARATORS = (b"", b" ", b"\n", b"\t", b"  ", b"\r\n", b"#c\n", b"\n# a note\n")
+
+
+def _header_mutants(seed: int, count: int):
+    """Seeded small P5/P6 files, each with one to three byte edits in or just after its header."""
+    rng = np.random.default_rng(seed)
+
+    def sep() -> bytes:
+        return _HEADER_SEPARATORS[int(rng.integers(len(_HEADER_SEPARATORS)))]
+
+    for _ in range(count):
+        magic, channels = (b"P5", 1) if rng.integers(2) else (b"P6", 3)
+        width, height = (int(v) for v in rng.integers(1, 4, 2))
+        header = magic + sep() + b"%d" % width + sep() + b"%d" % height + sep() + b"255\n"
+        raster = rng.integers(0, 256, width * height * channels, dtype=np.uint8).tobytes()
+        data = bytearray(header + raster)
+        for _ in range(int(rng.integers(1, 4))):
+            pos = int(rng.integers(len(header) + 1))
+            byte = _HEADER_ALPHABET[int(rng.integers(len(_HEADER_ALPHABET)))]
+            kind = int(rng.integers(3))
+            if kind == 1:
+                data.insert(pos, byte)
+            elif pos < len(data):
+                if kind == 0:
+                    data[pos] = byte
+                else:
+                    del data[pos]
+        yield bytes(data)
+
+
+def test_ppm_header_agrees_with_the_reference_tokenizer(tmp_path):
+    path = tmp_path / "mutant.ppm"
+    accepted = 0
+    for data in _header_mutants(seed=99, count=5000):
+        path.write_bytes(data)
+        try:
+            want = oracles.decode_ppm(data)
+        except FormatError:
+            with pytest.raises(FormatError):
+                load_image(path)
+            continue
+        assert np.array_equal(load_image(path).pixels, want / 255.0), data
+        accepted += 1
+    assert 500 < accepted < 4500  # both outcomes are well exercised
+
+
+def _load_bytes(tmp_path, data: bytes):
+    path = tmp_path / "image.pgm"
+    path.write_bytes(data)
+    return load_image(path)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda tmp: _load_bytes(tmp, b"P5\n0 2\n255\n"), FormatError, "bad dimensions 0x2"),
+        (lambda tmp: _load_bytes(tmp, b"P5\n2 x 255\n\x00"), FormatError, "malformed or truncated"),
+        (lambda tmp: write_feature_file(tmp / "f.dmtv", np.zeros(3), 0, 0), InvalidInputError,
+         "V must be 2-D"),
+        (lambda tmp: write_feature_file(tmp / "f.dmtv", np.zeros((3, 2)), -1, 3), InvalidInputError,
+         "m and n must be nonnegative"),
+        (lambda tmp: write_feature_file(tmp / "f.dmtv", np.zeros((3, 2)), 1, 1, G=np.eye(2)),
+         InvalidInputError, "Gram shape (2, 2) does not match K=3"),
+        (lambda tmp: Manifest(["s.ppm"], ["t.ppm"], ""), InvalidInputError,
+         "manifest needs an [input] path"),
+    ],
+    ids=["ppm-zero-width", "ppm-header", "v-1d", "negative-m", "gram-shape", "empty-input"],
+)
+def test_checks_raise_package_errors(tmp_path, call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call(tmp_path)

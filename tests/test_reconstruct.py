@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from dmtrav.features import ExtractorSpec, ImageTensor, forward, identity_spec, 
 from dmtrav.optim import MinimizeConfig
 from oracles import finite_difference_gradient
 from dmtrav.reconstruct import (
-    MID_GRAY,
     ReconstructionConfig,
     invert,
     solve_pixels,
@@ -224,8 +225,20 @@ class TestInvert:
                 ReconstructionConfig(lambda_tv=bad)
             with pytest.raises(InvalidInputError):
                 ReconstructionConfig(beta=bad)
-        with pytest.raises(InvalidInputError):
-            ReconstructionConfig(init="noise")
 
     def test_mid_gray_default(self):
-        assert ReconstructionConfig().init == MID_GRAY
+        assert ReconstructionConfig().init is None
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: tv(gray(0.5), 0.0), "beta must be positive"),
+        (lambda: tv_grad(gray(0.5), 0.0), "beta must be positive"),
+        (lambda: tv_grad(gray(0.5), float("nan")), "beta must be positive"),
+    ],
+    ids=["tv", "tv-grad", "tv-grad-nan"],
+)
+def test_checks_raise_package_errors(call, message):
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        call()
