@@ -20,7 +20,6 @@ from .evaluate import (
     AdversarialResult,
     ClassifierModel,
     SweepRecord,
-    SweepReport,
     adversarial_perturb,
     fit_classifier,
     match_regularizer,
@@ -68,7 +67,6 @@ from .reconstruct import (
 from .traversal import (
     LambdaRecord,
     TraversalConfig,
-    TraversalResult,
     materialize,
     traverse,
 )

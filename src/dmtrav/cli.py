@@ -1,10 +1,10 @@
 """Command-line driver for the full pipeline.
 
 Verbs: extract, gram, traverse, reconstruct, eval, adversarial, demo.
-Exit codes: 0 on success, 2 for invalid input or malformed files, 3 for
-numerical failures. Formats are validated before heavy computation
-starts, and every binary layout is little-endian as documented in
-formats.py and features.py.
+Exit codes: 0 on success, 3 for numerical failures (NumericalError), 2 for
+every other package error (DmtravError) and for OSError. Formats are
+validated before heavy computation starts, and every binary layout is
+little-endian as documented in formats.py and features.py.
 """
 
 from __future__ import annotations
@@ -19,10 +19,9 @@ import numpy as np
 
 from . import evaluate, formats, mmd, reconstruct, traversal
 from .errors import (
-    DegenerateDataError,
+    DmtravError,
     FormatError,
     InvalidInputError,
-    NoMatchError,
     NumericalError,
 )
 from .features import (
@@ -83,9 +82,10 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, path) -> "RunConfig":
+        text = formats.read_text(path)
         try:
-            raw = json.loads(formats.read_text(path))
-        except json.JSONDecodeError as exc:
+            raw = json.loads(text)
+        except ValueError as exc:  # JSONDecodeError, or an integer too long for int()
             raise FormatError(f"{path}: invalid JSON ({exc})") from exc
         if not isinstance(raw, dict):
             raise FormatError(f"{path}: config must be a JSON object")
@@ -120,9 +120,6 @@ class RunConfig:
         if self.weight_file is not None:
             return load_weights(self.weight_file)
         return init_weights(spec, self.weight_seed)
-
-    def kernel(self) -> KernelConfig:
-        return KernelConfig(self.sigma)
 
     def solver(self) -> MinimizeConfig:
         return MinimizeConfig(max_iters=self.max_iters)
@@ -167,7 +164,7 @@ def cmd_extract(manifest: formats.Manifest, run: RunConfig) -> Path:
     return out_path
 
 
-def cmd_traverse(feature_file, run: RunConfig) -> tuple[traversal.TraversalResult, Path]:
+def cmd_traverse(feature_file, run: RunConfig) -> tuple[list[traversal.LambdaRecord], Path]:
     """Run the lambda sweep against a feature file; writes records plus r/z vectors."""
     ff = formats.read_feature_file(feature_file)
     if ff.G is None:
@@ -178,30 +175,24 @@ def cmd_traverse(feature_file, run: RunConfig) -> tuple[traversal.TraversalResul
         raise InvalidInputError("no lambdas given (use --lambda or the config file)")
     features = ff.as_feature_matrix()
     cfg = traversal.TraversalConfig(
-        lambdas=run.lambdas, kernel=run.kernel(), solver=run.solver()
+        lambdas=run.lambdas, kernel=KernelConfig(run.sigma), solver=run.solver()
     )
     return traverse_to(features, cfg, run.out_dir)
 
 
 def traverse_to(
     features: mmd.FeatureMatrix, cfg: traversal.TraversalConfig, out_dir
-) -> tuple[traversal.TraversalResult, Path]:
+) -> tuple[list[traversal.LambdaRecord], Path]:
     """Run the sweep and write traversal_records.txt, r_<i>.dmtv and zt_<i>.dmtv."""
-    result = traversal.traverse(features, cfg)
+    records = traversal.traverse(features, cfg)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     records_path = out_dir / "traversal_records.txt"
-    records_path.write_text(formats.format_traversal_records(result.records), encoding="utf-8")
-    for i, rec in enumerate(result.records):
+    records_path.write_text(formats.format_traversal_records(records), encoding="utf-8")
+    for i, rec in enumerate(records):
         formats.write_vector(out_dir / f"r_{i}.dmtv", rec.r)
         formats.write_vector(out_dir / f"zt_{i}.dmtv", traversal.materialize(features, rec.r))
-    return result, records_path
-
-
-def cmd_reconstruct(zt_file, run: RunConfig) -> tuple[reconstruct.ReconstructionResult, Path]:
-    """Invert one traversed feature vector and write <stem>_recon.ppm in run.out_dir."""
-    out_path = Path(run.out_dir) / (Path(zt_file).stem + "_recon.ppm")
-    return reconstruct_to(zt_file, run, out_path), out_path
+    return records, records_path
 
 
 def reconstruct_to(zt_file, run: RunConfig, out_path) -> reconstruct.ReconstructionResult:
@@ -237,26 +228,19 @@ def _model_from_file(feature_file, labels_file) -> tuple[evaluate.ClassifierMode
     return model, features
 
 
-def cmd_eval(feature_file, traversal_dir, labels_file, out_dir=None) -> Path:
-    """Train the classifier and report decisions across a stored traversal."""
-    model, features = _model_from_file(feature_file, labels_file)
-    out = out_dir if out_dir is not None else traversal_dir
-    return sweep_to(model, features, traversal_dir, out)[1]
-
-
 def sweep_to(
     model: evaluate.ClassifierModel, features: mmd.FeatureMatrix, traversal_dir, out_dir
-) -> tuple[evaluate.SweepReport, Path]:
+) -> tuple[list[evaluate.SweepRecord], Path]:
     """Sweep the decisions over the r_<i>.dmtv files of a traversal and write sweep_report.txt."""
     tdir = Path(traversal_dir)
     rows = formats.parse_traversal_records(formats.read_text(tdir / "traversal_records.txt"))
     points = [(row[0], formats.read_vector(tdir / f"r_{i}.dmtv")) for i, row in enumerate(rows)]
-    report = evaluate.sweep_decisions(model, points, features)
+    records = evaluate.sweep_decisions(model, points, features)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     out_path = out / "sweep_report.txt"
-    out_path.write_text(formats.format_sweep_report(report), encoding="utf-8")
-    return report, out_path
+    out_path.write_text(formats.format_sweep_report(records), encoding="utf-8")
+    return records, out_path
 
 
 def cmd_adversarial(
@@ -289,9 +273,7 @@ def write_adversarial(res: evaluate.AdversarialResult, out_dir) -> Path:
     formats.save_image(res.perturbed, out_dir / "adversarial.ppm")
     report = out_dir / "adversarial_report.txt"
     report.write_text(
-        formats.format_adversarial_report(
-            [(res.c_adv, res.decision_value, res.l2_pixel_distance)]
-        ),
+        formats.format_adversarial_report(res.c_adv, res.decision_value, res.l2_pixel_distance),
         encoding="utf-8",
     )
     return report
@@ -379,11 +361,13 @@ def main(argv=None) -> int:
             if not args.quiet:
                 print(f"Gram section written to {args.feature_file}")
         elif args.verb == "traverse":
-            result, records_path = cmd_traverse(args.feature_file, _run_config(args))
+            _, records_path = cmd_traverse(args.feature_file, _run_config(args))
             if not args.quiet:
                 print(records_path)
         elif args.verb == "reconstruct":
-            res, path = cmd_reconstruct(args.zt_file, _run_config(args))
+            run = _run_config(args)
+            path = Path(run.out_dir) / (Path(args.zt_file).stem + "_recon.ppm")
+            res = reconstruct_to(args.zt_file, run, path)
             if not args.quiet:
                 print(
                     f"feature_loss {res.final_feature_loss!r} tv {res.final_tv!r} "
@@ -391,7 +375,9 @@ def main(argv=None) -> int:
                 )
                 print(path)
         elif args.verb == "eval":
-            path = cmd_eval(args.feature_file, args.traversal_dir, args.labels_file, args.out)
+            model, features = _model_from_file(args.feature_file, args.labels_file)
+            out = args.out if args.out is not None else args.traversal_dir
+            _, path = sweep_to(model, features, args.traversal_dir, out)
             if not args.quiet:
                 print(path)
         elif args.verb == "adversarial":
@@ -410,12 +396,12 @@ def main(argv=None) -> int:
             from .demo import run_demo
 
             run_demo(args.seed, args.out or "demo_out", quiet=args.quiet)
-    except (InvalidInputError, FormatError, DegenerateDataError, NoMatchError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except (DmtravError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -61,7 +61,6 @@ def make_demo_images(seed: int) -> tuple[list[ImageTensor], list[ImageTensor], I
 
 @dataclass
 class DemoOutcome:
-    out_dir: Path
     sigma: float
     lambdas: tuple[float, ...]
     baseline_decision: float
@@ -116,7 +115,7 @@ def run_demo(seed: int, out_dir, quiet: bool = False) -> DemoOutcome:
     sigma = mmd.median_heuristic_sigma(features.G)
     lambdas = tuple(s / sigma for s in DEMO_LAMBDA_SCALES)
     tcfg = traversal.TraversalConfig(lambdas=lambdas, kernel=mmd.KernelConfig(sigma))
-    result, _ = cli.traverse_to(features, tcfg, out)
+    records, _ = cli.traverse_to(features, tcfg, out)
     say(f"traversal: sigma={sigma:.6g}, lambdas={[f'{l:.3g}' for l in lambdas]}")
 
     labels = formats.read_labels(out / "labels.txt", features.K - 1)
@@ -127,7 +126,7 @@ def run_demo(seed: int, out_dir, quiet: bool = False) -> DemoOutcome:
     pixel_run = replace(run, init=str(out / rel.input_path), max_iters=_PIXEL_SOLVER.max_iters)
     recon_decisions = []
     recon_l2 = []
-    for i, rec in enumerate(result.records):
+    for i, rec in enumerate(records):
         rres = cli.reconstruct_to(out / f"zt_{i}.dmtv", pixel_run, out / f"recon_{i}.ppm")
         recon_decisions.append(evaluate.predict(model, rres.features)[0])
         recon_l2.append(float(np.linalg.norm(rres.image.pixels - test_img.pixels)))
@@ -136,8 +135,7 @@ def run_demo(seed: int, out_dir, quiet: bool = False) -> DemoOutcome:
             f"pixel_l2={recon_l2[-1]:.4g}"
         )
 
-    report, _ = cli.sweep_to(model, features, out, out)
-    base, *swept = report.records
+    (base, *swept), _ = cli.sweep_to(model, features, out, out)
     decisions = [r.decision_value for r in swept]
     probabilities = [r.probability for r in swept]
     say(f"eval: baseline decision={base.decision_value:.4g}, swept={[f'{d:.4g}' for d in decisions]}")
@@ -157,7 +155,6 @@ def run_demo(seed: int, out_dir, quiet: bool = False) -> DemoOutcome:
     toward_flip = np.sign(decisions[-1] - base.decision_value) or 1.0
     steps = np.diff([base.decision_value] + decisions)
     outcome = DemoOutcome(
-        out_dir=out,
         sigma=sigma,
         lambdas=lambdas,
         baseline_decision=base.decision_value,

@@ -70,11 +70,6 @@ class SweepRecord:
 
 
 @dataclass
-class SweepReport:
-    records: list[SweepRecord]  # baseline first, then one per lambda in sweep order
-
-
-@dataclass
 class AdversarialResult:
     delta: np.ndarray
     perturbed: ImageTensor
@@ -231,8 +226,8 @@ def sweep_decisions(
     model: ClassifierModel,
     points: Iterable[tuple[float, np.ndarray]],
     features: mmd.FeatureMatrix,
-) -> SweepReport:
-    """Decision value and probability at the untraversed point and at every (lambda, r)."""
+) -> list[SweepRecord]:
+    """Decision value and probability at the untraversed point, then at every (lambda, r)."""
     if model.w.size != features.D:
         raise InvalidInputError(
             f"model dimension {model.w.size} does not match features ({features.D})"
@@ -243,7 +238,7 @@ def sweep_decisions(
     for lam, r in points:
         decision, prob = predict(model, materialize(features, r))
         records.append(SweepRecord(lam, decision, prob))
-    return SweepReport(records)
+    return records
 
 
 def adversarial_perturb(

@@ -414,8 +414,9 @@ def _layer_line(layer: Layer) -> str:
 
 
 def _is_ascii_int(text: str) -> bool:
-    # str.isdigit alone also accepts digits such as "²" that int() rejects.
-    return text.isascii() and text.isdigit()
+    # str.isdigit alone also accepts digits such as "²" that int() rejects, and
+    # int() refuses runs of more than 4,300 digits, so a run is bounded at 9.
+    return text.isascii() and text.isdigit() and len(text) <= 9
 
 
 def _parse_layer_line(line: str) -> Layer:

@@ -7,17 +7,17 @@ All binary layouts are little-endian. The feature container is
     f32 row-major V data (K x D)
     [optional Gram section: magic "DMTG" | f64 row-major K x K data]
 
-with K = m + n + 1 enforced on load, and a Gram section accepted only if
-its diagonal matches the squared norms of the stored rows. Single vectors
-(coefficients r, traversed features z) reuse the same container as a
-1 x L matrix with m = n = 0.
+with D >= 1 and K = m + n + 1 enforced on load, and a Gram section
+accepted only if its diagonal matches the squared norms of the stored
+rows. Single vectors (coefficients r, traversed features z) reuse the
+same container as a 1 x L matrix with m = n = 0.
 
 Images use binary PPM/PGM with maxval 255: P5 for grayscale, P6 for
-three channels. The header is the magic, width, height and maxval,
-separated by ASCII whitespace or '#'-to-newline comments (optional right
-after the magic), and exactly one whitespace byte ends it. A pixel value
-v in [0, 1] is stored as round(v * 255) (ties to even), so save/load
-round-trips the quantized values exactly.
+three channels. The header is the magic, width, height and maxval (each
+at most 9 digits), separated by ASCII whitespace or '#'-to-newline
+comments (optional right after the magic), and exactly one whitespace
+byte ends it. A pixel value v in [0, 1] is stored as round(v * 255)
+(ties to even), so save/load round-trips the quantized values exactly.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ _G_MAGIC = b"DMTG"
 _V_VERSION = 1
 _PPM_SEP = rb"(?:\s|#[^\n]*\n)"  # \s of a bytes pattern is the six ASCII whitespace bytes
 _PPM_HEADER = re.compile(
-    rb"P([56])%s*([0-9]+)%s+([0-9]+)%s+([0-9]+)\s" % (_PPM_SEP, _PPM_SEP, _PPM_SEP)
+    rb"P([56])%s*([0-9]{1,9})%s+([0-9]{1,9})%s+([0-9]{1,9})\s" % (_PPM_SEP, _PPM_SEP, _PPM_SEP)
 )
 
 
@@ -100,8 +100,9 @@ def write_feature_file(path, V, m: int, n: int, G=None) -> None:
     """Write V (K x D) and, if given, its Gram G in the DMTV layout above.
 
     A float32 V is stored as it is; any other V is rounded to the nearest
-    f32. A V that holds a value that is not finite in f32, or a G that is
-    not finite, raises InvalidInputError, since the reader rejects both.
+    f32. A V with no columns, a V that holds a value that is not finite in
+    f32, or a G that is not finite, raises InvalidInputError, since the
+    reader rejects each.
     """
     V = np.asarray(V)
     if V.dtype != np.float32:
@@ -109,6 +110,8 @@ def write_feature_file(path, V, m: int, n: int, G=None) -> None:
     if V.ndim != 2:
         raise InvalidInputError("V must be 2-D")
     K, D = V.shape
+    if D == 0:
+        raise InvalidInputError("V must have at least one column")
     if m < 0 or n < 0:
         raise InvalidInputError("m and n must be nonnegative")
     # m = n = 0 marks a bare vector container; otherwise the row count must add up.
@@ -157,6 +160,8 @@ def read_feature_file(path) -> FeatureFile:
         raise FormatError(f"{path}: unsupported version {version}")
     if not (m == 0 and n == 0) and K != m + n + 1:
         raise FormatError(f"{path}: K={K} does not equal m+n+1={m + n + 1}")
+    if D == 0:  # no V bytes would bound K
+        raise FormatError(f"{path}: D=0, rows hold no features")
     vbytes = 4 * K * D
     if len(data) < 40 + vbytes:
         raise FormatError(f"{path}: truncated V data")
@@ -260,21 +265,18 @@ def parse_traversal_records(text: str) -> list[tuple[float, float, float, float,
     return rows
 
 
-def format_sweep_report(report) -> str:
+def format_sweep_report(records) -> str:
     """One line per record: lambda (or 'baseline') decision probability."""
     lines = ["# lambda decision probability"]
-    for rec in report.records:
+    for rec in records:
         lam = "baseline" if rec.lam is None else repr(rec.lam)
         lines.append(f"{lam} {rec.decision_value!r} {rec.probability!r}")
     return "\n".join(lines) + "\n"
 
 
-def format_adversarial_report(rows) -> str:
-    """One line per result: c_adv decision l2."""
-    lines = ["# c_adv decision l2"]
-    for c_adv, decision, l2 in rows:
-        lines.append(f"{c_adv!r} {decision!r} {l2!r}")
-    return "\n".join(lines) + "\n"
+def format_adversarial_report(c_adv: float, decision: float, l2: float) -> str:
+    """The header line, then one line: c_adv decision l2."""
+    return f"# c_adv decision l2\n{c_adv!r} {decision!r} {l2!r}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -158,10 +158,7 @@ def witness_direct(z, V, m: int, n: int, kcfg: KernelConfig) -> WitnessValue:
         raise InvalidInputError(f"z has length {z.size}, expected {V.shape[1]}")
     sigma = kcfg.sigma if kcfg.sigma is not None else median_heuristic_sigma(gram(V))
     diff = V - z[None, :]
-    k = np.exp(-np.einsum("ij,ij->i", diff, diff) / sigma)
-    target_term = float(np.mean(k[:n]))
-    source_term = float(np.mean(k[n : n + m]))
-    return WitnessValue(source_term - target_term, source_term, target_term)
+    return _witness_of_row(np.exp(-np.einsum("ij,ij->i", diff, diff) / sigma), m, n)
 
 
 def _kernel_row(sq_norms, cross, z_sq: float, sigma: float) -> np.ndarray:

@@ -71,13 +71,8 @@ class LambdaRecord:
     trace: MinimizeTrace
 
 
-@dataclass
-class TraversalResult:
-    records: list[LambdaRecord]
-
-
-def traverse(features: FeatureMatrix, cfg: TraversalConfig) -> TraversalResult:
-    """Run the descending-lambda sweep; requires the Gram matrix to be present.
+def traverse(features: FeatureMatrix, cfg: TraversalConfig) -> list[LambdaRecord]:
+    """Run the descending-lambda sweep, one LambdaRecord per lambda; needs the Gram matrix.
 
     Each lambda is solved over the displacement a on the embedded rows
     (see the module docstring), from a = 0 and then from the previous
@@ -120,7 +115,7 @@ def traverse(features: FeatureMatrix, cfg: TraversalConfig) -> TraversalResult:
                 trace.final_grad_norm,
             )
         records.append(LambdaRecord(lam, r, wit, bud, objective, trace))
-    return TraversalResult(records)
+    return records
 
 
 def _embedding(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

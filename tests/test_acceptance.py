@@ -154,7 +154,7 @@ def test_criterion_3_brute_force_optimality():
             lambdas = (0.3, 0.1, 0.03, 0.01)
             res = traverse(fm, TraversalConfig(lambdas=lambdas, kernel=KernelConfig(sigma)))
             wits, buds = [], []
-            for lam, rec in zip(lambdas, res.records):
+            for lam, rec in zip(lambdas, res):
                 _, obj, wit, bud = oracles.grid_min_traversal(V, 1, 1, sigma, lam)
                 assert rec.objective == pytest.approx(obj, abs=1e-4)
                 wits.append(wit)
@@ -185,7 +185,7 @@ def test_criterion_4_dimension_independence():
 
         t_small, res_small = best_time(fm_small)
         t_big, res_big = best_time(fm_big)
-        for a, b in zip(res_small.records, res_big.records):
+        for a, b in zip(res_small, res_big):
             assert a.r.tobytes() == b.r.tobytes()  # identical Gram, identical solve
         assert t_big < 2.0 * t_small + 1e-3
 
@@ -233,7 +233,7 @@ def test_criterion_8_lambda_dominance(demo_runs):
         ff = formats.read_feature_file(dir_a / "features.dmtv")
         fm = ff.as_feature_matrix()
         res = traverse(fm, TraversalConfig(lambdas=(1e9,), kernel=KernelConfig(None)))
-        rec = res.records[0]
+        rec = res[0]
         assert np.max(np.abs(rec.r)) < 1e-6
 
         spec = reference_spec()

@@ -48,3 +48,8 @@ def test_extract_then_gram_output_passes_the_benchmark_check(tmp_path, bench_ext
     assert cli.main(["gram", str(out / "features.dmtv"), "--quiet"]) == 0
     problems, _ = checks.check_extract(out, rows, 3, len(rows), *bench_extractor)
     assert problems == []
+
+
+def test_demo_output_passes_the_benchmark_check(demo_runs, bench_extractor):
+    problems, _ = checks.check_demo(demo_runs[1], *bench_extractor)
+    assert problems == []

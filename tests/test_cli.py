@@ -14,12 +14,14 @@ from conftest import count_calls
 from dmtrav import demo as demo_module
 from dmtrav.cli import (
     RunConfig,
+    _model_from_file,
     cmd_extract,
-    cmd_reconstruct,
     cmd_traverse,
     main,
+    reconstruct_to,
+    sweep_to,
 )
-from dmtrav.errors import FormatError, InvalidInputError
+from dmtrav.errors import DmtravError, FormatError, InvalidInputError, NumericalError
 from dmtrav.features import ImageTensor, forward, init_weights, reference_spec
 from dmtrav.formats import (
     Manifest,
@@ -135,7 +137,7 @@ class TestCmdTraverse:
         ff = read_feature_file(feature_file)
         fm = FeatureMatrix(ff.V, ff.m, ff.n, ff.G)
         lib = traverse(fm, TraversalConfig(lambdas=lambdas, kernel=KernelConfig(None)))
-        for row, rec in zip(rows, lib.records):
+        for row, rec in zip(rows, lib):
             assert row[1] == rec.objective  # full-precision repr round-trip
             assert row[2] == rec.witness.value
             assert row[3] == rec.budget
@@ -152,7 +154,8 @@ class TestCmdTraverse:
         zt_path = tmp_path / "zt.dmtv"
         write_vector(zt_path, z)
         run = RunConfig(out_dir=str(tmp_path / "rec"), init=str(paths["input"]), lambda_tv=0.0)
-        res, out = cmd_reconstruct(zt_path, run)
+        out = tmp_path / "rec" / "zt_recon.ppm"
+        res = reconstruct_to(zt_path, run, out)
         recon = load_image(out)
         assert np.max(np.abs(recon.pixels - x0.pixels)) <= 1.0 / 255.0 + 1e-12
         # the result carries the written image and its features
@@ -182,7 +185,8 @@ class TestCmdTraverse:
         run = RunConfig(
             extractor="identity", out_dir=str(tmp_path), init=str(img_path), lambda_tv=0.0
         )
-        _, out = cmd_reconstruct(zt_path, run)
+        out = tmp_path / "zt_recon.ppm"
+        reconstruct_to(zt_path, run, out)
         recon = load_image(out)
         expected = np.clip(z.astype(np.float32).astype(float), 0.0, 1.0).reshape(8, 8, 1)
         assert np.max(np.abs(recon.pixels - expected)) <= 1.0 / 255.0 + 1e-12
@@ -211,6 +215,19 @@ class TestCmdTraverse:
 
 
 class TestMainExitCodes:
+    @pytest.mark.parametrize("base, code", [(DmtravError, 2), (NumericalError, 3)])
+    def test_exit_code_follows_the_error_hierarchy(self, monkeypatch, capsys, base, code):
+        # an error class main does not name still gets its base class's exit code
+        class NewError(base):
+            pass
+
+        def fail(*args, **kwargs):
+            raise NewError("a new kind of failure")
+
+        monkeypatch.setattr(dmtrav.formats, "append_gram", fail)
+        assert main(["gram", "f.dmtv", "--quiet"]) == code
+        assert "a new kind of failure" in capsys.readouterr().err
+
     @pytest.mark.parametrize("verb", ["eval", "demo"])
     def test_config_flag_rejected_where_unread(self, verb, tmp_path, capsys):
         # eval and demo take no run settings, so argparse refuses --config
@@ -358,6 +375,8 @@ class TestMainExitCodes:
             (b'{"sigma": "foo"}', "'sigma'"),
             (b'{"weight_seed": -1}', "'weight_seed'"),
             (b'{"max_iters": 5\xff}', "UTF-8"),
+            pytest.param(b'{"max_iters": ' + b"1" * 5000 + b"}", "invalid JSON",
+                         id="max_iters-5000-digits"),
         ],
     )
     def test_bad_config_value_is_exit_2(self, tmp_path, capsys, config, message):
@@ -452,7 +471,8 @@ class TestMainExitCodes:
         run_rec = RunConfig(
             extractor="identity", out_dir=out, init=str(paths["input"]), lambda_tv=0.0
         )
-        _, recon_path = cmd_reconstruct(tmp_path / "shallow" / "zt_0.dmtv", run_rec)
+        recon_path = tmp_path / "shallow" / "zt_0_recon.ppm"
+        reconstruct_to(tmp_path / "shallow" / "zt_0.dmtv", run_rec, recon_path)
         recon = load_image(recon_path)
         expected = np.clip(zt, 0.0, 1.0).reshape(32, 32, 1)
         assert np.max(np.abs(recon.pixels - expected)) <= 1.0 / 255.0 + 1e-12
@@ -484,9 +504,7 @@ class TestCmdEval:
         labels = tmp_path / "labels.txt"
         labels.write_text("+1\n+1\n+1\n-1\n-1\n-1\n")
 
-        from dmtrav.cli import cmd_eval
-
-        report_path = cmd_eval(feature_file, out, labels)
+        _, report_path = sweep_to(*_model_from_file(feature_file, labels), out, out)
         lines = [
             l for l in report_path.read_text().splitlines() if l and not l.startswith("#")
         ]
@@ -505,14 +523,11 @@ class TestCmdEval:
         labels = tmp_path / "labels.txt"
         labels.write_text("+1\n+1\n")
 
-        from dmtrav.cli import cmd_eval
-
         with pytest.raises(InvalidInputError):
-            cmd_eval(feature_file, out, labels)
+            sweep_to(*_model_from_file(feature_file, labels), out, out)
 
     def test_all_equal_features_error(self, tmp_path):
         from dmtrav.errors import DegenerateDataError
-        from dmtrav.cli import cmd_eval
 
         # identical images everywhere: no separation anywhere in the pipeline
         img = ImageTensor(np.full((32, 32, 1), 0.5))
@@ -532,7 +547,7 @@ class TestCmdEval:
         labels = tmp_path / "labels.txt"
         labels.write_text("\n".join(["+1"] * 6 + ["-1"] * 6) + "\n")
         with pytest.raises(DegenerateDataError):
-            cmd_eval(feature_file, out, labels)
+            sweep_to(*_model_from_file(feature_file, labels), out, out)
 
 
 @pytest.fixture
@@ -738,7 +753,7 @@ def _short_zt_file(tmp_path) -> Path:
          "identity extractor needs an image"),
         (lambda tmp: cmd_traverse(gram_file(tmp), RunConfig(out_dir=str(tmp))), InvalidInputError,
          "no lambdas given"),
-        (lambda tmp: cmd_reconstruct(_short_zt_file(tmp), RunConfig(out_dir=str(tmp))),
+        (lambda tmp: reconstruct_to(_short_zt_file(tmp), RunConfig(), tmp / "zt_recon.ppm"),
          InvalidInputError, "holds 5 values but the extractor produces 6144"),
     ],
     ids=["json-syntax", "json-array", "identity-without-image", "no-lambdas", "zt-length"],

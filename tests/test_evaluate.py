@@ -205,10 +205,10 @@ class TestSweepDecisions:
         fm = FeatureMatrix(V, 2, 2).with_gram()
         res = traverse(fm, TraversalConfig(lambdas=(0.5, 0.1)))
         model = ClassifierModel(np.ones(4) * 0.3, -0.1, -1.0, 0.0)
-        report = sweep_decisions(model, [(rec.lam, rec.r) for rec in res.records], fm)
-        baseline = report.records[0]
+        report = sweep_decisions(model, [(rec.lam, rec.r) for rec in res], fm)
+        baseline = report[0]
         assert baseline.lam is None
-        for rec in report.records[1:]:
+        for rec in report[1:]:
             assert rec.decision_value == pytest.approx(baseline.decision_value, abs=1e-9)
 
     def test_single_lambda_gives_two_records(self):
@@ -216,8 +216,8 @@ class TestSweepDecisions:
         fm = FeatureMatrix(V, m, n).with_gram()
         res = traverse(fm, TraversalConfig(lambdas=(0.2,)))
         model = ClassifierModel(np.zeros(6), 0.0, -1.0, 0.0)
-        report = sweep_decisions(model, [(rec.lam, rec.r) for rec in res.records], fm)
-        assert len(report.records) == 2
+        report = sweep_decisions(model, [(rec.lam, rec.r) for rec in res], fm)
+        assert len(report) == 2
 
     def test_dimension_checked(self):
         V, m, n = seeded_instance(71, K=5, D=6)
@@ -225,7 +225,7 @@ class TestSweepDecisions:
         res = traverse(fm, TraversalConfig(lambdas=(0.2,)))
         model = ClassifierModel(np.zeros(4), 0.0, -1.0, 0.0)
         with pytest.raises(InvalidInputError):
-            sweep_decisions(model, [(rec.lam, rec.r) for rec in res.records], fm)
+            sweep_decisions(model, [(rec.lam, rec.r) for rec in res], fm)
 
 
 def pixel_model(rng, size, scale=0.01):

@@ -446,6 +446,14 @@ def _chain_broken_weight_file(tmp_path):
     return load_weights(path)
 
 
+def _long_conv_weight_file(tmp_path):
+    # A DMTW file whose one structure line is "conv" and 5,000 digits.
+    line = b"conv " + b"1" * 5000
+    path = tmp_path / "long.dmtw"
+    path.write_bytes(b"DMTW" + struct.pack("<III", 1, 1, len(line)) + line)
+    return load_weights(path)
+
+
 def _forward_on_foreign_weights(spec, weights_spec):
     image = ImageTensor(np.zeros(spec.input_shape))
     return forward(spec, init_weights(weights_spec, 0), image)
@@ -481,10 +489,14 @@ _one_conv = ExtractorSpec((4, 4, 1), (Conv(2),))
          InvalidInputError, "weight set was built for a different extractor layout"),
         (lambda tmp: _forward_on_foreign_weights(ExtractorSpec((4, 4, 3), (Conv(2),)), _one_conv),
          InvalidInputError, "kernel 0 expects 1 input channels, got 3"),
+        (lambda tmp: parse_spec_text("input " + "1" * 5000 + " 1 1\ntap"), FormatError,
+         "bad input line"),
+        (_long_conv_weight_file, FormatError, "bad layer line"),
     ],
     ids=[
         "image-2d", "spec-shape", "conv-out", "weights-count", "weights-kernel",
         "weights-bias", "weights-finite", "weights-chain", "dmtw-chain", "layout", "input-channels",
+        "spec-long-digits", "dmtw-long-digits",
     ],
 )
 def test_checks_raise_package_errors(tmp_path, call, error, message):

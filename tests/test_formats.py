@@ -1,4 +1,5 @@
 import re
+import struct
 import warnings
 
 import numpy as np
@@ -196,17 +197,21 @@ class TestFeatureFile:
             read_feature_file(p)
 
     @pytest.mark.parametrize(
-        "value", [np.nan, np.inf, -np.inf, 1e39], ids=["nan", "inf", "minus-inf", "f32-overflow"]
+        "value", [np.nan, np.inf, -np.inf, 1e39, None],
+        ids=["nan", "inf", "minus-inf", "f32-overflow", "no-columns"],
     )
     def test_writer_refuses_what_the_reader_rejects(self, tmp_path, value):
         V = np.ones((3, 2))
-        V[1, 1] = value
+        if value is None:  # the reader rejects D = 0
+            V, message = np.ones((3, 0)), "at least one column"
+        else:
+            V[1, 1], message = value, "not finite"
         p = tmp_path / "f.dmtv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(InvalidInputError, match="not finite"):
+            with pytest.raises(InvalidInputError, match=message):
                 write_feature_file(p, V, 1, 1)
-            if np.isfinite(value):
+            if value is not None and np.isfinite(value):
                 G = np.ones((3, 3))
                 G[0, 2] = np.inf
                 with pytest.raises(InvalidInputError, match="not finite"):
@@ -267,13 +272,9 @@ class TestRecords:
             assert iters == rec.trace.iterations
 
     def test_sweep_report_formatting(self):
-        from dmtrav.evaluate import SweepRecord, SweepReport
+        from dmtrav.evaluate import SweepRecord
 
-        text = format_sweep_report(
-            SweepReport(
-                [SweepRecord(None, -1.5, 0.25), SweepRecord(0.125, 2.5, 0.75)]
-            )
-        )
+        text = format_sweep_report([SweepRecord(None, -1.5, 0.25), SweepRecord(0.125, 2.5, 0.75)])
         lines = [l for l in text.splitlines() if not l.startswith("#")]
         assert lines[0].startswith("baseline ")
         assert lines[1].split() == ["0.125", "2.5", "0.75"]
@@ -452,11 +453,22 @@ def _load_bytes(tmp_path, data: bytes):
     return load_image(path)
 
 
+def _read_header_only(tmp_path, K: int, D: int, m: int, n: int):
+    """Read a 40-byte DMTV file: the header alone, with no V or Gram bytes."""
+    path = tmp_path / "header.dmtv"
+    path.write_bytes(b"DMTV" + struct.pack("<IQQQQ", 1, K, D, m, n))
+    return read_feature_file(path)
+
+
 @pytest.mark.parametrize(
     "call, error, message",
     [
         (lambda tmp: _load_bytes(tmp, b"P5\n0 2\n255\n"), FormatError, "bad dimensions 0x2"),
         (lambda tmp: _load_bytes(tmp, b"P5\n2 x 255\n\x00"), FormatError, "malformed or truncated"),
+        (lambda tmp: _load_bytes(tmp, b"P5\n" + b"1" * 5000 + b" 1 255\n"), FormatError,
+         "malformed or truncated"),
+        (lambda tmp: _read_header_only(tmp, 2**63 + 1, 0, 2**62, 2**62), FormatError, "D=0"),
+        (lambda tmp: _read_header_only(tmp, 2**40 + 1, 0, 2**39, 2**39), FormatError, "D=0"),
         (lambda tmp: write_feature_file(tmp / "f.dmtv", np.zeros(3), 0, 0), InvalidInputError,
          "V must be 2-D"),
         (lambda tmp: write_feature_file(tmp / "f.dmtv", np.zeros((3, 2)), -1, 3), InvalidInputError,
@@ -466,7 +478,10 @@ def _load_bytes(tmp_path, data: bytes):
         (lambda tmp: Manifest(["s.ppm"], ["t.ppm"], ""), InvalidInputError,
          "manifest needs an [input] path"),
     ],
-    ids=["ppm-zero-width", "ppm-header", "v-1d", "negative-m", "gram-shape", "empty-input"],
+    ids=[
+        "ppm-zero-width", "ppm-header", "ppm-long-digits", "dmtv-d0-k-2^63", "dmtv-d0-k-2^40",
+        "v-1d", "negative-m", "gram-shape", "empty-input",
+    ],
 )
 def test_checks_raise_package_errors(tmp_path, call, error, message):
     with pytest.raises(error, match=re.escape(message)):

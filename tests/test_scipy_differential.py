@@ -51,7 +51,7 @@ def test_traversal_objective_matches_scipy(seed, scale):
     G = fm.G
     kcfg = KernelConfig(mmd.median_heuristic_sigma(G))
     lam = scale / kcfg.sigma
-    rec = traverse(fm, TraversalConfig(lambdas=(lam,), kernel=kcfg)).records[0]
+    rec = traverse(fm, TraversalConfig(lambdas=(lam,), kernel=kcfg))[0]
     assert rec.trace.termination_reason == "grad_tol"
 
     def fun_and_grad(r):
@@ -75,7 +75,7 @@ def test_ill_conditioned_traversal_no_worse_than_scipy(scale):
     assert np.linalg.cond(G) >= 1e4
     kcfg = KernelConfig(mmd.median_heuristic_sigma(G))
     lam = scale / kcfg.sigma
-    rec = traverse(fm, TraversalConfig(lambdas=(lam,), kernel=kcfg)).records[0]
+    rec = traverse(fm, TraversalConfig(lambdas=(lam,), kernel=kcfg))[0]
     assert rec.trace.termination_reason == "grad_tol"
 
     def fun_and_grad(r):

@@ -47,7 +47,7 @@ class TestTraverse:
         V, m, n = seeded_instance(31, K=7, D=9)
         fm = FeatureMatrix(V, m, n).with_gram()
         res = traverse(fm, TraversalConfig(lambdas=(1e9,)))
-        rec = res.records[0]
+        rec = res[0]
         assert np.max(np.abs(rec.r)) < 1e-6
         z = materialize(fm, rec.r)
         assert np.linalg.norm(z - V[-1]) < 1e-4
@@ -56,23 +56,23 @@ class TestTraverse:
         res = traverse(
             hand_features(), TraversalConfig(lambdas=(0.01,), kernel=KernelConfig(1.0))
         )
-        assert res.records[0].objective == pytest.approx(HAND_GRID_OBJECTIVE, abs=1e-4)
+        assert res[0].objective == pytest.approx(HAND_GRID_OBJECTIVE, abs=1e-4)
 
     def test_identical_blocks_keep_r_zero(self):
         block = np.array([[1.0, 0.5], [0.2, 2.0]])
         V = np.vstack([block, block, [[0.3, 0.3]]])
         fm = FeatureMatrix(V, 2, 2).with_gram()
         res = traverse(fm, TraversalConfig(lambdas=(0.5,), kernel=KernelConfig(1.0)))
-        assert np.array_equal(res.records[0].r, np.zeros(5))
+        assert np.array_equal(res[0].r, np.zeros(5))
 
     def test_objective_identity_and_feasibility(self):
         V, m, n = seeded_instance(12, K=9, D=20)
         fm = FeatureMatrix(V, m, n).with_gram()
         cfg = TraversalConfig(lambdas=(0.3, 0.1, 0.03))
         res = traverse(fm, cfg)
-        assert [rec.lam for rec in res.records] == [0.3, 0.1, 0.03]
+        assert [rec.lam for rec in res] == [0.3, 0.1, 0.03]
         base = witness_direct(V[-1], V, m, n, KernelConfig(res_sigma(fm))).value
-        for rec in res.records:
+        for rec in res:
             assert rec.objective == pytest.approx(
                 rec.witness.value + rec.lam * rec.budget, abs=1e-12
             )
@@ -85,7 +85,7 @@ class TestTraverse:
         cfg = TraversalConfig(lambdas=(0.2, 0.05))
         a = traverse(fm, cfg)
         b = traverse(fm, cfg)
-        for ra, rb in zip(a.records, b.records):
+        for ra, rb in zip(a, b):
             assert ra.r.tobytes() == rb.r.tobytes()
             assert ra.objective == rb.objective
             assert ra.trace.objective_values == rb.trace.objective_values
@@ -112,7 +112,7 @@ class TestTraverse:
         sigma = res_sigma(fm)
         res = traverse(fm, TraversalConfig(lambdas=(1e-2 / sigma, 1e-3 / sigma)))
         rows, _ = np.linalg.qr(V)  # orthonormal basis of range(G)
-        for rec in res.records:
+        for rec in res:
             assert rec.trace.termination_reason == "grad_tol"
             null_part = rec.r - rows @ (rows.T @ rec.r)
             assert np.linalg.norm(null_part) <= 1e-10 * np.linalg.norm(rec.r)
@@ -121,7 +121,7 @@ class TestTraverse:
     def test_zero_gram_keeps_r_zero(self):
         fm = FeatureMatrix(np.zeros((5, 3)), 2, 2).with_gram()
         res = traverse(fm, TraversalConfig(lambdas=(0.1, 0.01), kernel=KernelConfig(1.0)))
-        for rec in res.records:
+        for rec in res:
             assert np.array_equal(rec.r, np.zeros(5))
             assert rec.objective == 0.0
             assert rec.trace.termination_reason == "grad_tol"
@@ -139,7 +139,7 @@ class TestTraverse:
                 fm, TraversalConfig(lambdas=(0.1, 0.01), solver=MinimizeConfig(max_iters=1))
             )
         assert [r.name for r in caplog.records] == ["dmtrav.traversal"] * 2
-        for log, rec in zip(caplog.records, res.records):
+        for log, rec in zip(caplog.records, res):
             assert rec.trace.termination_reason == "max_iters"
             message = log.getMessage()
             assert repr(rec.lam) in message and "max_iters" in message
@@ -153,7 +153,7 @@ def test_demo_sweep_ends_on_grad_tol(demo_runs, caplog):
     with caplog.at_level(logging.WARNING, logger="dmtrav.traversal"):
         res = traverse(fm, cfg)
     assert caplog.records == []
-    for i, rec in enumerate(res.records):
+    for i, rec in enumerate(res):
         assert rec.trace.termination_reason == "grad_tol"
         # the same sweep as the demo's: its stored coefficients, rounded to f32
         assert np.array_equal(
@@ -214,7 +214,7 @@ class TestRegularizationPath:
         res = traverse(fm, TraversalConfig(lambdas=lambdas, kernel=KernelConfig(sigma)))
 
         grid_wit, grid_bud = [], []
-        for lam, rec in zip(lambdas, res.records):
+        for lam, rec in zip(lambdas, res):
             _, obj, wit, bud = oracles.grid_min_traversal(V, 1, 1, sigma, lam)
             assert rec.objective == pytest.approx(obj, abs=1e-4)
             grid_wit.append(wit)
@@ -230,7 +230,7 @@ class TestWarmStart:
         V, m, n = seeded_instance(44, K=7, D=12)
         fm = FeatureMatrix(V, m, n).with_gram()
         res = traverse(fm, TraversalConfig(lambdas=(1.0, 0.1, 0.01)))
-        budgets = [rec.budget for rec in res.records]
+        budgets = [rec.budget for rec in res]
         assert budgets[0] <= min(budgets) + 1e-12
 
 
