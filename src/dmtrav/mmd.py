@@ -9,7 +9,8 @@ negative when z sits closer to the target distribution. All rows live in
 one K x D matrix V ordered [targets, sources, test]; once the K x K Gram
 matrix G = V V^T is available, the witness of V^T (e_K + r) and the budget
 r' G r are quadratic forms in G. The traversal objective runs on rows X
-with X X^T = G (kernel PCA's exact embedding): z = x_K + a, budget |a|^2.
+with X X^T = G (the Cholesky factor of G, or kernel PCA's exact embedding
+when G is singular): z = x_K + a, budget |a|^2.
 Either way the cost depends on K only, never on the feature dimension D.
 """
 

@@ -170,6 +170,15 @@ def budget_grad(r, G) -> np.ndarray:
     return 2.0 * (G @ np.asarray(r, dtype=float).ravel())
 
 
+def eigh_embedding(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """X = U_keep S_keep^(1/2) and P = U_keep S_keep^(-1/2) of G = U S U', s > K*eps*max(s)."""
+    s, U = np.linalg.eigh(G)
+    # max(s) <= 0 (G = 0, or no positive curvature at all) keeps nothing.
+    keep = s > G.shape[0] * np.finfo(float).eps * max(s[-1], 0.0)
+    U, root = U[:, keep], np.sqrt(s[keep])
+    return U * root, U / root
+
+
 def _embedded_kernel_row(a, X, sigma: float) -> tuple[np.ndarray, np.ndarray]:
     X = np.asarray(X, dtype=float)
     z = X[-1] + np.asarray(a, dtype=float).ravel()

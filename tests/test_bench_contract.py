@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from dmtrav import cli
+from dmtrav import cli, formats
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
@@ -27,17 +27,34 @@ def bench_extractor():
     return spec, run.resolve_weights(spec)
 
 
-def test_traverse_output_passes_the_benchmark_check(tmp_path, bench_extractor):
-    path, lambdas = inputs.write_traverse_file(
-        3, tmp_path / "input", 8, (1e-2, 1e-3, 1e-4), *bench_extractor
-    )
-    out = tmp_path / "out"
+def traverse_and_check(path, lambdas, out):
     lam_args = [a for lam in lambdas for a in ("--lambda", repr(lam))]
     argv = ["traverse", str(path), *lam_args, "--sigma", "median", "--out", str(out), "--quiet"]
     assert cli.main(argv) == 0
     problems, quality = checks.check_traverse(out, path, lambdas)
     assert problems == []
     assert quality["traverse_objective"] > 0
+
+
+def test_traverse_output_passes_the_benchmark_check(tmp_path, bench_extractor):
+    path, lambdas = inputs.write_traverse_file(
+        3, tmp_path / "input", 8, (1e-2, 1e-3, 1e-4), *bench_extractor
+    )
+    traverse_and_check(path, lambdas, tmp_path / "out")
+
+
+def test_traverse_output_with_a_duplicate_row_passes_the_benchmark_check(
+    tmp_path, bench_extractor
+):
+    # a singular Gram: the sweep runs on its eigenvector embedding
+    path, lambdas = inputs.write_traverse_file(
+        3, tmp_path / "input", 8, (1e-2, 1e-3, 1e-4), *bench_extractor
+    )
+    ff = formats.read_feature_file(path)
+    ff.V[5] = ff.V[2]
+    formats.write_feature_file(path, ff.V, ff.m, ff.n)
+    formats.append_gram(path)
+    traverse_and_check(path, lambdas, tmp_path / "out")
 
 
 def test_extract_then_gram_output_passes_the_benchmark_check(tmp_path, bench_extractor):

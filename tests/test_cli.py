@@ -341,6 +341,21 @@ class TestMainExitCodes:
         assert code == 2
         assert "Gram diagonal" in capsys.readouterr().err
 
+    def test_gram_with_a_negative_eigenvalue_is_exit_2(self, tmp_path, capsys):
+        from dmtrav.formats import write_feature_file
+        from dmtrav.mmd import gram
+
+        # the diagonal matches the rows, but |G01| = 3 sqrt(G00 G11) is no inner product
+        V = np.random.default_rng(49).standard_normal((9, 4)).astype(np.float32)
+        G = gram(V)
+        G[0, 1] = G[1, 0] = 3.0 * np.sqrt(G[0, 0] * G[1, 1])
+        p = tmp_path / "f.dmtv"
+        write_feature_file(p, V, 4, 4, G)
+        code = main(["traverse", str(p), "--lambda", "1e-3", "--out", str(tmp_path), "--quiet"])
+        assert code == 2
+        assert "not positive semidefinite" in capsys.readouterr().err
+        assert not (tmp_path / "traversal_records.txt").exists()
+
     def test_config_file_round_trip(self, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text('{"lambdas": [0.1, 0.01], "sigma": "median", "max_iters": 50}')

@@ -185,15 +185,15 @@ class TestWitnessGrad:
         assert np.allclose(g, 0.0, atol=1e-15)
 
     def test_matches_finite_differences_seeded(self):
-        # against the Gram-form witness at r = P a
+        # against the Gram-form witness at the r the embedding maps a to
         V, m, n = seeded_instance(5, K=5, D=11)
         G = gram(V)
         kcfg = KernelConfig(median_heuristic_sigma(G))
-        X, P = _embedding(G)
+        X, to_r = _embedding(G)
         a = 0.3 * np.random.default_rng(66).standard_normal(X.shape[1])
         g = witness_grad(a, X, m, n, kcfg.sigma)
         fd = finite_difference_gradient(
-            lambda av: witness_factored(P @ av, G, m, n, kcfg).value, a, 1e-6
+            lambda av: witness_factored(to_r(av), G, m, n, kcfg).value, a, 1e-6
         )
         assert np.max(np.abs(g - fd) / np.maximum(np.abs(fd), 1e-10)) < 1e-5
 

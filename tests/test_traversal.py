@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from conftest import seeded_instance
+from dmtrav import traversal
 from dmtrav.errors import InvalidInputError, NumericalError
 from dmtrav.formats import read_feature_file, read_vector
 from dmtrav.mmd import (
@@ -108,15 +109,21 @@ class TestTraverse:
 
     def test_rank_deficient_gram_gives_minimum_norm_r(self):
         V, m, n = seeded_instance(21, K=9, D=3)  # rank(G) = 3 < K
-        fm = FeatureMatrix(V, m, n).with_gram()
-        sigma = res_sigma(fm)
-        res = traverse(fm, TraversalConfig(lambdas=(1e-2 / sigma, 1e-3 / sigma)))
-        rows, _ = np.linalg.qr(V)  # orthonormal basis of range(G)
-        for rec in res:
-            assert rec.trace.termination_reason == "grad_tol"
-            null_part = rec.r - rows @ (rows.T @ rec.r)
-            assert np.linalg.norm(null_part) <= 1e-10 * np.linalg.norm(rec.r)
-            assert np.linalg.norm(rec.r) > 0
+        W, _, _ = seeded_instance(21, K=9, D=20)
+        duplicate, near_duplicate = W.copy(), W.copy()
+        duplicate[7] = W[3]  # rank(G) = 8 < K
+        near_duplicate[7] = W[3] + 1e-7 * np.random.default_rng(21).standard_normal(20)
+        for rows_in in (V, duplicate, near_duplicate):
+            fm = FeatureMatrix(rows_in, m, n).with_gram()
+            sigma = res_sigma(fm)
+            res = traverse(fm, TraversalConfig(lambdas=(1e-2 / sigma, 1e-3 / sigma)))
+            U, _, _ = np.linalg.svd(rows_in, full_matrices=False)
+            rows = U[:, : np.linalg.matrix_rank(rows_in)]  # orthonormal basis of range(G)
+            for rec in res:
+                assert rec.trace.termination_reason == "grad_tol"
+                null_part = rec.r - rows @ (rows.T @ rec.r)
+                assert np.linalg.norm(null_part) <= 1e-10 * np.linalg.norm(rec.r)
+                assert np.linalg.norm(rec.r) > 0
 
     def test_zero_gram_keeps_r_zero(self):
         fm = FeatureMatrix(np.zeros((5, 3)), 2, 2).with_gram()
@@ -144,6 +151,57 @@ class TestTraverse:
             message = log.getMessage()
             assert repr(rec.lam) in message and "max_iters" in message
             assert repr(rec.trace.final_grad_norm) in message
+
+
+def test_full_rank_sweep_factors_once_and_solves_once(monkeypatch):
+    calls = {"eigh": 0, "solve": 0}
+    for name in calls:
+
+        def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    V, m, n = seeded_instance(23, K=9, D=20)
+    fm = FeatureMatrix(V, m, n).with_gram()
+    cfg = TraversalConfig(lambdas=(0.1, 0.01, 1e-3))
+    for sweep in (1, 2):
+        traverse(fm, cfg)
+        assert calls == {"eigh": 0, "solve": sweep}
+
+
+@pytest.mark.parametrize("seed", [52, 53])
+def test_cholesky_embedding_agrees_with_eigenvector_embedding(seed):
+    V, m, n = seeded_instance(seed, K=11, D=30)
+    G = FeatureMatrix(V, m, n).with_gram().G
+    sigma = median_heuristic_sigma(G)
+    X, to_r = _embedding(G)
+    assert np.array_equal(X, np.tril(X))  # full rank: the Cholesky factor
+    X_ref, P_ref = oracles.eigh_embedding(G)
+    r = np.random.default_rng(seed).standard_normal(11)
+    for emb, emb_to_r in ((X, to_r), (X_ref, lambda a: P_ref @ a)):
+        assert np.linalg.norm(emb_to_r(emb.T @ r) - r) <= 1e-10 * np.linalg.norm(r)
+    # the same feature-space point V^T(e_K + r), in either orthonormal basis
+    for lam in (0.0, 1.0 / sigma):
+        value, _ = embedded_objective(X, m, n, sigma, lam)(X.T @ r)
+        expected, _ = embedded_objective(X_ref, m, n, sigma, lam)(X_ref.T @ r)
+        assert value == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+def test_sweep_agrees_with_sweep_on_eigenvector_embedding(monkeypatch):
+    V, m, n = seeded_instance(54, K=11, D=30)
+    fm = FeatureMatrix(V, m, n).with_gram()
+    sigma = res_sigma(fm)
+    cfg = TraversalConfig(lambdas=tuple(s / sigma for s in (1e-2, 1e-3, 1e-4)))
+    res = traverse(fm, cfg)
+
+    def reference(G):
+        X, P = oracles.eigh_embedding(G)
+        return X, lambda A: P @ A
+
+    monkeypatch.setattr(traversal, "_embedding", reference)
+    for rec, ref in zip(res, traverse(fm, cfg)):
+        assert rec.objective == pytest.approx(ref.objective, rel=1e-8, abs=0)
 
 
 def test_demo_sweep_ends_on_grad_tol(demo_runs, caplog):
@@ -254,13 +312,15 @@ def test_embedded_objective_equals_separate_terms_bit_for_bit(seed, lam):
 @pytest.mark.parametrize("seed, K, D", [(50, 11, 30), (21, 9, 3)])
 def test_embedded_objective_agrees_with_gram_and_feature_forms(seed, K, D):
     # full rank, then rank(G) = 3 < K: X X' = G, and the callback at a is
-    # the objective at r = P a, its gradient the r-gradient mapped by P'
+    # the objective at r = P a, its gradient the r-gradient mapped by P',
+    # with P the matrix of the embedding's map from a to r
     V, m, n = seeded_instance(seed, K=K, D=D)
     fm = FeatureMatrix(V, m, n).with_gram()
     G = fm.G
     sigma = median_heuristic_sigma(G)
     kcfg = KernelConfig(sigma)
-    X, P = _embedding(G)
+    X, to_r = _embedding(G)
+    P = to_r(np.eye(X.shape[1]))
     assert X.shape[1] == min(K, D)
     assert np.max(np.abs(X @ X.T - G)) <= 1e-12 * np.max(np.abs(G))
     rng = np.random.default_rng(seed)
