@@ -26,7 +26,6 @@ from .errors import (
 )
 from .features import (
     ExtractorSpec,
-    ImageTensor,
     WeightSet,
     forward,
     identity_spec,
@@ -125,33 +124,29 @@ class RunConfig:
         return MinimizeConfig(max_iters=self.max_iters)
 
 
-def _load_images(paths) -> list[ImageTensor]:
-    images = []
-    for p in paths:
-        try:
-            images.append(formats.load_image(p))
-        except FileNotFoundError as exc:
-            raise InvalidInputError(f"cannot read image {p}") from exc
-    first = images[0]
-    for p, img in zip(paths, images):
-        if img.pixels.shape != first.pixels.shape:
-            raise InvalidInputError(
-                f"image {p} has shape {img.pixels.shape}, expected {first.pixels.shape}"
-            )
-    return images
-
-
 def cmd_extract(manifest: formats.Manifest, run: RunConfig) -> Path:
-    """Extract features for [targets, sources, input] and write the DMTV file."""
-    paths = list(manifest.target_paths) + list(manifest.source_paths) + [manifest.input_path]
-    images = _load_images(paths)
-    shape = (images[0].height, images[0].width, images[0].channels)
+    """Extract features for [targets, sources, input] and write the DMTV file.
+
+    Every image is read first, so an image that cannot be read raises
+    OSError, naming its path, before any extraction. Then one pass per
+    row compares its shape with the first row's, extracts it and checks
+    that its features are finite in f32. The reads run back to back:
+    between forward passes a read finds its caches cold, which makes
+    extraction slower and its time less steady.
+    """
+    paths = [*manifest.target_paths, *manifest.source_paths, manifest.input_path]
+    images = [formats.load_image(p) for p in paths]
+    shape = images[0].pixels.shape
     spec = run.resolve_spec(shape)
     weights = run.resolve_weights(spec)
     # Each row is rounded to f32 once, as the file stores it.
-    rows = np.empty((len(images), spec.feature_dim()), dtype=np.float32)
+    rows = np.empty((len(paths), spec.feature_dim()), dtype=np.float32)
     with np.errstate(over="ignore"):  # a row that overflows f32 is reported below
         for path, img, row in zip(paths, images, rows):
+            if img.pixels.shape != shape:
+                raise InvalidInputError(
+                    f"image {path} has shape {img.pixels.shape}, expected {shape}"
+                )
             row[:] = forward(spec, weights, img).features
             if not np.isfinite(row).all():
                 raise NumericalError(f"features of image {path} are not finite in float32")
@@ -200,6 +195,7 @@ def reconstruct_to(zt_file, run: RunConfig, out_path) -> reconstruct.Reconstruct
     z = formats.read_vector(zt_file)
     init = None if run.init == "mid_gray" else formats.load_image(run.init)
     spec = run.resolve_spec(None if init is None else init.pixels.shape)
+    formats.check_savable(spec.input_shape[2])
     if z.size != spec.feature_dim():
         raise InvalidInputError(
             f"{zt_file} holds {z.size} values but the extractor produces {spec.feature_dim()}"
@@ -335,7 +331,7 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
         run = replace(run, out_dir=args.out)
     if getattr(args, "lambdas", None):
         run = replace(run, lambdas=tuple(args.lambdas))
-    if getattr(args, "sigma", None):
+    if getattr(args, "sigma", None) is not None:
         try:
             sigma = None if args.sigma == "median" else float(args.sigma)
         except ValueError as exc:
@@ -343,7 +339,7 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
                 f"--sigma must be a number or 'median', got {args.sigma!r}"
             ) from exc
         run = replace(run, sigma=sigma)
-    if getattr(args, "init", None):
+    if getattr(args, "init", None) is not None:
         run = replace(run, init=args.init)
     return run
 

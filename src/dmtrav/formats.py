@@ -5,7 +5,7 @@ All binary layouts are little-endian. The feature container is
 
     magic "DMTV" | u32 version=1 | u64 K | u64 D | u64 m | u64 n
     f32 row-major V data (K x D)
-    [optional Gram section: magic "DMTG" | f64 row-major K x K data]
+    [optional Gram section, written by append_gram: magic "DMTG" | f64 row-major K x K data]
 
 with D >= 1 and K = m + n + 1 enforced on load, and a Gram section
 accepted only if its diagonal matches the squared norms of the stored
@@ -46,18 +46,17 @@ _PPM_HEADER = re.compile(
 # PPM / PGM codec
 # ---------------------------------------------------------------------------
 
+def check_savable(channels: int) -> None:
+    """Raise InvalidInputError unless save_image can write an image of this many channels."""
+    if channels not in (1, 3):
+        raise InvalidInputError(f"only 1- or 3-channel images can be saved, got {channels}")
+
+
 def save_image(image: ImageTensor, path) -> None:
     """Write P5 (1 channel) or P6 (3 channels) with maxval 255."""
-    arr = image.pixels
-    if image.channels == 1:
-        magic = b"P5"
-        data = arr[:, :, 0]
-    elif image.channels == 3:
-        magic = b"P6"
-        data = arr
-    else:
-        raise InvalidInputError(f"only 1- or 3-channel images can be saved, got {image.channels}")
-    quantized = np.rint(data * 255.0).astype(np.uint8)
+    check_savable(image.channels)
+    magic = b"P5" if image.channels == 1 else b"P6"
+    quantized = np.rint(image.pixels * 255.0).astype(np.uint8)
     with open(path, "wb") as fh:
         fh.write(magic + b"\n%d %d\n255\n" % (image.width, image.height))
         fh.write(quantized.tobytes())
@@ -91,18 +90,13 @@ def load_image(path) -> ImageTensor:
 # Feature-matrix container
 # ---------------------------------------------------------------------------
 
-def _all_finite(arr: np.ndarray) -> bool:
-    # min and max propagate NaN; unlike isfinite they need no array-sized temporary.
-    return bool(np.isfinite(arr.min(initial=0.0)) and np.isfinite(arr.max(initial=0.0)))
+def write_feature_file(path, V, m: int, n: int) -> None:
+    """Write V (K x D) in the DMTV layout above, with no Gram section.
 
-
-def write_feature_file(path, V, m: int, n: int, G=None) -> None:
-    """Write V (K x D) and, if given, its Gram G in the DMTV layout above.
-
-    A float32 V is stored as it is; any other V is rounded to the nearest
-    f32. A V with no columns, a V that holds a value that is not finite in
-    f32, or a G that is not finite, raises InvalidInputError, since the
-    reader rejects each.
+    append_gram is the one writer of the Gram section. A float32 V is
+    stored as it is; any other V is rounded to the nearest f32. A V with
+    no columns, or a V that holds a value that is not finite in f32,
+    raises InvalidInputError, since the reader rejects each.
     """
     V = np.asarray(V)
     if V.dtype != np.float32:
@@ -119,21 +113,13 @@ def write_feature_file(path, V, m: int, n: int, G=None) -> None:
         raise InvalidInputError(f"K={K} does not equal m+n+1={m + n + 1}")
     with np.errstate(over="ignore"):  # a value that overflows f32 is rejected below
         V = np.ascontiguousarray(V, dtype="<f4")
-    if not _all_finite(V):
+    # min and max propagate NaN; unlike isfinite they need no array-sized temporary.
+    if not (np.isfinite(V.min(initial=0.0)) and np.isfinite(V.max(initial=0.0))):
         raise InvalidInputError("V holds a value that is not finite in float32")
-    if G is not None:
-        G = np.asarray(G, dtype=float)
-        if G.shape != (K, K):
-            raise InvalidInputError(f"Gram shape {G.shape} does not match K={K}")
-        if not _all_finite(G):
-            raise InvalidInputError("Gram holds a value that is not finite")
     with open(path, "wb") as fh:
         fh.write(_V_MAGIC)
         fh.write(struct.pack("<IQQQQ", _V_VERSION, K, D, m, n))
         fh.write(V)
-        if G is not None:
-            fh.write(_G_MAGIC)
-            fh.write(np.ascontiguousarray(G, dtype="<f8"))
 
 
 @dataclass

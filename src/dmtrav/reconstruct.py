@@ -53,46 +53,52 @@ class ReconstructionResult:
     trace: MinimizeTrace
 
 
-def _diffs(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rightward and downward forward differences, zero at the far edges."""
-    dh = np.zeros_like(arr)
-    dv = np.zeros_like(arr)
-    dh[:, :-1, :] = arr[:, 1:, :] - arr[:, :-1, :]
-    dv[:-1, :, :] = arr[1:, :, :] - arr[:-1, :, :]
-    return dh, dv
+def _tv_terms(pixels: np.ndarray, beta: float):
+    """TV_beta of the pixels and a zero-argument callback for its gradient.
 
-
-def tv(image: ImageTensor, beta: float = 2.0) -> float:
-    """Total-variation value of an image (per channel, boundary differences zero)."""
+    The forward differences (rightward and downward, zero at the far edges)
+    are built once and shared by the value and the gradient.
+    """
     if not beta > 0:
         raise InvalidInputError("beta must be positive")
-    dh, dv = _diffs(image.pixels)
+    dh = np.zeros_like(pixels)
+    dv = np.zeros_like(pixels)
+    dh[:, :-1, :] = pixels[:, 1:, :] - pixels[:, :-1, :]
+    dv[:-1, :, :] = pixels[1:, :, :] - pixels[:-1, :, :]
     s = dh * dh + dv * dv
-    if beta == 2.0:
-        return float(np.sum(s))
-    return float(np.sum(s ** (beta / 2.0)))
 
-
-def tv_grad(image: ImageTensor, beta: float = 2.0) -> np.ndarray:
-    """Exact gradient of tv() with respect to the pixels, same shape as the image."""
-    if not beta > 0:
-        raise InvalidInputError("beta must be positive")
-    dh, dv = _diffs(image.pixels)
-    s = dh * dh + dv * dv
-    if beta == 2.0:
-        e = np.ones_like(s)
-    else:
-        # d/ds s^(beta/2) = (beta/2) s^(beta/2 - 1); zero-difference pixels
-        # get weight 0, the subgradient choice for beta < 2.
+    def grad() -> np.ndarray:
+        # d/ds s^(beta/2) = (beta/2) s^(beta/2 - 1); pixels where s is 0 get
+        # weight 0, the subgradient choice for beta < 2 (for beta = 2 this
+        # differs from weight 1 only where s underflows to 0).
         e = np.zeros_like(s)
         pos = s > 0
         e[pos] = (beta / 2.0) * s[pos] ** (beta / 2.0 - 1.0)
-    wh = e * dh
-    wv = e * dv
-    g = -2.0 * (wh + wv)
-    g[:, 1:, :] += 2.0 * wh[:, :-1, :]
-    g[1:, :, :] += 2.0 * wv[:-1, :, :]
-    return g
+        wh = e * dh
+        wv = e * dv
+        g = -2.0 * (wh + wv)
+        g[:, 1:, :] += 2.0 * wh[:, :-1, :]
+        g[1:, :, :] += 2.0 * wv[:-1, :, :]
+        return g
+
+    return float(np.sum(s ** (beta / 2.0))), grad
+
+
+def tv(image: ImageTensor, beta: float = 2.0) -> float:
+    """Total-variation value of an image (per channel, boundary differences zero).
+
+    tv and tv_grad each run one _tv_terms pass; invert takes both the value
+    and the gradient from a single pass.
+    """
+    return _tv_terms(image.pixels, beta)[0]
+
+
+def tv_grad(image: ImageTensor, beta: float = 2.0) -> np.ndarray:
+    """Exact gradient of tv() with respect to the pixels, same shape as the image.
+
+    Where s = dh^2 + dv^2 is 0, the weight of a pixel's differences is 0.
+    """
+    return _tv_terms(image.pixels, beta)[1]()
 
 
 def solve_pixels(
@@ -149,7 +155,8 @@ def invert(
     def pixel_term(img: ImageTensor):
         if cfg.lambda_tv == 0:
             return 0.0, lambda: 0.0
-        return cfg.lambda_tv * tv(img, cfg.beta), lambda: cfg.lambda_tv * tv_grad(img, cfg.beta)
+        value, grad = _tv_terms(img.pixels, cfg.beta)
+        return cfg.lambda_tv * value, lambda: cfg.lambda_tv * grad()
 
     start = cfg.init if cfg.init is not None else ImageTensor(np.full(spec.input_shape, 0.5))
     image, fp, trace = solve_pixels(spec, weights, start, feature_term, pixel_term, cfg.solver)

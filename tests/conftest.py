@@ -24,6 +24,16 @@ def count_calls(monkeypatch, module, name: str) -> list:
     return calls
 
 
+def append_raw_gram(path, G) -> None:
+    """Append a Gram section holding G as given, unchecked, to a DMTV file.
+
+    The library's one Gram writer, formats.append_gram, computes G from the
+    stored rows; this lets a test store a G that the reader must reject.
+    """
+    with open(path, "ab") as fh:
+        fh.write(b"DMTG" + np.ascontiguousarray(G, dtype="<f8").tobytes())
+
+
 @pytest.fixture(scope="session")
 def reference():
     """(spec, weights) for the built-in desk extractor at its documented seed."""

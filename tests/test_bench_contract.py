@@ -6,6 +6,9 @@ output tree with its own checks. These tests run the same steps at a
 small size, so a change to src/ that breaks the benchmark fails here.
 """
 
+import json
+import math
+import subprocess
 import sys
 from pathlib import Path
 
@@ -13,7 +16,8 @@ import pytest
 
 from dmtrav import cli, formats
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "bench"))
 
 import checks  # noqa: E402
 import inputs  # noqa: E402
@@ -70,3 +74,32 @@ def test_extract_then_gram_output_passes_the_benchmark_check(tmp_path, bench_ext
 def test_demo_output_passes_the_benchmark_check(demo_runs, bench_extractor):
     problems, _ = checks.check_demo(demo_runs[1], *bench_extractor)
     assert problems == []
+
+
+def test_worker_answers_every_command(tmp_path, bench_extractor):
+    # started as the benchmark starts it; its layers and d16 commands call the library directly
+    path, lambdas = inputs.write_traverse_file(
+        3, tmp_path / "input", 8, (1e-2, 1e-3, 1e-4), *bench_extractor
+    )
+    lam_args = [a for lam in lambdas for a in ("--lambda", repr(lam))]
+    argv = ["traverse", str(path), *lam_args, "--out", str(tmp_path / "out"), "--quiet"]
+    commands = [
+        {"layers": {"seed": 0, "calls": 1}},
+        {"d16": {"feature_file": str(path), "scales": [1e-2, 1e-3], "seconds": 0}},
+        {"op": [argv], "traced": False},
+        {"quit": True},
+    ]
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "worker.py"), str(ROOT), str(tmp_path / "spans")],
+        input="".join(json.dumps(c) + "\n" for c in commands),
+        capture_output=True, text=True, cwd=ROOT, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    ready, layers, d16, op, quit_reply = map(json.loads, proc.stdout.splitlines())
+    assert ready == {"ready": True}
+    assert layers["metrics"] and all(
+        math.isfinite(us) and us > 0 for us in layers["metrics"].values()
+    )
+    assert d16["ratio"] > 0
+    assert op["codes"] == [0]
+    assert quit_reply["peak_rss_mb"] > 0

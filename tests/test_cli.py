@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 import dmtrav
-from conftest import count_calls
+from conftest import append_raw_gram, count_calls
+from dmtrav import cli as cli_module
 from dmtrav import demo as demo_module
+from dmtrav import reconstruct as reconstruct_module
 from dmtrav.cli import (
     RunConfig,
     _model_from_file,
@@ -88,11 +90,13 @@ class TestCmdExtract:
         second = cmd_extract(manifest, run).read_bytes()
         assert first == second
 
-    def test_unreadable_image_names_path(self, tiny_dataset):
+    def test_unreadable_image_names_path(self, tiny_dataset, capsys):
         tmp_path, manifest, _ = tiny_dataset
         bad = Manifest(["/nonexistent/img.ppm"], manifest.target_paths, manifest.input_path)
-        with pytest.raises(InvalidInputError, match="nonexistent"):
-            cmd_extract(bad, RunConfig(out_dir=str(tmp_path)))
+        mpath = tmp_path / "manifest.txt"
+        mpath.write_text(format_manifest(bad))
+        assert main(["extract", str(mpath), "--out", str(tmp_path / "out")]) == 2
+        assert "/nonexistent/img.ppm" in capsys.readouterr().err
 
     def test_size_mismatch_names_path(self, tiny_dataset):
         tmp_path, manifest, _ = tiny_dataset
@@ -336,7 +340,8 @@ class TestMainExitCodes:
 
         rng = np.random.default_rng(48)
         p = tmp_path / "f.dmtv"
-        write_feature_file(p, rng.standard_normal((4, 3)), 2, 1, gram(rng.standard_normal((4, 3))))
+        write_feature_file(p, rng.standard_normal((4, 3)), 2, 1)
+        append_raw_gram(p, gram(rng.standard_normal((4, 3))))
         code = main(["traverse", str(p), "--lambda", "1e-3", "--out", str(tmp_path), "--quiet"])
         assert code == 2
         assert "Gram diagonal" in capsys.readouterr().err
@@ -350,7 +355,8 @@ class TestMainExitCodes:
         G = gram(V)
         G[0, 1] = G[1, 0] = 3.0 * np.sqrt(G[0, 0] * G[1, 1])
         p = tmp_path / "f.dmtv"
-        write_feature_file(p, V, 4, 4, G)
+        write_feature_file(p, V, 4, 4)
+        append_raw_gram(p, G)
         code = main(["traverse", str(p), "--lambda", "1e-3", "--out", str(tmp_path), "--quiet"])
         assert code == 2
         assert "not positive semidefinite" in capsys.readouterr().err
@@ -415,6 +421,40 @@ class TestMainExitCodes:
                      "--out", str(tmp_path), "--quiet"])
         assert code == 2
         assert "--sigma" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--sigma", "--init"])
+    def test_empty_flag_is_exit_2_before_a_solve(self, tmp_path, capsys, monkeypatch, flag):
+        # an empty value is given, so it is checked, not dropped for the default
+        sweeps = count_calls(monkeypatch, cli_module.traversal, "traverse")
+        solves = count_calls(monkeypatch, reconstruct_module, "solve_pixels")
+        if flag == "--sigma":
+            argv = ["traverse", str(gram_file(tmp_path)), "--lambda", "1e-3"]
+        else:
+            write_vector(tmp_path / "zt.dmtv", np.full(6144, 0.5))
+            argv = ["reconstruct", str(tmp_path / "zt.dmtv")]
+        code = main([*argv, flag, "", "--out", str(tmp_path / "o"), "--quiet"])
+        assert code == 2
+        assert "error" in capsys.readouterr().err
+        assert sweeps == [] and solves == []
+        assert not (tmp_path / "o").exists()
+
+    def test_unsavable_channel_count_is_exit_2_before_a_solve(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # a 2-channel input can be inverted but not saved as PPM: refuse it up front
+        spec_file = tmp_path / "spec.txt"
+        spec_file.write_text("input 8 8 2\nconv 4\nrelu\ntap\n")
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"extractor": str(spec_file)}))
+        write_vector(tmp_path / "zt.dmtv", np.zeros(8 * 8 * 4))
+        solves = count_calls(monkeypatch, reconstruct_module, "solve_pixels")
+        out = tmp_path / "o"
+        code = main(["reconstruct", str(tmp_path / "zt.dmtv"), "--config", str(config),
+                     "--out", str(out), "--quiet"])
+        assert code == 2
+        assert "only 1- or 3-channel images can be saved, got 2" in capsys.readouterr().err
+        assert solves == []
+        assert not out.exists()
 
     def test_weight_file_reproduces_seeded_features(self, tiny_dataset):
         from dmtrav.features import save_weights

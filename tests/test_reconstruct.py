@@ -203,12 +203,26 @@ class TestInvert:
     def test_zero_lambda_tv_evaluates_no_tv_in_the_solve(self, monkeypatch):
         # the reported final_tv is the one TV evaluation
         spec = identity_spec(4, 4, 1)
+        passes = count_calls(monkeypatch, reconstruct, "_tv_terms")
         values = count_calls(monkeypatch, reconstruct, "tv")
         grads = count_calls(monkeypatch, reconstruct, "tv_grad")
         z = np.random.default_rng(60).uniform(0.1, 0.9, 16)
         res = invert(spec, init_weights(spec, 0), z, ReconstructionConfig(lambda_tv=0.0))
         assert res.trace.iterations > 0
-        assert len(values) == 1 and grads == []
+        assert len(passes) == 1 and len(values) == 1 and grads == []
+
+    def test_one_tv_pass_per_objective_evaluation(self, monkeypatch):
+        # value and gradient share one pass of differences; final_tv adds one more
+        spec = identity_spec(4, 4, 1)
+        tv_passes = count_calls(monkeypatch, reconstruct, "_tv_terms")
+        grads = count_calls(monkeypatch, reconstruct, "tv_grad")
+        forward_passes = count_calls(monkeypatch, reconstruct, "forward")
+        z = np.random.default_rng(62).uniform(0.0, 1.0, 16)
+        cfg = ReconstructionConfig(lambda_tv=0.05, solver=MinimizeConfig(max_iters=5))
+        res = invert(spec, init_weights(spec, 0), z, cfg)
+        assert res.trace.iterations > 0 and res.final_tv > 0
+        assert len(tv_passes) == len(forward_passes) + 1
+        assert grads == []
 
     def test_dimension_mismatch_rejected(self, reference):
         spec, weights = reference
