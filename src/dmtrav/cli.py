@@ -1,6 +1,9 @@
 """Command-line driver for the full pipeline.
 
 Verbs: extract, gram, traverse, reconstruct, eval, adversarial, demo.
+A verb's settings are the --config file (or the defaults), then each
+RunConfig key given as a flag (--out is out_dir): a flag wins over the
+file, and RunConfig checks every value, so an empty one is an error.
 Exit codes: 0 on success, 3 for numerical failures (NumericalError), 2 for
 every other package error (DmtravError) and for OSError. Formats are
 validated before heavy computation starts, and every binary layout is
@@ -43,21 +46,27 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    return _is_int(value) or isinstance(value, float)
+    return isinstance(value, float) or (_is_int(value) and abs(value) <= sys.float_info.max)
 
 
-# The JSON values each RunConfig key accepts, with how to name them in an error.
+def _is_text(value) -> bool:
+    return isinstance(value, str) and value != ""
+
+
+# The values each RunConfig key accepts, with how to name them in an error.
 _CONFIG_VALUES = {
-    "extractor": (lambda v: isinstance(v, str), "a string"),
+    "extractor": (_is_text, "a nonempty string"),
     "weight_seed": (lambda v: _is_int(v) and v >= 0, "a nonnegative integer"),
-    "weight_file": (lambda v: v is None or isinstance(v, str), "a string or null"),
+    "weight_file": (lambda v: v is None or _is_text(v), "a nonempty string or null"),
     "sigma": (lambda v: v is None or v == "median" or _is_number(v), 'a number, "median" or null'),
-    "lambdas": (lambda v: isinstance(v, list) and all(map(_is_number, v)), "a list of numbers"),
+    "lambdas": (
+        lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v)), "a list of numbers"
+    ),
     "lambda_tv": (_is_number, "a number"),
     "beta": (_is_number, "a number"),
-    "init": (lambda v: isinstance(v, str), "a string"),
+    "init": (_is_text, "a nonempty string"),
     "max_iters": (_is_int, "an integer"),
-    "out_dir": (lambda v: isinstance(v, str), "a string"),
+    "out_dir": (_is_text, "a nonempty string"),
 }
 
 
@@ -65,7 +74,10 @@ _CONFIG_VALUES = {
 class RunConfig:
     """Pipeline settings shared by the CLI verbs; loadable from a JSON file.
 
-    weight_file, when given, replaces the seeded weights of any extractor.
+    Every value is checked against _CONFIG_VALUES when the config is made,
+    by a caller, by from_json or by dataclasses.replace; sigma "median"
+    becomes None and lambdas a tuple of floats. weight_file, when given,
+    replaces the seeded weights of any extractor.
     """
 
     extractor: str = "reference"  # builtin name or path to a spec text file
@@ -79,6 +91,15 @@ class RunConfig:
     max_iters: int = 500
     out_dir: str = "."
 
+    def __post_init__(self) -> None:
+        for key, (accepts, kind) in _CONFIG_VALUES.items():
+            value = getattr(self, key)
+            if not accepts(value):
+                raise InvalidInputError(f"config key {key!r} must be {kind}, got {value!r}")
+        self.lambdas = tuple(float(v) for v in self.lambdas)
+        if self.sigma == "median":
+            self.sigma = None
+
     @classmethod
     def from_json(cls, path) -> "RunConfig":
         text = formats.read_text(path)
@@ -88,21 +109,13 @@ class RunConfig:
             raise FormatError(f"{path}: invalid JSON ({exc})") from exc
         if not isinstance(raw, dict):
             raise FormatError(f"{path}: config must be a JSON object")
-        known = set(cls.__dataclass_fields__)
-        unknown = set(raw) - known
+        unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
             raise InvalidInputError(f"{path}: unknown config keys {sorted(unknown)}")
-        for key, value in raw.items():
-            accepts, kind = _CONFIG_VALUES[key]
-            if not accepts(value):
-                raise InvalidInputError(
-                    f"{path}: config key {key!r} must be {kind}, got {value!r}"
-                )
-        if "lambdas" in raw:
-            raw["lambdas"] = tuple(float(v) for v in raw["lambdas"])
-        if raw.get("sigma") == "median":
-            raw["sigma"] = None
-        return cls(**raw)
+        try:
+            return cls(**raw)
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"{path}: {exc}") from exc
 
     def resolve_spec(self, input_shape: tuple[int, int, int] | None = None) -> ExtractorSpec:
         if self.extractor == "reference":
@@ -129,23 +142,22 @@ def cmd_extract(manifest: formats.Manifest, run: RunConfig) -> Path:
 
     Every image is read first, so an image that cannot be read raises
     OSError, naming its path, before any extraction. Then one pass per
-    row compares its shape with the first row's, extracts it and checks
-    that its features are finite in f32. The reads run back to back:
+    row compares its shape with the extractor's input, extracts it and
+    checks that its features are finite in f32. The reads run back to back:
     between forward passes a read finds its caches cold, which makes
     extraction slower and its time less steady.
     """
     paths = [*manifest.target_paths, *manifest.source_paths, manifest.input_path]
     images = [formats.load_image(p) for p in paths]
-    shape = images[0].pixels.shape
-    spec = run.resolve_spec(shape)
+    spec = run.resolve_spec(images[0].pixels.shape)
     weights = run.resolve_weights(spec)
     # Each row is rounded to f32 once, as the file stores it.
     rows = np.empty((len(paths), spec.feature_dim()), dtype=np.float32)
     with np.errstate(over="ignore"):  # a row that overflows f32 is reported below
         for path, img, row in zip(paths, images, rows):
-            if img.pixels.shape != shape:
+            if img.pixels.shape != spec.input_shape:
                 raise InvalidInputError(
-                    f"image {path} has shape {img.pixels.shape}, expected {shape}"
+                    f"image {path} has shape {img.pixels.shape}, expected {spec.input_shape}"
                 )
             row[:] = forward(spec, weights, img).features
             if not np.isfinite(row).all():
@@ -275,6 +287,14 @@ def write_adversarial(res: evaluate.AdversarialResult, out_dir) -> Path:
     return report
 
 
+def _number_or_text(text: str) -> float | str:
+    """A flag's value as a float when it reads as one; RunConfig judges the rest."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dmtrav", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
@@ -282,7 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, config: bool = True) -> None:
         if config:
             p.add_argument("--config", help="JSON run-config file")
-        p.add_argument("--out", help="output directory")
+        p.add_argument("--out", dest="out_dir", help="output directory")
         p.add_argument("--quiet", action="store_true")
 
     p = sub.add_parser("extract", help="extract features for a manifest")
@@ -297,7 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("traverse", help="run the descending-lambda sweep")
     p.add_argument("feature_file")
     p.add_argument("--lambda", dest="lambdas", action="append", type=float, metavar="L")
-    p.add_argument("--sigma", help="kernel width, or 'median'")
+    p.add_argument("--sigma", type=_number_or_text, help="kernel width, or 'median'")
     common(p)
 
     p = sub.add_parser("reconstruct", help="invert a traversed feature vector")
@@ -325,59 +345,40 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_config(args: argparse.Namespace) -> RunConfig:
-    run = RunConfig.from_json(args.config) if getattr(args, "config", None) else RunConfig()
-    if getattr(args, "out", None):
-        run = replace(run, out_dir=args.out)
-    if getattr(args, "lambdas", None):
-        run = replace(run, lambdas=tuple(args.lambdas))
-    if getattr(args, "sigma", None) is not None:
-        try:
-            sigma = None if args.sigma == "median" else float(args.sigma)
-        except ValueError as exc:
-            raise InvalidInputError(
-                f"--sigma must be a number or 'median', got {args.sigma!r}"
-            ) from exc
-        run = replace(run, sigma=sigma)
-    if getattr(args, "init", None) is not None:
-        run = replace(run, init=args.init)
-    return run
+def _run_config(args: argparse.Namespace, **defaults) -> RunConfig:
+    """The --config file or the defaults, then every config key given as a flag."""
+    config = getattr(args, "config", None)
+    run = RunConfig.from_json(config) if config is not None else RunConfig(**defaults)
+    keys = RunConfig.__dataclass_fields__
+    given = {key: value for key, value in vars(args).items() if key in keys and value is not None}
+    return replace(run, **given)
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    message = None  # what the verb prints unless --quiet
     try:
         if args.verb == "extract":
-            manifest = formats.read_manifest(args.manifest)
-            path = cmd_extract(manifest, _run_config(args))
-            if not args.quiet:
-                print(path)
+            message = cmd_extract(formats.read_manifest(args.manifest), _run_config(args))
         elif args.verb == "gram":
             formats.append_gram(args.feature_file, overwrite=args.overwrite)
-            if not args.quiet:
-                print(f"Gram section written to {args.feature_file}")
+            message = f"Gram section written to {args.feature_file}"
         elif args.verb == "traverse":
-            _, records_path = cmd_traverse(args.feature_file, _run_config(args))
-            if not args.quiet:
-                print(records_path)
+            _, message = cmd_traverse(args.feature_file, _run_config(args))
         elif args.verb == "reconstruct":
             run = _run_config(args)
             path = Path(run.out_dir) / (Path(args.zt_file).stem + "_recon.ppm")
             res = reconstruct_to(args.zt_file, run, path)
-            if not args.quiet:
-                print(
-                    f"feature_loss {res.final_feature_loss!r} tv {res.final_tv!r} "
-                    f"iterations {res.trace.iterations} stopped {res.trace.termination_reason}"
-                )
-                print(path)
+            message = (
+                f"feature_loss {res.final_feature_loss!r} tv {res.final_tv!r} iterations "
+                f"{res.trace.iterations} stopped {res.trace.termination_reason}\n{path}"
+            )
         elif args.verb == "eval":
+            run = _run_config(args, out_dir=args.traversal_dir)
             model, features = _model_from_file(args.feature_file, args.labels_file)
-            out = args.out if args.out is not None else args.traversal_dir
-            _, path = sweep_to(model, features, args.traversal_dir, out)
-            if not args.quiet:
-                print(path)
+            _, message = sweep_to(model, features, args.traversal_dir, run.out_dir)
         elif args.verb == "adversarial":
-            path = cmd_adversarial(
+            message = cmd_adversarial(
                 args.feature_file,
                 args.labels_file,
                 args.image,
@@ -385,13 +386,13 @@ def main(argv=None) -> int:
                 c_adv=args.c_adv,
                 match_decision=args.match_decision,
             )
-            if not args.quiet:
-                print(path)
         else:
             # imported here: the demo composes this module's stages
             from .demo import run_demo
 
-            run_demo(args.seed, args.out or "demo_out", quiet=args.quiet)
+            run_demo(args.seed, _run_config(args, out_dir="demo_out").out_dir, quiet=args.quiet)
+        if message is not None and not args.quiet:
+            print(message)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -27,18 +27,11 @@ import numpy as np
 from . import cli, evaluate, formats, mmd, traversal
 from .errors import InvalidInputError
 from .features import ImageTensor
-from .optim import MinimizeConfig
 
 DEMO_CLASS_SIZE = 64
 DEMO_LAMBDA_SCALES = (1e-2, 1e-3, 1e-4)
 _STRIPE_PERIOD = 8
 _NOISE_SIGMA = 0.08
-
-# Iteration cap of the pixel solves, sized by measurement. On this
-# nonsmooth ReLU/max-pool objective no solve reaches grad_tol (projected
-# gradients stay near 0.4), so each runs to its cap; at 100 iterations each
-# objective is within 5% of scipy L-BFGS-B's at the same cap.
-_PIXEL_SOLVER = MinimizeConfig(max_iters=100)
 
 
 def _stripe_image(rng: np.random.Generator, vertical: bool) -> ImageTensor:
@@ -123,7 +116,12 @@ def run_demo(seed: int, out_dir, quiet: bool = False) -> DemoOutcome:
     spec = run.resolve_spec()
     weights = run.resolve_weights(spec)
     test_img = formats.load_image(out / rel.input_path)
-    pixel_run = replace(run, init=str(out / rel.input_path), max_iters=_PIXEL_SOLVER.max_iters)
+    # The settings of every pixel solve, inversions and adversarial matching
+    # alike. Their iteration cap is sized by measurement: on this nonsmooth
+    # ReLU/max-pool objective no solve reaches grad_tol (projected gradients
+    # stay near 0.4), so each runs to its cap; at 100 iterations each
+    # objective is within 5% of scipy L-BFGS-B's at the same cap.
+    pixel_run = replace(run, init=str(out / rel.input_path), max_iters=100)
     recon_decisions = []
     recon_l2 = []
     for i, rec in enumerate(records):
@@ -144,7 +142,7 @@ def run_demo(seed: int, out_dir, quiet: bool = False) -> DemoOutcome:
     # image (the smallest-lambda reconstruction), image against image.
     target_decision = recon_decisions[-1]
     adv = evaluate.match_regularizer(
-        spec, weights, model, test_img, target_decision, cfg=_PIXEL_SOLVER
+        spec, weights, model, test_img, target_decision, cfg=pixel_run.solver()
     )
     cli.write_adversarial(adv, out)
     say(

@@ -9,6 +9,12 @@ sys.path.insert(0, str(Path(__file__).parent))  # makes `oracles` importable
 
 from dmtrav.demo import run_demo
 from dmtrav.features import init_weights, reference_spec
+from dmtrav.optim import MinimizeConfig
+
+# The solver settings of the demo's pixel solves (the iteration cap of its
+# pixel_run); tests that rebuild a demo solve use them, and the demo tree's
+# bytes tie the two together.
+DEMO_PIXEL_SOLVER = MinimizeConfig(max_iters=100)
 
 
 def count_calls(monkeypatch, module, name: str) -> list:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import dmtrav
-from conftest import append_raw_gram, count_calls
+from conftest import DEMO_PIXEL_SOLVER, append_raw_gram, count_calls
 from dmtrav import cli as cli_module
 from dmtrav import demo as demo_module
 from dmtrav import reconstruct as reconstruct_module
@@ -105,6 +106,18 @@ class TestCmdExtract:
         bad = Manifest([str(small)], manifest.target_paths, manifest.input_path)
         with pytest.raises(InvalidInputError, match="small.ppm"):
             cmd_extract(bad, RunConfig(out_dir=str(tmp_path)))
+
+    def test_images_that_do_not_fit_the_extractor_name_the_first(self, tmp_path, capsys):
+        # the first row is checked against the extractor's input too, not taken as the norm
+        paths = [tmp_path / f"{name}.ppm" for name in ("target", "source", "input")]
+        for path in paths:
+            save_image(ImageTensor(np.zeros((16, 16, 1))), path)
+        mpath = tmp_path / "manifest.txt"
+        mpath.write_text(format_manifest(Manifest([str(paths[1])], [str(paths[0])], str(paths[2]))))
+        out = tmp_path / "out"
+        assert main(["extract", str(mpath), "--out", str(out)]) == 2
+        assert f"image {paths[0]} has shape (16, 16, 1)" in capsys.readouterr().err
+        assert not (out / "features.dmtv").exists()
 
 
 class TestCmdTraverse:
@@ -395,6 +408,9 @@ class TestMainExitCodes:
             (b'{"max_iters": 2.5}', "'max_iters'"),
             (b'{"sigma": "foo"}', "'sigma'"),
             (b'{"weight_seed": -1}', "'weight_seed'"),
+            (b'{"out_dir": ""}', "'out_dir'"),
+            pytest.param(b'{"lambdas": [1' + b"0" * 400 + b"]}", "'lambdas'",
+                         id="lambdas-400-digits"),
             (b'{"max_iters": 5\xff}', "UTF-8"),
             pytest.param(b'{"max_iters": ' + b"1" * 5000 + b"}", "invalid JSON",
                          id="max_iters-5000-digits"),
@@ -420,14 +436,68 @@ class TestMainExitCodes:
         code = main(["traverse", str(p), "--lambda", "1e-3", "--sigma", "foo",
                      "--out", str(tmp_path), "--quiet"])
         assert code == 2
-        assert "--sigma" in capsys.readouterr().err
+        assert "config key 'sigma' must be a number" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--sigma", "--init"])
+    @pytest.mark.parametrize(
+        "verb", ["extract", "traverse", "traverse-config", "reconstruct", "eval", "adversarial",
+                 "demo"],
+    )
+    def test_empty_out_is_exit_2_and_writes_nothing(
+        self, traversed_run, tmp_path, monkeypatch, capsys, verb
+    ):
+        # an empty --out is an error, not the current directory, the config's
+        # out_dir or the verb's default
+        root = traversed_run
+        features, labels = str(root / "run" / "features.dmtv"), str(root / "labels.txt")
+        config = _config_file(tmp_path, json.dumps({"out_dir": "cfgout"}))
+        argv = {
+            "extract": ["extract", str(root / "manifest.txt")],
+            "traverse": ["traverse", features, "--lambda", "1e-3"],
+            "traverse-config": ["traverse", features, "--lambda", "1e-3", "--config", str(config)],
+            "reconstruct": ["reconstruct", str(root / "run" / "zt_0.dmtv")],
+            "eval": ["eval", features, str(root / "run"), labels],
+            "adversarial": ["adversarial", features, labels, str(root / "probe.ppm"),
+                            "--c-adv", "1"],
+            "demo": ["demo"],
+        }[verb]
+        monkeypatch.chdir(tmp_path)
+        before = sorted(root.rglob("*")) + sorted(tmp_path.rglob("*"))
+        assert main([*argv, "--out", "", "--quiet"]) == 2
+        assert "config key 'out_dir' must be a nonempty string" in capsys.readouterr().err
+        assert sorted(root.rglob("*")) + sorted(tmp_path.rglob("*")) == before
+
+    def test_traverse_flags_win_over_the_config_file(self, tmp_path, monkeypatch):
+        sweeps = count_calls(monkeypatch, cli_module.traversal, "traverse")
+        config = _config_file(
+            tmp_path, json.dumps({"out_dir": str(tmp_path / "cfg"), "lambdas": [1e-2, 1e-4],
+                                  "sigma": 5.0})
+        )
+        flags = ["--out", str(tmp_path / "flag"), "--lambda", "1e-3", "--sigma", "median"]
+        argv = ["traverse", str(gram_file(tmp_path)), "--config", str(config), *flags, "--quiet"]
+        assert main(argv) == 0
+        [(_, cfg)] = sweeps
+        assert cfg.lambdas == (1e-3,)
+        assert cfg.kernel.sigma is None
+        assert (tmp_path / "flag" / "traversal_records.txt").exists()
+        assert not (tmp_path / "cfg").exists()
+
+    def test_init_flag_wins_over_the_config_file(self, tiny_dataset):
+        tmp_path, _, paths = tiny_dataset
+        write_vector(tmp_path / "zt.dmtv", np.full(6144, 0.5))
+        config = _config_file(
+            tmp_path, json.dumps({"init": str(tmp_path / "missing.ppm"), "max_iters": 1})
+        )
+        argv = ["reconstruct", str(tmp_path / "zt.dmtv"), "--config", str(config),
+                "--init", str(paths["input"]), "--out", str(tmp_path / "rec"), "--quiet"]
+        assert main(argv) == 0
+        assert (tmp_path / "rec" / "zt_recon.ppm").exists()
+
+    @pytest.mark.parametrize("flag", ["--sigma", "--init", "--config"])
     def test_empty_flag_is_exit_2_before_a_solve(self, tmp_path, capsys, monkeypatch, flag):
         # an empty value is given, so it is checked, not dropped for the default
         sweeps = count_calls(monkeypatch, cli_module.traversal, "traverse")
         solves = count_calls(monkeypatch, reconstruct_module, "solve_pixels")
-        if flag == "--sigma":
+        if flag in ("--sigma", "--config"):
             argv = ["traverse", str(gram_file(tmp_path)), "--lambda", "1e-3"]
         else:
             write_vector(tmp_path / "zt.dmtv", np.full(6144, 0.5))
@@ -605,6 +675,27 @@ class TestCmdEval:
             sweep_to(*_model_from_file(feature_file, labels), out, out)
 
 
+@pytest.fixture(scope="module")
+def traversed_run(tmp_path_factory):
+    """Three sources, three targets and a probe image, extracted, Gram'd and traversed in run/."""
+    root = tmp_path_factory.mktemp("traversed")
+    rng = np.random.default_rng(50)
+    paths = []
+    for name, level in [*((f"s{i}", 0.3) for i in range(3)), *((f"t{i}", 0.7) for i in range(3)),
+                        ("probe", 0.3)]:
+        paths.append(str(root / f"{name}.ppm"))
+        save_image(ImageTensor(np.clip(level + 0.05 * rng.standard_normal((32, 32, 1)), 0, 1)),
+                   paths[-1])
+    (root / "manifest.txt").write_text(format_manifest(Manifest(paths[:3], paths[3:6], paths[6])))
+    (root / "labels.txt").write_text("+1\n+1\n+1\n-1\n-1\n-1\n")
+    run = str(root / "run")
+    assert main(["extract", str(root / "manifest.txt"), "--out", run, "--quiet"]) == 0
+    assert main(["gram", f"{run}/features.dmtv", "--quiet"]) == 0
+    assert main(["traverse", f"{run}/features.dmtv", "--lambda", "1e-3", "--out", run,
+                 "--quiet"]) == 0
+    return root
+
+
 @pytest.fixture
 def adversarial_inputs(tmp_path):
     """(feature_file, labels, probe image, run config, out dir) on three-image blocks."""
@@ -704,7 +795,7 @@ def test_cli_verbs_reproduce_demo_tree(demo_runs, reference, tmp_path):
     labels = str(demo / "labels.txt")
     input_image = str(demo / "dataset" / "input.ppm")
     pixel_config = tmp_path / "pixel.json"
-    pixel_config.write_text(json.dumps({"max_iters": demo_module._PIXEL_SOLVER.max_iters}))
+    pixel_config.write_text(json.dumps({"max_iters": DEMO_PIXEL_SOLVER.max_iters}))
 
     assert main(["extract", str(demo / "manifest.txt"), "--out", out, "--quiet"]) == 0
     assert main(["gram", features, "--quiet"]) == 0
@@ -761,7 +852,7 @@ def test_reconstruct_reports_the_loss_of_the_written_image(demo_runs, reference,
     spec, weights = reference
     n_lambdas = len(demo_module.DEMO_LAMBDA_SCALES)
     config = tmp_path / "recon.json"
-    config.write_text(json.dumps({"max_iters": demo_module._PIXEL_SOLVER.max_iters}))
+    config.write_text(json.dumps({"max_iters": DEMO_PIXEL_SOLVER.max_iters}))
     input_image = str(demo / "dataset" / "input.ppm")
     for i in range(n_lambdas):
         zt = demo / f"zt_{i}.dmtv"
@@ -804,6 +895,10 @@ def _short_zt_file(tmp_path) -> Path:
         (lambda tmp: RunConfig.from_json(_config_file(tmp, "{")), FormatError, "invalid JSON"),
         (lambda tmp: RunConfig.from_json(_config_file(tmp, "[1]")), FormatError,
          "config must be a JSON object"),
+        (lambda tmp: RunConfig(max_iters="abc"), InvalidInputError,
+         "config key 'max_iters' must be an integer, got 'abc'"),
+        (lambda tmp: dataclasses.replace(RunConfig(), out_dir=""), InvalidInputError,
+         "config key 'out_dir' must be a nonempty string, got ''"),
         (lambda tmp: RunConfig(extractor="identity").resolve_spec(), InvalidInputError,
          "identity extractor needs an image"),
         (lambda tmp: cmd_traverse(gram_file(tmp), RunConfig(out_dir=str(tmp))), InvalidInputError,
@@ -811,7 +906,8 @@ def _short_zt_file(tmp_path) -> Path:
         (lambda tmp: reconstruct_to(_short_zt_file(tmp), RunConfig(), tmp / "zt_recon.ppm"),
          InvalidInputError, "holds 5 values but the extractor produces 6144"),
     ],
-    ids=["json-syntax", "json-array", "identity-without-image", "no-lambdas", "zt-length"],
+    ids=["json-syntax", "json-array", "max-iters-text", "replace-empty-out-dir",
+         "identity-without-image", "no-lambdas", "zt-length"],
 )
 def test_checks_raise_package_errors(tmp_path, call, error, message):
     with pytest.raises(error, match=re.escape(message)):

@@ -1,4 +1,5 @@
-"""numpy is the package's only runtime dependency outside the standard library."""
+"""Import hygiene: numpy is the only runtime dependency outside the standard
+library, and no module imports a name it does not use."""
 
 import ast
 import sys
@@ -24,3 +25,23 @@ def test_every_absolute_import_is_stdlib_numpy_or_dmtrav():
                 if top not in sys.stdlib_module_names and top not in ALLOWED:
                     outside.append(f"{path.name}: {name}")
     assert outside == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__.py imports to re-export; every other module uses each name it imports
+    unused = []
+    for path in sorted(Path(dmtrav.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line}: {name}" for name, line in imported.items()
+                   if name not in used]
+    assert unused == []

@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import count_calls, seeded_instance
-from dmtrav import demo as demo_module
+from conftest import DEMO_PIXEL_SOLVER, count_calls, seeded_instance
 from dmtrav import evaluate, formats, reconstruct
 from dmtrav.errors import InvalidInputError, NoMatchError
 from dmtrav.evaluate import (
@@ -477,7 +476,7 @@ def test_demo_match_solve_count(demo_runs, reference, monkeypatch):
     spec, weights = reference
     image = formats.load_image(demo / "dataset" / "input.ppm")
     calls = count_calls(monkeypatch, evaluate, "adversarial_perturb")
-    res = match_regularizer(spec, weights, model, image, target, cfg=demo_module._PIXEL_SOLVER)
+    res = match_regularizer(spec, weights, model, image, target, cfg=DEMO_PIXEL_SOLVER)
     assert len(calls) <= 4
     assert repr(res.c_adv) == fields["adversarial_c"]
     assert repr(res.decision_value) == fields["adversarial_decision"]

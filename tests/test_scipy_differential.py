@@ -16,8 +16,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import seeded_instance
-from dmtrav import demo as demo_module
+from conftest import DEMO_PIXEL_SOLVER, seeded_instance
 from dmtrav import evaluate, formats, mmd
 from dmtrav.features import Conv, ExtractorSpec, ImageTensor, Relu, forward, init_weights
 from dmtrav.mmd import FeatureMatrix, KernelConfig
@@ -127,7 +126,7 @@ def demo_pixel_problem(solve, demo_dir, spec, weights):
         summary = (demo_dir / "summary.txt").read_text().splitlines()
         c = float(next(line.split()[1] for line in summary if line.startswith("adversarial_c ")))
         res = evaluate.adversarial_perturb(
-            spec, weights, model, image, c, cfg=demo_module._PIXEL_SOLVER
+            spec, weights, model, image, c, cfg=DEMO_PIXEL_SOLVER
         )
         ours = -res.decision_value + c * res.l2_pixel_distance**2
 
@@ -139,7 +138,7 @@ def demo_pixel_problem(solve, demo_dir, spec, weights):
 
         return ours, fun_and_grad, x0
     z = formats.read_vector(demo_dir / f"{solve}.dmtv")
-    cfg = ReconstructionConfig(init=image, solver=demo_module._PIXEL_SOLVER)
+    cfg = ReconstructionConfig(init=image, solver=DEMO_PIXEL_SOLVER)
     assert cfg.beta == 2.0
     out = invert(spec, weights, z, cfg)
     ours = out.final_feature_loss + cfg.lambda_tv * out.final_tv
@@ -150,7 +149,7 @@ def demo_pixel_problem(solve, demo_dir, spec, weights):
 def test_demo_pixel_solves_near_scipy_at_demo_cap(solve, demo_runs, reference):
     # The three inversions of the demo's traversal outputs and its
     # adversarial solve at the matched c_adv, both solvers capped alike.
-    solver = demo_module._PIXEL_SOLVER
+    solver = DEMO_PIXEL_SOLVER
     ours, fun_and_grad, x0 = demo_pixel_problem(solve, demo_runs[1], *reference)
     res = scipy_optimize.minimize(
         fun_and_grad,
