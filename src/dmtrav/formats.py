@@ -22,6 +22,7 @@ byte ends it. A pixel value v in [0, 1] is stored as round(v * 255)
 
 from __future__ import annotations
 
+import os
 import re
 import struct
 from dataclasses import dataclass
@@ -31,11 +32,12 @@ import numpy as np
 
 from .errors import FormatError, InvalidInputError
 from .features import ImageTensor
-from .mmd import FeatureMatrix, gram
+from .mmd import FeatureMatrix, all_finite, gram
 
 _V_MAGIC = b"DMTV"
 _G_MAGIC = b"DMTG"
 _V_VERSION = 1
+_READ_BUFFER_BYTES = 1 << 20  # the f32 buffer read_feature_file streams V through
 _PPM_SEP = rb"(?:\s|#[^\n]*\n)"  # \s of a bytes pattern is the six ASCII whitespace bytes
 _PPM_HEADER = re.compile(
     rb"P([56])%s*([0-9]{1,9})%s+([0-9]{1,9})%s+([0-9]{1,9})\s" % (_PPM_SEP, _PPM_SEP, _PPM_SEP)
@@ -113,8 +115,7 @@ def write_feature_file(path, V, m: int, n: int) -> None:
         raise InvalidInputError(f"K={K} does not equal m+n+1={m + n + 1}")
     with np.errstate(over="ignore"):  # a value that overflows f32 is rejected below
         V = np.ascontiguousarray(V, dtype="<f4")
-    # min and max propagate NaN; unlike isfinite they need no array-sized temporary.
-    if not (np.isfinite(V.min(initial=0.0)) and np.isfinite(V.max(initial=0.0))):
+    if not all_finite(V):
         raise InvalidInputError("V holds a value that is not finite in float32")
     with open(path, "wb") as fh:
         fh.write(_V_MAGIC)
@@ -136,62 +137,95 @@ class FeatureFile:
 
 
 def read_feature_file(path) -> FeatureFile:
-    data = Path(path).read_bytes()
-    if data[:4] != _V_MAGIC:
-        raise FormatError(f"{path}: bad magic {data[:4]!r}")
-    if len(data) < 40:
+    """Read a DMTV file into V (float64) and its Gram section, if it has one.
+
+    Besides V and G the reader holds one f32 buffer of at most
+    _READ_BUFFER_BYTES (1 MiB), through which V is streamed into its
+    float64 array. Every size in the header is checked against the
+    file's size before anything is allocated. Each value must be finite
+    (V's as stored in f32), and a Gram section whose diagonal does not
+    match the squared norms of the stored rows is rejected. Every fault
+    raises FormatError.
+    """
+    with open(path, "rb") as fh:
+        return _read_features(fh, path, with_gram=True)
+
+
+def _read_features(fh, path, with_gram: bool) -> FeatureFile:
+    """Read the header and V from fh, then the Gram section if with_gram (else G is None)."""
+    size = os.fstat(fh.fileno()).st_size
+    head = fh.read(40)
+    if head[:4] != _V_MAGIC:
+        raise FormatError(f"{path}: bad magic {head[:4]!r}")
+    if len(head) < 40:
         raise FormatError(f"{path}: truncated header")
-    version, K, D, m, n = struct.unpack("<IQQQQ", data[4:40])
+    version, K, D, m, n = struct.unpack("<IQQQQ", head[4:])
     if version != _V_VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
     if not (m == 0 and n == 0) and K != m + n + 1:
         raise FormatError(f"{path}: K={K} does not equal m+n+1={m + n + 1}")
     if D == 0:  # no V bytes would bound K
         raise FormatError(f"{path}: D=0, rows hold no features")
-    vbytes = 4 * K * D
-    if len(data) < 40 + vbytes:
+    if 8 * D > np.iinfo(np.intp).max:  # no V bytes bound D when K = 0
+        raise FormatError(f"{path}: D={D} is too large for an array")
+    end = 40 + 4 * K * D
+    if size < end:
         raise FormatError(f"{path}: truncated V data")
-    V = np.frombuffer(data, dtype="<f4", count=K * D, offset=40).reshape(K, D)
-    # Checked on the stored f32 values: casting a signalling NaN to float64 warns.
-    if not np.all(np.isfinite(V)):
-        raise FormatError(f"{path}: non-finite value in V data")
-    V = V.astype(float)
-    pos = 40 + vbytes
-    G = None
-    if pos < len(data):
-        if data[pos : pos + 4] != _G_MAGIC:
-            raise FormatError(f"{path}: unexpected section magic {data[pos:pos + 4]!r}")
-        gbytes = 8 * K * K
-        if len(data) < pos + 4 + gbytes:
-            raise FormatError(f"{path}: truncated Gram data")
-        if len(data) != pos + 4 + gbytes:
-            raise FormatError(f"{path}: trailing bytes after Gram section")
-        G = np.frombuffer(data, dtype="<f8", count=K * K, offset=pos + 4).reshape(K, K)
-        if not np.all(np.isfinite(G)):
-            raise FormatError(f"{path}: non-finite value in Gram data")
-        # A Gram section computed from other rows would silently combine data
-        # that do not belong together; its diagonal gives it away.
-        norms = np.einsum("ij,ij->i", V, V)
-        bad = np.flatnonzero(np.abs(np.diag(G) - norms) > 1e-9 * norms)
-        if bad.size:
-            i = int(bad[0])
-            raise FormatError(
-                f"{path}: Gram diagonal G[{i},{i}]={G[i, i]!r} does not match the squared "
-                f"norm {norms[i]!r} of stored row {i}"
-            )
-        G = G.copy()
+    V = np.empty((K, D))
+    flat = V.reshape(-1)
+    step = _READ_BUFFER_BYTES // 4
+    buf = np.empty(min(flat.size, step), dtype="<f4")
+    for start in range(0, flat.size, step):
+        chunk = buf[: flat.size - start]
+        if fh.readinto(chunk) != chunk.nbytes:
+            raise FormatError(f"{path}: truncated V data")
+        # Checked on the stored f32 values: casting a signalling NaN to float64 warns.
+        if not all_finite(chunk):
+            raise FormatError(f"{path}: non-finite value in V data")
+        flat[start : start + chunk.size] = chunk
+    if not with_gram or size == end:
+        return FeatureFile(V=V, m=int(m), n=int(n), G=None)
+    magic = fh.read(4)
+    if magic != _G_MAGIC:
+        raise FormatError(f"{path}: unexpected section magic {magic!r}")
+    gend = end + 4 + 8 * K * K
+    if size < gend:
+        raise FormatError(f"{path}: truncated Gram data")
+    if size != gend:
+        raise FormatError(f"{path}: trailing bytes after Gram section")
+    G = np.empty((K, K), dtype="<f8")
+    if fh.readinto(G) != G.nbytes:
+        raise FormatError(f"{path}: truncated Gram data")
+    if not all_finite(G):
+        raise FormatError(f"{path}: non-finite value in Gram data")
+    # A Gram section computed from other rows would silently combine data
+    # that do not belong together; its diagonal gives it away.
+    norms = np.einsum("ij,ij->i", V, V)
+    bad = np.flatnonzero(np.abs(np.diag(G) - norms) > 1e-9 * norms)
+    if bad.size:
+        i = int(bad[0])
+        raise FormatError(
+            f"{path}: Gram diagonal G[{i},{i}]={G[i, i]!r} does not match the squared "
+            f"norm {norms[i]!r} of stored row {i}"
+        )
     return FeatureFile(V=V, m=int(m), n=int(n), G=G)
 
 
 def append_gram(path, overwrite: bool = False) -> None:
-    """Compute the Gram of the stored rows and append it, leaving V's bytes untouched."""
-    ff = read_feature_file(path)
-    if ff.G is not None and not overwrite:
+    """Compute the Gram of the stored rows and write it after V, leaving V's bytes untouched.
+
+    A file that already has a Gram section is refused unless overwrite is
+    set. With overwrite only the header and V are read and checked, and
+    whatever follows V is replaced: a valid Gram section, or one that
+    fails the reader's checks.
+    """
+    with open(path, "rb") as fh:
+        ff = _read_features(fh, path, with_gram=not overwrite)
+    if ff.G is not None:
         raise InvalidInputError(f"{path}: Gram section already present (pass overwrite to replace)")
     G = gram(ff.V)
-    K, D = ff.V.shape
     with open(path, "r+b") as fh:
-        fh.seek(40 + 4 * K * D)
+        fh.seek(40 + 4 * ff.V.size)
         fh.truncate()
         fh.write(_G_MAGIC)
         fh.write(np.ascontiguousarray(G, dtype="<f8"))

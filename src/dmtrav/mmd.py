@@ -23,6 +23,12 @@ import numpy as np
 from .errors import DegenerateDataError, InvalidInputError
 
 
+def all_finite(a: np.ndarray) -> bool:
+    """True when a holds no NaN and no infinity."""
+    # min and max propagate NaN; unlike isfinite they need no array-sized temporary.
+    return bool(np.isfinite(a.min(initial=0.0)) and np.isfinite(a.max(initial=0.0)))
+
+
 @dataclass(frozen=True)
 class KernelConfig:
     """RBF width configuration.
@@ -64,7 +70,7 @@ class FeatureMatrix:
         V = np.asarray(V, dtype=float)
         if V.ndim != 2:
             raise InvalidInputError("V must be a 2-D matrix")
-        if not np.all(np.isfinite(V)):
+        if not all_finite(V):
             raise InvalidInputError("V must contain only finite values")
         if m < 1 or n < 1:
             raise InvalidInputError("both source and target blocks must be non-empty")
@@ -77,9 +83,9 @@ class FeatureMatrix:
             K = V.shape[0]
             if G.shape != (K, K):
                 raise InvalidInputError(f"Gram shape {G.shape} does not match K={K}")
-            if not np.all(np.isfinite(G)):
+            if not all_finite(G):
                 raise InvalidInputError("Gram matrix must contain only finite values")
-            scale = float(np.max(np.abs(G)))
+            scale = max(float(G.max()), -float(G.min()))
             if scale > 0 and float(np.max(np.abs(G - G.T))) > 1e-9 * scale:
                 raise InvalidInputError("Gram matrix is not symmetric")
         self.V = V
@@ -111,7 +117,7 @@ def gram(V) -> np.ndarray:
     V = np.asarray(V, dtype=float)
     if V.ndim != 2:
         raise InvalidInputError("V must be a 2-D matrix")
-    if not np.all(np.isfinite(V)):
+    if not all_finite(V):
         raise InvalidInputError("V must contain only finite values")
     return V @ V.T
 

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 import warnings
@@ -297,6 +298,34 @@ class TestMainExitCodes:
         assert main(["gram", str(tmp_path / "nope.dmtv")]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "fault, message",
+        [("truncated", "truncated Gram data"), ("diagonal", "Gram diagonal G[0,0]")],
+        ids=["gram-truncated", "gram-diagonal-doubled"],
+    )
+    def test_overwrite_replaces_a_gram_that_fails_its_checks(self, tmp_path, capsys, fault,
+                                                             message):
+        p = gram_file(tmp_path)
+        good = p.read_bytes()
+        if fault == "truncated":
+            p.write_bytes(good[:-8])
+        else:
+            g00 = 40 + 4 * 5 * 3 + 4
+            doubled = struct.pack("<d", 2.0 * struct.unpack("<d", good[g00 : g00 + 8])[0])
+            p.write_bytes(good[:g00] + doubled + good[g00 + 8 :])
+        assert main(["gram", str(p), "--quiet"]) == 2  # still refused without --overwrite
+        assert message in capsys.readouterr().err
+        assert main(["gram", str(p), "--overwrite", "--quiet"]) == 0
+        assert p.read_bytes() == good
+
+    def test_overwrite_replaces_stray_bytes_after_v(self, tmp_path):
+        p = gram_file(tmp_path)
+        good = p.read_bytes()
+        p.write_bytes(good[: 40 + 4 * 5 * 3] + b"junk")
+        assert main(["gram", str(p), "--quiet"]) == 2
+        assert main(["gram", str(p), "--overwrite", "--quiet"]) == 0
+        assert p.read_bytes() == good
+
     def test_numerical_failure_is_exit_3(self, tmp_path, capsys):
         from dmtrav.formats import write_feature_file
 
@@ -314,8 +343,6 @@ class TestMainExitCodes:
 
     @pytest.mark.parametrize("sigma", ["100", "median"])
     def test_nan_in_gram_is_exit_2(self, tmp_path, capsys, sigma):
-        import struct
-
         from dmtrav.formats import write_feature_file
 
         V = np.random.default_rng(47).standard_normal((4, 3))

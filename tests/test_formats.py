@@ -1,5 +1,6 @@
 import re
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -242,6 +243,31 @@ class TestFeatureFile:
         with pytest.raises(FormatError, match="single-vector"):
             read_vector(p)
 
+    def test_appended_gram_is_the_product_of_the_stored_rows(self, tmp_path):
+        # 65 x 4100 f32 values take several reads of the reader's buffer, the last one partial
+        K, D = 65, 4100
+        p = tmp_path / "f.dmtv"
+        write_feature_file(p, np.random.default_rng(100).standard_normal((K, D)), 32, 32)
+        append_gram(p)
+        data = p.read_bytes()
+        W = np.frombuffer(data, "<f4", K * D, 40).reshape(K, D).astype(np.float64)
+        assert data[40 + 4 * K * D :] == b"DMTG" + (W @ W.T).astype("<f8").tobytes()
+        assert np.array_equal(read_feature_file(p).V, W)
+
+    def test_reader_holds_v_and_g_and_one_buffer(self, tmp_path):
+        K, D = 257, 4096
+        p = tmp_path / "f.dmtv"
+        write_feature_file(p, np.random.default_rng(101).standard_normal((K, D)), 128, 128)
+        append_gram(p)
+        tracemalloc.start()  # numpy reports its array buffers to tracemalloc
+        try:
+            ff = read_feature_file(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ff.G.shape == (K, K)
+        assert peak <= 8 * K * D + 8 * K * K + 1.5 * 2**20
+
 
 class TestRecords:
     def test_traversal_records_round_trip(self):
@@ -450,6 +476,16 @@ def _load_bytes(tmp_path, data: bytes):
     return load_image(path)
 
 
+def _read_half_gram(tmp_path):
+    """Read a DMTV file whose Gram section stops halfway."""
+    path = tmp_path / "f.dmtv"
+    write_feature_file(path, np.eye(3), 1, 1)
+    append_gram(path)
+    data = path.read_bytes()
+    path.write_bytes(data[: 40 + 4 * 9 + 4 + 8 * 9 // 2])
+    return read_feature_file(path)
+
+
 def _read_header_only(tmp_path, K: int, D: int, m: int, n: int):
     """Read a 40-byte DMTV file: the header alone, with no V or Gram bytes."""
     path = tmp_path / "header.dmtv"
@@ -466,6 +502,11 @@ def _read_header_only(tmp_path, K: int, D: int, m: int, n: int):
          "malformed or truncated"),
         (lambda tmp: _read_header_only(tmp, 2**63 + 1, 0, 2**62, 2**62), FormatError, "D=0"),
         (lambda tmp: _read_header_only(tmp, 2**40 + 1, 0, 2**39, 2**39), FormatError, "D=0"),
+        (lambda tmp: _read_header_only(tmp, 2**32 + 1, 2**20, 2**31, 2**31), FormatError,
+         "truncated V data"),
+        (lambda tmp: _read_header_only(tmp, 0, 2**63, 0, 0), FormatError,
+         "D=9223372036854775808 is too large for an array"),
+        (_read_half_gram, FormatError, "truncated Gram data"),
         (lambda tmp: write_feature_file(tmp / "f.dmtv", np.zeros(3), 0, 0), InvalidInputError,
          "V must be 2-D"),
         (lambda tmp: write_feature_file(tmp / "f.dmtv", np.zeros((3, 2)), -1, 3), InvalidInputError,
@@ -475,6 +516,7 @@ def _read_header_only(tmp_path, K: int, D: int, m: int, n: int):
     ],
     ids=[
         "ppm-zero-width", "ppm-header", "ppm-long-digits", "dmtv-d0-k-2^63", "dmtv-d0-k-2^40",
+        "dmtv-kd-beyond-file", "dmtv-k0-d-2^63", "dmtv-half-gram",
         "v-1d", "negative-m", "empty-input",
     ],
 )
