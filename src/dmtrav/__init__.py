@@ -62,7 +62,6 @@ from .reconstruct import (
     ReconstructionResult,
     invert,
     tv,
-    tv_grad,
 )
 from .traversal import (
     LambdaRecord,

@@ -82,18 +82,14 @@ def _svm_primal(w_sq: float, margins: np.ndarray, c_reg: float) -> float:
     return 0.5 * w_sq + c_reg * float(np.sum(np.maximum(0.0, 1.0 - margins)))
 
 
-def train_svm(
-    features, labels, c_reg: float, *, trace: list | None = None
-) -> tuple[np.ndarray, float]:
+def train_svm(features, labels, c_reg: float) -> tuple[np.ndarray, float]:
     """Train a linear SVM by deterministic full-batch subgradient descent.
 
     Starts at w = 0, b = 0 and runs 2000 epochs with step 1/t on the
     unit-strongly-convex primal, which makes the iterates invariant
     under duplicating the data while halving c_reg. The best
     iterate seen (by objective) is returned, so the result never scores
-    worse than the starting point; when `trace` is given, the best
-    objective so far is appended once per epoch (a non-increasing
-    sequence).
+    worse than the starting point.
 
     Every iterate lies in the row span of the data, w = X^T beta, so the
     epochs run on beta against the Gram matrix G = X X^T (the kernelised
@@ -125,8 +121,6 @@ def train_svm(
     g_beta = G @ beta
     margins = y * (g_beta + b)
     best_obj = _svm_primal(float(beta @ g_beta), margins, c_reg)
-    if trace is not None:
-        trace.append(best_obj)
     for t in range(1, _SVM_EPOCHS + 1):
         # The subgradient step w <- w - eta * (w - c_reg * X^T (y * active)).
         ya = np.where(margins < 1.0, y, 0.0)
@@ -139,8 +133,6 @@ def train_svm(
         if obj < best_obj:
             best_obj = obj
             best_beta, best_b = beta, b
-        if trace is not None:
-            trace.append(best_obj)
     return X.T @ best_beta, best_b
 
 

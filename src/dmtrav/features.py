@@ -356,19 +356,17 @@ class ForwardPass:
         if cot.size != want:
             raise InvalidInputError(f"cotangent has length {cot.size}, expected {want}")
 
-        pieces: dict[int, np.ndarray] = {}
-        offset = 0
-        for t in spec.taps:
-            shape = acts[t + 1].shape
-            size = int(np.prod(shape))
-            pieces[t] = cot[offset : offset + size].reshape(shape)
-            offset += size
-
+        # The taps ascend, so the walk from the last layer back meets them in
+        # reverse order, and each tap's slice is the one at the end of what
+        # is left of the cotangent.
+        end = cot.size
         g = np.zeros_like(acts[-1])
         ki = len(self.weights.kernels)  # conv layers are met last to first
         for i in range(len(spec.layers) - 1, -1, -1):
-            if i in pieces:
-                g = g + pieces[i]
+            if i in spec.taps:
+                tap = acts[i + 1]
+                g = g + cot[end - tap.size : end].reshape(tap.shape)
+                end -= tap.size
             layer = spec.layers[i]
             if isinstance(layer, Conv):
                 ki -= 1
@@ -377,8 +375,8 @@ class ForwardPass:
                 g = g * (acts[i + 1] > 0.0)
             else:
                 g = _pool_backward(g, acts[i])
-        if INPUT_TAP in pieces:
-            g = g + pieces[INPUT_TAP]
+        if INPUT_TAP in spec.taps:
+            g = g + cot[:end].reshape(acts[0].shape)
         return np.ascontiguousarray(g.transpose(1, 2, 0))
 
 

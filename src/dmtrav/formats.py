@@ -148,11 +148,11 @@ def read_feature_file(path) -> FeatureFile:
     raises FormatError.
     """
     with open(path, "rb") as fh:
-        return _read_features(fh, path, with_gram=True)
+        return _read_features(fh, path, read_gram=True)
 
 
-def _read_features(fh, path, with_gram: bool) -> FeatureFile:
-    """Read the header and V from fh, then the Gram section if with_gram (else G is None)."""
+def _read_features(fh, path, read_gram: bool) -> FeatureFile:
+    """Read the header and V from fh, then the Gram section if read_gram (else G is None)."""
     size = os.fstat(fh.fileno()).st_size
     head = fh.read(40)
     if head[:4] != _V_MAGIC:
@@ -183,7 +183,7 @@ def _read_features(fh, path, with_gram: bool) -> FeatureFile:
         if not all_finite(chunk):
             raise FormatError(f"{path}: non-finite value in V data")
         flat[start : start + chunk.size] = chunk
-    if not with_gram or size == end:
+    if not read_gram or size == end:
         return FeatureFile(V=V, m=int(m), n=int(n), G=None)
     magic = fh.read(4)
     if magic != _G_MAGIC:
@@ -220,7 +220,7 @@ def append_gram(path, overwrite: bool = False) -> None:
     fails the reader's checks.
     """
     with open(path, "rb") as fh:
-        ff = _read_features(fh, path, with_gram=not overwrite)
+        ff = _read_features(fh, path, read_gram=not overwrite)
     if ff.G is not None:
         raise InvalidInputError(f"{path}: Gram section already present (pass overwrite to replace)")
     G = gram(ff.V)

@@ -22,6 +22,8 @@ import numpy as np
 
 from .errors import DegenerateDataError, InvalidInputError
 
+_SYMMETRY_BLOCK = 64  # rows of G checked against G^T at a time, so no K x K temporary
+
 
 def all_finite(a: np.ndarray) -> bool:
     """True when a holds no NaN and no infinity."""
@@ -86,7 +88,11 @@ class FeatureMatrix:
             if not all_finite(G):
                 raise InvalidInputError("Gram matrix must contain only finite values")
             scale = max(float(G.max()), -float(G.min()))
-            if scale > 0 and float(np.max(np.abs(G - G.T))) > 1e-9 * scale:
+            asym = max(
+                float(np.max(np.abs(G[i : i + _SYMMETRY_BLOCK] - G[:, i : i + _SYMMETRY_BLOCK].T)))
+                for i in range(0, K, _SYMMETRY_BLOCK)
+            )
+            if scale > 0 and asym > 1e-9 * scale:
                 raise InvalidInputError("Gram matrix is not symmetric")
         self.V = V
         self.m = int(m)
@@ -104,12 +110,6 @@ class FeatureMatrix:
     @property
     def test_row(self) -> int:
         return self.K - 1
-
-    def with_gram(self) -> "FeatureMatrix":
-        """Return a copy carrying G = V V^T (no-op if already present)."""
-        if self.G is not None:
-            return self
-        return FeatureMatrix(self.V, self.m, self.n, gram(self.V))
 
 
 def gram(V) -> np.ndarray:
@@ -181,9 +181,7 @@ def _witness_of_row(k: np.ndarray, m: int, n: int) -> WitnessValue:
 
 def _require_gram(G) -> np.ndarray:
     if G is None:
-        raise InvalidInputError(
-            "Gram matrix is required; precompute it with gram() or FeatureMatrix.with_gram()"
-        )
+        raise InvalidInputError("Gram matrix is required; precompute it with gram()")
     G = np.asarray(G, dtype=float)
     if G.ndim != 2 or G.shape[0] != G.shape[1]:
         raise InvalidInputError(f"G must be a square matrix, got shape {G.shape}")

@@ -85,20 +85,8 @@ def _tv_terms(pixels: np.ndarray, beta: float):
 
 
 def tv(image: ImageTensor, beta: float = 2.0) -> float:
-    """Total-variation value of an image (per channel, boundary differences zero).
-
-    tv and tv_grad each run one _tv_terms pass; invert takes both the value
-    and the gradient from a single pass.
-    """
+    """Total-variation value of an image (per channel, boundary differences zero)."""
     return _tv_terms(image.pixels, beta)[0]
-
-
-def tv_grad(image: ImageTensor, beta: float = 2.0) -> np.ndarray:
-    """Exact gradient of tv() with respect to the pixels, same shape as the image.
-
-    Where s = dh^2 + dv^2 is 0, the weight of a pixel's differences is 0.
-    """
-    return _tv_terms(image.pixels, beta)[1]()
 
 
 def solve_pixels(
@@ -153,8 +141,6 @@ def invert(
         return 0.5 * float(resid @ resid), resid
 
     def pixel_term(img: ImageTensor):
-        if cfg.lambda_tv == 0:
-            return 0.0, lambda: 0.0
         value, grad = _tv_terms(img.pixels, cfg.beta)
         return cfg.lambda_tv * value, lambda: cfg.lambda_tv * grad()
 

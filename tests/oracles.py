@@ -2,7 +2,9 @@
 
 Everything here is deliberately written the slow, obvious way (explicit
 loops, direct feature-space arithmetic) and shares no code with the
-production paths it checks.
+production paths it checks. The exceptions are tv_grad and with_gram,
+which only hand the tests a library computation that no pipeline step
+needs as a function of its own.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from dmtrav.errors import FormatError, InvalidInputError, NumericalError
+from dmtrav.mmd import FeatureMatrix, gram
+from dmtrav.reconstruct import _tv_terms
 
 
 def finite_difference_gradient(fun, x, h: float) -> np.ndarray:
@@ -313,12 +317,12 @@ def svm_objective(w, b: float, X, y, c_reg: float) -> float:
     return 0.5 * float(w @ w) + c_reg * float(np.sum(np.maximum(0.0, 1.0 - margins)))
 
 
-def primal_subgradient_svm(X, y, c_reg: float, epochs: int = 2000, trace: list | None = None):
+def primal_subgradient_svm(X, y, c_reg: float, epochs: int = 2000):
     """Full-batch subgradient SVM run directly on w in feature space.
 
     The same iteration as evaluate.train_svm (start at 0, step 1/t, keep
-    the best iterate, one best-so-far objective per epoch in `trace`),
-    with every epoch an N x D product instead of a Gram matvec.
+    the best iterate), with every epoch an N x D product instead of a
+    Gram matvec.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -331,8 +335,6 @@ def primal_subgradient_svm(X, y, c_reg: float, epochs: int = 2000, trace: list |
     best_w, best_b = w.copy(), b
     margins = y * (X @ w + b)
     best_obj = primal(w, margins)
-    if trace is not None:
-        trace.append(best_obj)
     for t in range(1, epochs + 1):
         active = margins < 1.0
         ya = y[active]
@@ -346,8 +348,6 @@ def primal_subgradient_svm(X, y, c_reg: float, epochs: int = 2000, trace: list |
         if obj < best_obj:
             best_obj = obj
             best_w, best_b = w.copy(), b
-        if trace is not None:
-            trace.append(best_obj)
     return best_w, best_b
 
 
@@ -362,6 +362,21 @@ def naive_tv(image: np.ndarray, beta: float) -> float:
                 dv = image[i + 1, j, ch] - image[i, j, ch] if i + 1 < h else 0.0
                 total += (dh * dh + dv * dv) ** (beta / 2.0)
     return total
+
+
+def tv_grad(image, beta: float = 2.0) -> np.ndarray:
+    """Gradient of reconstruct.tv in the pixels, from the callback that invert uses.
+
+    Where s = dh^2 + dv^2 is 0, the weight of a pixel's differences is 0.
+    """
+    return _tv_terms(image.pixels, beta)[1]()
+
+
+def with_gram(fm: FeatureMatrix) -> FeatureMatrix:
+    """fm with G = V V^T attached (fm itself if it already carries a Gram)."""
+    if fm.G is not None:
+        return fm
+    return FeatureMatrix(fm.V, fm.m, fm.n, gram(fm.V))
 
 
 # Plain forms of the extractor layers: im2col through a transposed 5-D

@@ -25,6 +25,7 @@ from dmtrav.evaluate import (
 from dmtrav.features import ImageTensor, identity_spec, init_weights
 from dmtrav.mmd import FeatureMatrix
 from dmtrav.traversal import TraversalConfig, traverse
+from oracles import with_gram
 
 # 2-D 8-point instance (default_rng(21), two displaced normal clusters) with
 # c_reg = 0.7. Grid value frozen from oracles.svm_grid_min over
@@ -73,13 +74,6 @@ class TestTrainSvm:
         start = oracles.svm_objective(np.zeros(2), 0.0, X, y, c)
         assert oracles.svm_objective(w, b, X, y, c) <= start
 
-    def test_recorded_trace_non_increasing(self):
-        X, y, c = svm_instance()
-        trace = []
-        train_svm(X, y, c, trace=trace)
-        assert len(trace) == 2001
-        assert all(b <= a for a, b in zip(trace, trace[1:]))
-
     @pytest.mark.parametrize("problem", ["instance", "duplicated", "symmetric_pair"])
     def test_matches_primal_oracle(self, problem):
         X, y, c = svm_instance()
@@ -117,15 +111,10 @@ class TestTrainSvm:
 
 
 def assert_matches_primal_oracle(X, y, c):
-    trace, oracle_trace = [], []
-    w, b = train_svm(X, y, c, trace=trace)
-    w_o, b_o = oracles.primal_subgradient_svm(X, y, c, trace=oracle_trace)
+    w, b = train_svm(X, y, c)
+    w_o, b_o = oracles.primal_subgradient_svm(X, y, c)
     assert np.max(np.abs(w - w_o)) <= 1e-10 * np.max(np.abs(w_o))
     assert abs(b - b_o) <= 1e-10 * abs(b_o)
-    assert len(trace) == len(oracle_trace) == 2001
-    for t in (trace, oracle_trace):
-        assert all(later <= earlier for earlier, later in zip(t, t[1:]))
-    assert np.allclose(trace, oracle_trace, rtol=1e-10, atol=0.0)
 
 
 class TestPlattFit:
@@ -201,7 +190,7 @@ class TestSweepDecisions:
     def test_identical_blocks_stay_at_baseline(self):
         block = np.random.default_rng(7).standard_normal((2, 4))
         V = np.vstack([block, block, block[:1] * 0.5])
-        fm = FeatureMatrix(V, 2, 2).with_gram()
+        fm = with_gram(FeatureMatrix(V, 2, 2))
         res = traverse(fm, TraversalConfig(lambdas=(0.5, 0.1)))
         model = ClassifierModel(np.ones(4) * 0.3, -0.1, -1.0, 0.0)
         report = sweep_decisions(model, [(rec.lam, rec.r) for rec in res], fm)
@@ -212,7 +201,7 @@ class TestSweepDecisions:
 
     def test_single_lambda_gives_two_records(self):
         V, m, n = seeded_instance(70, K=5, D=6)
-        fm = FeatureMatrix(V, m, n).with_gram()
+        fm = with_gram(FeatureMatrix(V, m, n))
         res = traverse(fm, TraversalConfig(lambdas=(0.2,)))
         model = ClassifierModel(np.zeros(6), 0.0, -1.0, 0.0)
         report = sweep_decisions(model, [(rec.lam, rec.r) for rec in res], fm)
@@ -220,7 +209,7 @@ class TestSweepDecisions:
 
     def test_dimension_checked(self):
         V, m, n = seeded_instance(71, K=5, D=6)
-        fm = FeatureMatrix(V, m, n).with_gram()
+        fm = with_gram(FeatureMatrix(V, m, n))
         res = traverse(fm, TraversalConfig(lambdas=(0.2,)))
         model = ClassifierModel(np.zeros(4), 0.0, -1.0, 0.0)
         with pytest.raises(InvalidInputError):

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,14 +21,14 @@ from dmtrav.mmd import (
 )
 from dmtrav.optim import minimize
 from dmtrav.traversal import _embedding
-from oracles import finite_difference_gradient, rbf_kernel
+from oracles import finite_difference_gradient, rbf_kernel, with_gram
 
 # Rows [target=2, source=0, test=0.2] in 1-D; the hand-checkable instance.
 HAND_V = np.array([[2.0], [0.0], [0.2]])
 
 
 def hand_instance():
-    return FeatureMatrix(HAND_V, 1, 1).with_gram()
+    return with_gram(FeatureMatrix(HAND_V, 1, 1))
 
 
 class TestRbfKernel:
@@ -312,6 +313,25 @@ class TestFeatureMatrix:
         with pytest.raises(InvalidInputError):
             FeatureMatrix(V, 2, 1, G_bad)
 
+    def test_symmetry_checked_in_the_last_partial_block(self):
+        # K = 513 is eight full blocks of the row-block check and one row
+        V, m, n = seeded_instance(5, K=513, D=4)
+        G = gram(V)
+        G[512, 3] += 1e-6 * np.abs(G).max()
+        with pytest.raises(InvalidInputError, match="not symmetric"):
+            FeatureMatrix(V, m, n, G)
+
+    def test_symmetry_check_makes_no_k_by_k_temporary(self):
+        V, m, n = seeded_instance(5, K=513, D=4)
+        G = gram(V)
+        tracemalloc.start()  # numpy reports its array buffers to tracemalloc
+        try:
+            FeatureMatrix(V, m, n, G)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= G.nbytes / 2
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_gram_rejected(self, value):
         V = np.random.default_rng(1).standard_normal((4, 3))
@@ -322,7 +342,7 @@ class TestFeatureMatrix:
 
     def test_gram_psd_on_desk_scale(self):
         V, m, n = seeded_instance(3, K=12, D=9)
-        fm = FeatureMatrix(V, m, n).with_gram()
+        fm = with_gram(FeatureMatrix(V, m, n))
         eig = np.linalg.eigvalsh(fm.G)
         assert eig.min() >= -1e-6 * np.trace(fm.G) / fm.K
 

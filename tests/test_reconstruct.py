@@ -9,13 +9,12 @@ from dmtrav import reconstruct
 from dmtrav.errors import InvalidInputError
 from dmtrav.features import ExtractorSpec, ImageTensor, forward, identity_spec, init_weights
 from dmtrav.optim import MinimizeConfig
-from oracles import finite_difference_gradient
+from oracles import finite_difference_gradient, tv_grad
 from dmtrav.reconstruct import (
     ReconstructionConfig,
     invert,
     solve_pixels,
     tv,
-    tv_grad,
 )
 
 
@@ -200,29 +199,16 @@ class TestInvert:
         assert res.trace.iterations == 5
         assert len(passes) == len(evaluations) > 0
 
-    def test_zero_lambda_tv_evaluates_no_tv_in_the_solve(self, monkeypatch):
-        # the reported final_tv is the one TV evaluation
-        spec = identity_spec(4, 4, 1)
-        passes = count_calls(monkeypatch, reconstruct, "_tv_terms")
-        values = count_calls(monkeypatch, reconstruct, "tv")
-        grads = count_calls(monkeypatch, reconstruct, "tv_grad")
-        z = np.random.default_rng(60).uniform(0.1, 0.9, 16)
-        res = invert(spec, init_weights(spec, 0), z, ReconstructionConfig(lambda_tv=0.0))
-        assert res.trace.iterations > 0
-        assert len(passes) == 1 and len(values) == 1 and grads == []
-
     def test_one_tv_pass_per_objective_evaluation(self, monkeypatch):
         # value and gradient share one pass of differences; final_tv adds one more
         spec = identity_spec(4, 4, 1)
         tv_passes = count_calls(monkeypatch, reconstruct, "_tv_terms")
-        grads = count_calls(monkeypatch, reconstruct, "tv_grad")
         forward_passes = count_calls(monkeypatch, reconstruct, "forward")
         z = np.random.default_rng(62).uniform(0.0, 1.0, 16)
         cfg = ReconstructionConfig(lambda_tv=0.05, solver=MinimizeConfig(max_iters=5))
         res = invert(spec, init_weights(spec, 0), z, cfg)
         assert res.trace.iterations > 0 and res.final_tv > 0
         assert len(tv_passes) == len(forward_passes) + 1
-        assert grads == []
 
     def test_dimension_mismatch_rejected(self, reference):
         spec, weights = reference

@@ -18,6 +18,7 @@ from dmtrav.mmd import (
     witness_factored,
 )
 from dmtrav.traversal import TraversalConfig, _embedding, materialize, traverse
+from oracles import with_gram
 
 # Rows [target=2, source=0, test=0.2] in 1-D. Global optimum objective for
 # sigma=1, lambda=0.01 frozen from the brute-force grid over r in [-2, 2]^3
@@ -27,7 +28,7 @@ HAND_GRID_OBJECTIVE = -0.9495899047661179
 
 
 def hand_features():
-    return FeatureMatrix(HAND_V, 1, 1).with_gram()
+    return with_gram(FeatureMatrix(HAND_V, 1, 1))
 
 
 class TestConfig:
@@ -46,7 +47,7 @@ class TestConfig:
 class TestTraverse:
     def test_dominant_lambda_pins_r_at_zero(self):
         V, m, n = seeded_instance(31, K=7, D=9)
-        fm = FeatureMatrix(V, m, n).with_gram()
+        fm = with_gram(FeatureMatrix(V, m, n))
         res = traverse(fm, TraversalConfig(lambdas=(1e9,)))
         rec = res[0]
         assert np.max(np.abs(rec.r)) < 1e-6
@@ -62,13 +63,13 @@ class TestTraverse:
     def test_identical_blocks_keep_r_zero(self):
         block = np.array([[1.0, 0.5], [0.2, 2.0]])
         V = np.vstack([block, block, [[0.3, 0.3]]])
-        fm = FeatureMatrix(V, 2, 2).with_gram()
+        fm = with_gram(FeatureMatrix(V, 2, 2))
         res = traverse(fm, TraversalConfig(lambdas=(0.5,), kernel=KernelConfig(1.0)))
         assert np.array_equal(res[0].r, np.zeros(5))
 
     def test_objective_identity_and_feasibility(self):
         V, m, n = seeded_instance(12, K=9, D=20)
-        fm = FeatureMatrix(V, m, n).with_gram()
+        fm = with_gram(FeatureMatrix(V, m, n))
         cfg = TraversalConfig(lambdas=(0.3, 0.1, 0.03))
         res = traverse(fm, cfg)
         assert [rec.lam for rec in res] == [0.3, 0.1, 0.03]
@@ -82,7 +83,7 @@ class TestTraverse:
 
     def test_deterministic_bitwise(self):
         V, m, n = seeded_instance(13, K=8, D=15)
-        fm = FeatureMatrix(V, m, n).with_gram()
+        fm = with_gram(FeatureMatrix(V, m, n))
         cfg = TraversalConfig(lambdas=(0.2, 0.05))
         a = traverse(fm, cfg)
         b = traverse(fm, cfg)
@@ -99,7 +100,7 @@ class TestTraverse:
 
     def test_solver_failure_annotated_with_lambda(self):
         V, m, n = seeded_instance(15, K=4, D=3)
-        fm = FeatureMatrix(1e3 * V, m, n).with_gram()
+        fm = with_gram(FeatureMatrix(1e3 * V, m, n))
         # a subnormal kernel width overflows the witness gradient at the start
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             NumericalError, match="lambda"
@@ -114,7 +115,7 @@ class TestTraverse:
         duplicate[7] = W[3]  # rank(G) = 8 < K
         near_duplicate[7] = W[3] + 1e-7 * np.random.default_rng(21).standard_normal(20)
         for rows_in in (V, duplicate, near_duplicate):
-            fm = FeatureMatrix(rows_in, m, n).with_gram()
+            fm = with_gram(FeatureMatrix(rows_in, m, n))
             sigma = res_sigma(fm)
             res = traverse(fm, TraversalConfig(lambdas=(1e-2 / sigma, 1e-3 / sigma)))
             U, _, _ = np.linalg.svd(rows_in, full_matrices=False)
@@ -126,7 +127,7 @@ class TestTraverse:
                 assert np.linalg.norm(rec.r) > 0
 
     def test_zero_gram_keeps_r_zero(self):
-        fm = FeatureMatrix(np.zeros((5, 3)), 2, 2).with_gram()
+        fm = with_gram(FeatureMatrix(np.zeros((5, 3)), 2, 2))
         res = traverse(fm, TraversalConfig(lambdas=(0.1, 0.01), kernel=KernelConfig(1.0)))
         for rec in res:
             assert np.array_equal(rec.r, np.zeros(5))
@@ -137,7 +138,7 @@ class TestTraverse:
         from dmtrav.optim import MinimizeConfig
 
         V, m, n = seeded_instance(22, K=9, D=20)
-        fm = FeatureMatrix(V, m, n).with_gram()
+        fm = with_gram(FeatureMatrix(V, m, n))
         with caplog.at_level(logging.WARNING, logger="dmtrav.traversal"):
             traverse(fm, TraversalConfig(lambdas=(0.1, 0.01)))
         assert caplog.records == []
@@ -163,7 +164,7 @@ def test_full_rank_sweep_factors_once_and_solves_once(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     V, m, n = seeded_instance(23, K=9, D=20)
-    fm = FeatureMatrix(V, m, n).with_gram()
+    fm = with_gram(FeatureMatrix(V, m, n))
     cfg = TraversalConfig(lambdas=(0.1, 0.01, 1e-3))
     for sweep in (1, 2):
         traverse(fm, cfg)
@@ -173,7 +174,7 @@ def test_full_rank_sweep_factors_once_and_solves_once(monkeypatch):
 @pytest.mark.parametrize("seed", [52, 53])
 def test_cholesky_embedding_agrees_with_eigenvector_embedding(seed):
     V, m, n = seeded_instance(seed, K=11, D=30)
-    G = FeatureMatrix(V, m, n).with_gram().G
+    G = with_gram(FeatureMatrix(V, m, n)).G
     sigma = median_heuristic_sigma(G)
     X, to_r = _embedding(G)
     assert np.array_equal(X, np.tril(X))  # full rank: the Cholesky factor
@@ -190,7 +191,7 @@ def test_cholesky_embedding_agrees_with_eigenvector_embedding(seed):
 
 def test_sweep_agrees_with_sweep_on_eigenvector_embedding(monkeypatch):
     V, m, n = seeded_instance(54, K=11, D=30)
-    fm = FeatureMatrix(V, m, n).with_gram()
+    fm = with_gram(FeatureMatrix(V, m, n))
     sigma = res_sigma(fm)
     cfg = TraversalConfig(lambdas=tuple(s / sigma for s in (1e-2, 1e-3, 1e-4)))
     res = traverse(fm, cfg)
@@ -266,7 +267,7 @@ class TestRegularizationPath:
     def test_solver_matches_grid_and_path_is_monotone(self, seed):
         # one quick instance here; the acceptance suite runs the full set
         V = self.make_instance(seed)
-        fm = FeatureMatrix(V, 1, 1).with_gram()
+        fm = with_gram(FeatureMatrix(V, 1, 1))
         sigma = res_sigma(fm)
         lambdas = (0.3, 0.1)
         res = traverse(fm, TraversalConfig(lambdas=lambdas, kernel=KernelConfig(sigma)))
@@ -286,7 +287,7 @@ class TestRegularizationPath:
 class TestWarmStart:
     def test_budget_largest_lambda_smallest(self):
         V, m, n = seeded_instance(44, K=7, D=12)
-        fm = FeatureMatrix(V, m, n).with_gram()
+        fm = with_gram(FeatureMatrix(V, m, n))
         res = traverse(fm, TraversalConfig(lambdas=(1.0, 0.1, 0.01)))
         budgets = [rec.budget for rec in res]
         assert budgets[0] <= min(budgets) + 1e-12
@@ -295,7 +296,7 @@ class TestWarmStart:
 @pytest.mark.parametrize("seed, lam", [(50, 1e-3), (51, 0.5)])
 def test_embedded_objective_equals_separate_terms_bit_for_bit(seed, lam):
     V, m, n = seeded_instance(seed, K=11, D=30)
-    G = FeatureMatrix(V, m, n).with_gram().G
+    G = with_gram(FeatureMatrix(V, m, n)).G
     sigma = median_heuristic_sigma(G)
     X, _ = _embedding(G)
     fun = embedded_objective(X, m, n, sigma, lam)
@@ -315,7 +316,7 @@ def test_embedded_objective_agrees_with_gram_and_feature_forms(seed, K, D):
     # the objective at r = P a, its gradient the r-gradient mapped by P',
     # with P the matrix of the embedding's map from a to r
     V, m, n = seeded_instance(seed, K=K, D=D)
-    fm = FeatureMatrix(V, m, n).with_gram()
+    fm = with_gram(FeatureMatrix(V, m, n))
     G = fm.G
     sigma = median_heuristic_sigma(G)
     kcfg = KernelConfig(sigma)
