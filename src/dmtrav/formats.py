@@ -148,54 +148,23 @@ def read_feature_file(path) -> FeatureFile:
     raises FormatError.
     """
     with open(path, "rb") as fh:
-        return _read_features(fh, path, read_gram=True)
-
-
-def _read_features(fh, path, read_gram: bool) -> FeatureFile:
-    """Read the header and V from fh, then the Gram section if read_gram (else G is None)."""
-    size = os.fstat(fh.fileno()).st_size
-    head = fh.read(40)
-    if head[:4] != _V_MAGIC:
-        raise FormatError(f"{path}: bad magic {head[:4]!r}")
-    if len(head) < 40:
-        raise FormatError(f"{path}: truncated header")
-    version, K, D, m, n = struct.unpack("<IQQQQ", head[4:])
-    if version != _V_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    if not (m == 0 and n == 0) and K != m + n + 1:
-        raise FormatError(f"{path}: K={K} does not equal m+n+1={m + n + 1}")
-    if D == 0:  # no V bytes would bound K
-        raise FormatError(f"{path}: D=0, rows hold no features")
-    if 8 * D > np.iinfo(np.intp).max:  # no V bytes bound D when K = 0
-        raise FormatError(f"{path}: D={D} is too large for an array")
-    end = 40 + 4 * K * D
-    if size < end:
-        raise FormatError(f"{path}: truncated V data")
-    V = np.empty((K, D))
-    flat = V.reshape(-1)
-    step = _READ_BUFFER_BYTES // 4
-    buf = np.empty(min(flat.size, step), dtype="<f4")
-    for start in range(0, flat.size, step):
-        chunk = buf[: flat.size - start]
-        if fh.readinto(chunk) != chunk.nbytes:
-            raise FormatError(f"{path}: truncated V data")
-        # Checked on the stored f32 values: casting a signalling NaN to float64 warns.
-        if not all_finite(chunk):
-            raise FormatError(f"{path}: non-finite value in V data")
-        flat[start : start + chunk.size] = chunk
-    if not read_gram or size == end:
-        return FeatureFile(V=V, m=int(m), n=int(n), G=None)
-    magic = fh.read(4)
-    if magic != _G_MAGIC:
-        raise FormatError(f"{path}: unexpected section magic {magic!r}")
-    gend = end + 4 + 8 * K * K
-    if size < gend:
-        raise FormatError(f"{path}: truncated Gram data")
-    if size != gend:
-        raise FormatError(f"{path}: trailing bytes after Gram section")
-    G = np.empty((K, K), dtype="<f8")
-    if fh.readinto(G) != G.nbytes:
-        raise FormatError(f"{path}: truncated Gram data")
+        K, D, m, n, size = _read_header(fh, path)
+        V = np.empty((K, D))
+        _read_rows(fh, path, V, check=True)
+        end = 40 + 4 * V.size
+        if size == end:
+            return FeatureFile(V=V, m=int(m), n=int(n), G=None)
+        magic = fh.read(4)
+        if magic != _G_MAGIC:
+            raise FormatError(f"{path}: unexpected section magic {magic!r}")
+        gend = end + 4 + 8 * K * K
+        if size < gend:
+            raise FormatError(f"{path}: truncated Gram data")
+        if size != gend:
+            raise FormatError(f"{path}: trailing bytes after Gram section")
+        G = np.empty((K, K), dtype="<f8")
+        if fh.readinto(G) != G.nbytes:
+            raise FormatError(f"{path}: truncated Gram data")
     if not all_finite(G):
         raise FormatError(f"{path}: non-finite value in Gram data")
     # A Gram section computed from other rows would silently combine data
@@ -211,21 +180,88 @@ def _read_features(fh, path, read_gram: bool) -> FeatureFile:
     return FeatureFile(V=V, m=int(m), n=int(n), G=G)
 
 
+def _read_header(fh, path) -> tuple[int, int, int, int, int]:
+    """Read and check the header from fh: K, D, m, n and the file's size."""
+    size = os.fstat(fh.fileno()).st_size
+    head = fh.read(40)
+    if head[:4] != _V_MAGIC:
+        raise FormatError(f"{path}: bad magic {head[:4]!r}")
+    if len(head) < 40:
+        raise FormatError(f"{path}: truncated header")
+    version, K, D, m, n = struct.unpack("<IQQQQ", head[4:])
+    if version != _V_VERSION:
+        raise FormatError(f"{path}: unsupported version {version}")
+    if not (m == 0 and n == 0) and K != m + n + 1:
+        raise FormatError(f"{path}: K={K} does not equal m+n+1={m + n + 1}")
+    if D == 0:  # no V bytes would bound K
+        raise FormatError(f"{path}: D=0, rows hold no features")
+    if 8 * D > np.iinfo(np.intp).max:  # no V bytes bound D when K = 0
+        raise FormatError(f"{path}: D={D} is too large for an array")
+    if size < 40 + 4 * K * D:
+        raise FormatError(f"{path}: truncated V data")
+    return K, D, m, n, size
+
+
+def _read_rows(fh, path, out: np.ndarray, check: bool) -> None:
+    """Fill the contiguous float64 array out with the next out.size stored f32 values.
+
+    They stream through one f32 buffer of at most _READ_BUFFER_BYTES,
+    allocated for this call. With check, a value that is not finite
+    raises FormatError.
+    """
+    flat = out.reshape(-1)
+    step = _READ_BUFFER_BYTES // 4
+    buf = np.empty(min(flat.size, step), dtype="<f4")
+    for start in range(0, flat.size, step):
+        chunk = buf[: flat.size - start]
+        if fh.readinto(chunk) != chunk.nbytes:
+            raise FormatError(f"{path}: truncated V data")
+        # Checked on the stored f32 values: casting a signalling NaN to float64 warns.
+        if check and not all_finite(chunk):
+            raise FormatError(f"{path}: non-finite value in V data")
+        flat[start : start + chunk.size] = chunk
+
+
+class _StoredRows:
+    """The stored f32 rows of an open DMTV file, as a row source for mmd.gram.
+
+    A row's values are checked to be finite on its first read.
+    """
+
+    def __init__(self, fh, path, K: int, D: int):
+        self.shape = (K, D)
+        self._fh, self._path = fh, path
+
+    def read_rows(self, start: int, out: np.ndarray, first: bool) -> None:
+        self._fh.seek(40 + 4 * self.shape[1] * start)
+        _read_rows(self._fh, self._path, out, check=first)
+
+
 def append_gram(path, overwrite: bool = False) -> None:
     """Compute the Gram of the stored rows and write it after V, leaving V's bytes untouched.
 
+    mmd.gram forms G from the file's rows in panels, so besides G this
+    holds at most PANEL_ROWS + BLOCK_ROWS float64 rows (at most K) and
+    the 1 MiB read buffer, never all of V. Every stored value is checked
+    to be finite before anything is written.
+
     A file that already has a Gram section is refused unless overwrite is
-    set. With overwrite only the header and V are read and checked, and
-    whatever follows V is replaced: a valid Gram section, or one that
-    fails the reader's checks.
+    set; without it, whatever follows V is first read and checked as
+    read_feature_file does. With overwrite only the header and V are
+    read and checked, and whatever follows V is replaced: a valid Gram
+    section, or one that fails the reader's checks.
     """
     with open(path, "rb") as fh:
-        ff = _read_features(fh, path, read_gram=not overwrite)
-    if ff.G is not None:
-        raise InvalidInputError(f"{path}: Gram section already present (pass overwrite to replace)")
-    G = gram(ff.V)
+        K, D, _, _, size = _read_header(fh, path)
+        end = 40 + 4 * K * D
+        if size > end and not overwrite:
+            read_feature_file(path)  # a section that fails the reader's checks raises here
+            raise InvalidInputError(
+                f"{path}: Gram section already present (pass overwrite to replace)"
+            )
+        G = gram(_StoredRows(fh, path, K, D))
     with open(path, "r+b") as fh:
-        fh.seek(40 + 4 * ff.V.size)
+        fh.seek(end)
         fh.truncate()
         fh.write(_G_MAGIC)
         fh.write(np.ascontiguousarray(G, dtype="<f8"))

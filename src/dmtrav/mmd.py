@@ -23,6 +23,8 @@ import numpy as np
 from .errors import DegenerateDataError, InvalidInputError
 
 _SYMMETRY_BLOCK = 64  # rows of G checked against G^T at a time, so no K x K temporary
+PANEL_ROWS = 512  # most rows of G that gram forms per pass over the earlier rows of V
+BLOCK_ROWS = 256  # earlier rows of V multiplied against a panel at a time
 
 
 def all_finite(a: np.ndarray) -> bool:
@@ -113,30 +115,79 @@ class FeatureMatrix:
 
 
 def gram(V) -> np.ndarray:
-    """Pairwise inner products of the rows of V, as a 64-bit K x K matrix."""
-    V = np.asarray(V, dtype=float)
-    if V.ndim != 2:
-        raise InvalidInputError("V must be a 2-D matrix")
-    if not all_finite(V):
-        raise InvalidInputError("V must contain only finite values")
-    return V @ V.T
+    """Pairwise inner products of the rows of V, as a 64-bit K x K matrix.
+
+    G is formed over panels of near-equal size, at most PANEL_ROWS rows
+    each: each panel's own block as one A A^T, then the earlier rows,
+    BLOCK_ROWS at a time, against the panel into the upper triangle, each
+    block mirrored into the lower one, so G is exactly symmetric. With
+    K <= PANEL_ROWS this is the one product V V^T.
+
+    V is a K x D array, whose rows are taken as views, or a row source:
+    an object with shape (K, D) whose read_rows(start, out, first) fills
+    the float64 array out with rows start:start + len(out) of V. first
+    is True when those rows are read for the first time (as their panel,
+    in ascending order). For a source, gram holds one array of one panel
+    and one block of rows, never all of V.
+    """
+    read = getattr(V, "read_rows", None)
+    if read is None:
+        V = np.asarray(V, dtype=float)
+        if V.ndim != 2:
+            raise InvalidInputError("V must be a 2-D matrix")
+        if not all_finite(V):
+            raise InvalidInputError("V must contain only finite values")
+    K, D = V.shape
+    panels = -(-K // PANEL_ROWS)
+    size = -(-K // panels) if K else 0  # rows per panel: near-equal, so the last is no sliver
+    if read is None:
+
+        def rows(start: int, stop: int, block: bool) -> np.ndarray:
+            return V[start:stop]
+
+    else:
+        store = np.empty((size + min(BLOCK_ROWS, (panels - 1) * size), D))  # a panel, a block
+
+        def rows(start: int, stop: int, block: bool) -> np.ndarray:
+            out = store[size if block else 0 :][: stop - start]
+            read(start, out, not block)
+            return out
+
+    G = np.empty((K, K))
+    for p0 in range(0, K, max(size, 1)):
+        p1 = min(p0 + size, K)
+        A = rows(p0, p1, False)
+        np.matmul(A, A.T, out=G[p0:p1, p0:p1])  # numpy's syrk path, mirrored by numpy
+        for b0 in range(0, p0, BLOCK_ROWS):
+            b1 = min(b0 + BLOCK_ROWS, p0)
+            upper = np.matmul(rows(b0, b1, True), A.T, out=G[b0:b1, p0:p1])
+            G[p0:p1, b0:b1] = upper.T
+    return G
 
 
 def median_heuristic_sigma(G) -> float:
     """Median squared pairwise row distance, read off the Gram matrix.
 
-    Falls back to the mean when the median is zero; raises when every
-    pairwise distance is zero (all rows identical).
+    The K(K-1)/2 distances max(G_ii + G_jj - 2 G_ij, 0), i < j, are
+    written row by row into one vector, which the median then partitions
+    in place: no K x K array is built. Falls back to the mean when the
+    median is zero; raises when every pairwise distance is zero (all rows
+    identical).
     """
     G = _require_gram(G)
     K = G.shape[0]
     if K < 2:
         raise InvalidInputError("G must have K >= 2 rows")
     diag = np.diag(G)
-    sq = diag[:, None] + diag[None, :] - 2.0 * G
-    iu = np.triu_indices(K, k=1)
-    dists = np.maximum(sq[iu], 0.0)
-    med = float(np.median(dists))
+    dists = np.empty(K * (K - 1) // 2)
+    at = 0
+    for i in range(K - 1):
+        row = dists[at : at + K - 1 - i]
+        np.add(diag[i], diag[i + 1 :], out=row)
+        row -= 2.0 * G[i, i + 1 :]
+        np.maximum(row, 0.0, out=row)
+        at += row.size
+    med = float(np.median(dists, overwrite_input=True))
     if med > 0:
         return med
     mean = float(np.mean(dists))

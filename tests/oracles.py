@@ -117,6 +117,13 @@ def naive_gram(V: np.ndarray) -> np.ndarray:
     return G
 
 
+def dense_median_sigma(G: np.ndarray) -> float:
+    """The median heuristic from the full K x K matrix of squared row distances."""
+    d = np.diag(G)
+    sq = d[:, None] + d[None, :] - 2.0 * G
+    return float(np.median(np.maximum(sq[np.triu_indices(G.shape[0], k=1)], 0.0)))
+
+
 def naive_materialize(V: np.ndarray, r: np.ndarray) -> np.ndarray:
     z = V[-1].astype(float).copy()
     for i in range(V.shape[0]):

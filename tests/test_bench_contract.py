@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from dmtrav import cli, formats
+from dmtrav.mmd import PANEL_ROWS
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "bench"))
@@ -68,6 +69,19 @@ def test_extract_then_gram_output_passes_the_benchmark_check(tmp_path, bench_ext
     assert cli.main(["extract", str(manifest), "--out", str(out), "--quiet"]) == 0
     assert cli.main(["gram", str(out / "features.dmtv"), "--quiet"]) == 0
     problems, _ = checks.check_extract(out, rows, 3, len(rows), *bench_extractor)
+    assert problems == []
+
+
+def test_extract_then_gram_over_two_panels_passes_the_benchmark_check(tmp_path, bench_extractor):
+    # 601 rows: two Gram panels, of 301 and 300 rows; the second meets a full block and one of 45
+    n = PANEL_ROWS // 2 + 44
+    manifest = inputs.write_image_set(4, tmp_path / "input", n, n)
+    rows = inputs.manifest_rows(manifest)
+    assert len(rows) > PANEL_ROWS and len(rows) % PANEL_ROWS
+    out = tmp_path / "out"
+    assert cli.main(["extract", str(manifest), "--out", str(out), "--quiet"]) == 0
+    assert cli.main(["gram", str(out / "features.dmtv"), "--quiet"]) == 0
+    problems, _ = checks.check_extract(out, rows, 4, 16, *bench_extractor)
     assert problems == []
 
 

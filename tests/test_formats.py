@@ -9,6 +9,7 @@ import pytest
 import oracles
 from conftest import append_raw_gram
 from dmtrav import mmd
+from dmtrav.mmd import BLOCK_ROWS, PANEL_ROWS
 from dmtrav.cli import RunConfig
 from dmtrav.errors import FormatError, InvalidInputError
 from dmtrav.features import (
@@ -267,6 +268,54 @@ class TestFeatureFile:
             tracemalloc.stop()
         assert ff.G.shape == (K, K)
         assert peak <= 8 * K * D + 8 * K * K + 1.5 * 2**20
+
+    # one row over a panel (two panels of 257 and 256 rows); three panels of 367, 367 and 365
+    @pytest.mark.parametrize("K", [PANEL_ROWS + 1, 2 * PANEL_ROWS + 75])
+    def test_gram_step_holds_g_and_one_panel_and_one_block(self, tmp_path, K):
+        D = 4096
+        p = _many_panel_file(tmp_path, K, D)
+        tracemalloc.start()  # numpy reports its array buffers to tracemalloc
+        try:
+            append_gram(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * K * K + 8 * min(PANEL_ROWS + BLOCK_ROWS, K) * D + 1.5 * 2**20
+
+    def test_gram_over_many_panels_is_the_product_of_the_stored_rows(self, tmp_path):
+        K, D = 2 * PANEL_ROWS + 75, 4096
+        p = _many_panel_file(tmp_path, K, D)
+        append_gram(p)
+        W = np.fromfile(p, "<f4", K * D, offset=40).reshape(K, D).astype(np.float64)
+        ff = read_feature_file(p)
+        assert np.array_equal(ff.G, ff.G.T)
+        assert np.max(np.abs(ff.G - W @ W.T)) <= 1e-14 * np.max(np.abs(ff.G))
+
+    def test_container_with_no_rows_gets_an_empty_gram(self, tmp_path):
+        p = tmp_path / "f.dmtv"
+        write_feature_file(p, np.zeros((0, 3)), 0, 0)
+        append_gram(p)
+        ff = read_feature_file(p)
+        assert ff.V.shape == (0, 3) and ff.G.shape == (0, 0)
+
+    def test_non_finite_value_in_the_last_panel_is_refused_before_writing(self, tmp_path):
+        K, D = 2 * PANEL_ROWS + 75, 8
+        p = _many_panel_file(tmp_path, K, D)
+        data = bytearray(p.read_bytes())
+        at = 40 + 4 * ((K - 2) * D + 5)  # row K - 2 is read only with the last panel
+        data[at : at + 4] = struct.pack("<f", float("nan"))
+        p.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="non-finite value in V data"):
+            append_gram(p)
+        assert p.read_bytes() == data
+
+
+def _many_panel_file(tmp_path, K: int, D: int):
+    """A DMTV file of K seeded rows with no Gram section."""
+    p = tmp_path / "f.dmtv"
+    V = np.random.default_rng(102).standard_normal((K, D))
+    write_feature_file(p, V, K // 2, K - K // 2 - 1)
+    return p
 
 
 class TestRecords:

@@ -10,6 +10,8 @@ from conftest import seeded_instance
 from dmtrav.errors import DegenerateDataError, InvalidInputError
 from dmtrav.features import ExtractorSpec
 from dmtrav.mmd import (
+    BLOCK_ROWS,
+    PANEL_ROWS,
     FeatureMatrix,
     KernelConfig,
     budget,
@@ -85,6 +87,34 @@ class TestGram:
         with pytest.raises(InvalidInputError):
             gram(np.array([[1.0, np.nan]]))
 
+    def test_panels_above_two_agree_with_one_product(self):
+        # three panels of 354, 354 and 353 rows
+        V = np.random.default_rng(18).standard_normal((2 * PANEL_ROWS + 37, 16))
+        G = gram(V)
+        assert np.array_equal(G, G.T)
+        assert np.max(np.abs(G - np.dot(V, V.T))) <= 1e-14 * np.max(np.abs(G))
+
+    def test_a_row_source_reads_each_row_first_in_its_panel(self):
+        V = np.random.default_rng(19).standard_normal((2 * PANEL_ROWS + 37, 3))
+        reads = []
+
+        class Rows:
+            shape = V.shape
+
+            def read_rows(self, start, out, first):
+                reads.append((start, start + len(out), first))
+                out[:] = V[start : start + len(out)]
+
+        assert np.array_equal(gram(Rows()), gram(V))
+        firsts = [(a, b) for a, b, first in reads if first]
+        assert [a for a, _ in firsts] == [0] + [b for _, b in firsts[:-1]]  # ascending, each once
+        assert firsts[-1][1] == V.shape[0]
+        assert max(b - a for a, b in firsts) - min(b - a for a, b in firsts) <= 1  # no sliver
+        for i, (start, stop, first) in enumerate(reads):
+            if not first:  # an earlier block, against the latest panel
+                panel = max(a for a, _, f in reads[:i] if f)
+                assert stop <= panel and stop - start <= BLOCK_ROWS
+
 
 class TestMedianHeuristic:
     def test_two_rows(self):
@@ -107,6 +137,24 @@ class TestMedianHeuristic:
         V = np.vstack([np.zeros((4, 1)), [[2.0]]])
         sigma = median_heuristic_sigma(gram(V))
         assert sigma == pytest.approx(4.0 * 4 / 10, rel=1e-12)
+
+    def test_matches_the_dense_formula_bit_for_bit(self):
+        V, _, _ = seeded_instance(6, K=513, D=9)
+        G = gram(V)
+        assert median_heuristic_sigma(G) == oracles.dense_median_sigma(G)
+
+    def test_makes_no_k_by_k_temporary(self):
+        K = 257
+        G = gram(np.random.default_rng(20).standard_normal((K, 5)))
+        median_heuristic_sigma(G)  # the first call loads numpy code that tracemalloc would count
+        tracemalloc.start()  # numpy reports its array buffers to tracemalloc
+        try:
+            median_heuristic_sigma(G)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the one vector of K(K-1)/2 distances, and 64 KiB for rows and scalars
+        assert peak <= 8 * K * (K - 1) // 2 + 64 * 2**10
 
 
 class TestWitnessDirect:
