@@ -29,6 +29,7 @@ from .errors import (
 )
 from .features import (
     ExtractorSpec,
+    ImageTensor,
     WeightSet,
     forward,
     identity_spec,
@@ -140,34 +141,40 @@ class RunConfig:
 def cmd_extract(manifest: formats.Manifest, run: RunConfig) -> Path:
     """Extract features for [targets, sources, input] and write the DMTV file.
 
-    Every image is read first, so an image that cannot be read raises
-    OSError, naming its path, before any extraction. Then one pass per
-    row compares its shape with the extractor's input, extracts it and
-    checks that its features are finite in f32. The reads run back to back:
-    between forward passes a read finds its caches cold, which makes
-    extraction slower and its time less steady.
+    Every image is read first, keeping only its uint8 samples, so an
+    image that cannot be read raises OSError, naming its path, before
+    any extraction; each image's shape is then checked against the
+    extractor's input, and the first that misfits is named. The reads
+    run back to back: between forward passes a read finds its caches
+    cold, which makes extraction slower and its time less steady. Then
+    one pass per row makes the image (samples / 255, as load_image
+    does), extracts it, checks that its features are finite in f32 and
+    writes them, so besides the samples only a few rows are held, never
+    all of V. formats.feature_writer writes beside features.dmtv and
+    moves the file into place only when every row is in, so a failure
+    leaves whatever was there untouched.
     """
     paths = [*manifest.target_paths, *manifest.source_paths, manifest.input_path]
-    images = [formats.load_image(p) for p in paths]
-    spec = run.resolve_spec(images[0].pixels.shape)
+    samples = [formats.load_samples(p) for p in paths]
+    spec = run.resolve_spec(samples[0].shape)
     weights = run.resolve_weights(spec)
-    # Each row is rounded to f32 once, as the file stores it.
-    rows = np.empty((len(paths), spec.feature_dim()), dtype=np.float32)
-    with np.errstate(over="ignore"):  # a row that overflows f32 is reported below
-        for path, img, row in zip(paths, images, rows):
-            if img.pixels.shape != spec.input_shape:
-                raise InvalidInputError(
-                    f"image {path} has shape {img.pixels.shape}, expected {spec.input_shape}"
-                )
-            row[:] = forward(spec, weights, img).features
-            if not np.isfinite(row).all():
-                raise NumericalError(f"features of image {path} are not finite in float32")
+    for path, image in zip(paths, samples):
+        if image.shape != spec.input_shape:
+            raise InvalidInputError(
+                f"image {path} has shape {image.shape}, expected {spec.input_shape}"
+            )
     out_dir = Path(run.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "features.dmtv"
-    formats.write_feature_file(
-        out_path, rows, len(manifest.source_paths), len(manifest.target_paths)
-    )
+    m, n = len(manifest.source_paths), len(manifest.target_paths)
+    writer = formats.feature_writer(out_path, len(paths), spec.feature_dim(), m, n)
+    with writer as write, np.errstate(over="ignore"):  # a row that overflows f32 is reported below
+        for path, image in zip(paths, samples):
+            features = forward(spec, weights, ImageTensor(np.divide(image, 255.0))).features
+            row = features.astype(np.float32)  # rounded to f32 once, as the file stores it
+            if not mmd.all_finite(row):
+                raise NumericalError(f"features of image {path} are not finite in float32")
+            write(row)
     return out_path
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import os
 import re
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,6 +39,9 @@ _V_MAGIC = b"DMTV"
 _G_MAGIC = b"DMTG"
 _V_VERSION = 1
 _READ_BUFFER_BYTES = 1 << 20  # the f32 buffer read_feature_file streams V through
+_WRITE_BUFFER_BYTES = 1 << 18  # feature_writer's file buffer: rows leave it about 1/4 MiB a call
+_MIRROR_ROWS = 32  # rows of G that append_gram gathers from a strip's columns at a time
+_TILE_ROWS = 128  # rows of a strip per tile of that gather
 _PPM_SEP = rb"(?:\s|#[^\n]*\n)"  # \s of a bytes pattern is the six ASCII whitespace bytes
 _PPM_HEADER = re.compile(
     rb"P([56])%s*([0-9]{1,9})%s+([0-9]{1,9})%s+([0-9]{1,9})\s" % (_PPM_SEP, _PPM_SEP, _PPM_SEP)
@@ -64,8 +68,8 @@ def save_image(image: ImageTensor, path) -> None:
         fh.write(quantized.tobytes())
 
 
-def load_image(path) -> ImageTensor:
-    """Read a binary PPM/PGM file with maxval 255 into a [0, 1] image."""
+def load_samples(path) -> np.ndarray:
+    """Read a binary PPM/PGM file with maxval 255 into its read-only (H, W, C) uint8 samples."""
     with open(path, "rb") as fh:
         data = fh.read()
     header = _PPM_HEADER.match(data)
@@ -84,8 +88,12 @@ def load_image(path) -> ImageTensor:
     have = min(len(data) - pos, need)
     if have != need:
         raise FormatError(f"{path}: truncated pixel data ({have} of {need} bytes)")
-    arr = np.divide(np.frombuffer(data, np.uint8, need, pos), 255.0)
-    return ImageTensor(arr.reshape(height, width, channels))
+    return np.frombuffer(data, np.uint8, need, pos).reshape(height, width, channels)
+
+
+def load_image(path) -> ImageTensor:
+    """Read a binary PPM/PGM file with maxval 255 into a [0, 1] image."""
+    return ImageTensor(np.divide(load_samples(path), 255.0))
 
 
 # ---------------------------------------------------------------------------
@@ -105,22 +113,46 @@ def write_feature_file(path, V, m: int, n: int) -> None:
         V = np.asarray(V, dtype=float)
     if V.ndim != 2:
         raise InvalidInputError("V must be 2-D")
-    K, D = V.shape
+    with np.errstate(over="ignore"):  # a value that overflows f32 is rejected below
+        V32 = np.ascontiguousarray(V, dtype="<f4")
+    with feature_writer(path, *V.shape, m, n) as write:
+        if not all_finite(V32):
+            raise InvalidInputError("V holds a value that is not finite in float32")
+        write(V32)
+
+
+@contextmanager
+def feature_writer(path, K: int, D: int, m: int, n: int):
+    """Write a DMTV file of K rows of D values, with no Gram section, row by row.
+
+    Yields write(rows), which stores rows (one row or a block of rows,
+    already finite in f32) after those before it, through a buffer of
+    _WRITE_BUFFER_BYTES (256 KiB). The file is written to a temporary
+    file beside path and moved onto path only when all K rows are in;
+    any failure removes the temporary file and leaves whatever was at
+    path untouched. The sizes are checked first, as the
+    reader checks them: D = 0, or K != m + n + 1 unless m = n = 0 (a
+    bare vector container), raises InvalidInputError.
+    """
     if D == 0:
         raise InvalidInputError("V must have at least one column")
     if m < 0 or n < 0:
         raise InvalidInputError("m and n must be nonnegative")
-    # m = n = 0 marks a bare vector container; otherwise the row count must add up.
     if not (m == 0 and n == 0) and K != m + n + 1:
         raise InvalidInputError(f"K={K} does not equal m+n+1={m + n + 1}")
-    with np.errstate(over="ignore"):  # a value that overflows f32 is rejected below
-        V = np.ascontiguousarray(V, dtype="<f4")
-    if not all_finite(V):
-        raise InvalidInputError("V holds a value that is not finite in float32")
-    with open(path, "wb") as fh:
-        fh.write(_V_MAGIC)
-        fh.write(struct.pack("<IQQQQ", _V_VERSION, K, D, m, n))
-        fh.write(V)
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb", buffering=_WRITE_BUFFER_BYTES) as fh:
+            fh.write(_V_MAGIC)
+            fh.write(struct.pack("<IQQQQ", _V_VERSION, K, D, m, n))
+            yield lambda rows: fh.write(np.ascontiguousarray(rows, dtype="<f4"))
+            if fh.tell() != 40 + 4 * K * D:
+                raise InvalidInputError(f"{path}: {K} rows of {D} values were not all written")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 @dataclass
@@ -151,32 +183,10 @@ def read_feature_file(path) -> FeatureFile:
         K, D, m, n, size = _read_header(fh, path)
         V = np.empty((K, D))
         _read_rows(fh, path, V, check=True)
-        end = 40 + 4 * V.size
-        if size == end:
-            return FeatureFile(V=V, m=int(m), n=int(n), G=None)
-        magic = fh.read(4)
-        if magic != _G_MAGIC:
-            raise FormatError(f"{path}: unexpected section magic {magic!r}")
-        gend = end + 4 + 8 * K * K
-        if size < gend:
-            raise FormatError(f"{path}: truncated Gram data")
-        if size != gend:
-            raise FormatError(f"{path}: trailing bytes after Gram section")
-        G = np.empty((K, K), dtype="<f8")
-        if fh.readinto(G) != G.nbytes:
-            raise FormatError(f"{path}: truncated Gram data")
-    if not all_finite(G):
-        raise FormatError(f"{path}: non-finite value in Gram data")
-    # A Gram section computed from other rows would silently combine data
-    # that do not belong together; its diagonal gives it away.
-    norms = np.einsum("ij,ij->i", V, V)
-    bad = np.flatnonzero(np.abs(np.diag(G) - norms) > 1e-9 * norms)
-    if bad.size:
-        i = int(bad[0])
-        raise FormatError(
-            f"{path}: Gram diagonal G[{i},{i}]={G[i, i]!r} does not match the squared "
-            f"norm {norms[i]!r} of stored row {i}"
-        )
+        G = None
+        if size > 40 + 4 * V.size:
+            G = np.empty((K, K), dtype="<f8")
+            _read_gram(fh, path, size, np.einsum("ij,ij->i", V, V), G)
     return FeatureFile(V=V, m=int(m), n=int(n), G=G)
 
 
@@ -222,6 +232,61 @@ def _read_rows(fh, path, out: np.ndarray, check: bool) -> None:
         flat[start : start + chunk.size] = chunk
 
 
+def _stored_norms(fh, path, K: int, D: int) -> np.ndarray:
+    """The squared norms of the next K stored rows of D values, each checked to be finite.
+
+    The rows stream through one float64 array of at most
+    _READ_BUFFER_BYTES (and at least one row), besides _read_rows' buffer.
+    """
+    step = max(1, _READ_BUFFER_BYTES // (8 * D))
+    rows = np.empty((min(step, K), D))
+    norms = np.empty(K)
+    for r0 in range(0, K, step):
+        chunk = rows[: K - r0]
+        _read_rows(fh, path, chunk, check=True)
+        np.einsum("ij,ij->i", chunk, chunk, out=norms[r0 : r0 + len(chunk)])
+    return norms
+
+
+def _read_gram(fh, path, size: int, norms: np.ndarray, G: np.ndarray | None = None) -> None:
+    """Read and check the Gram section that starts at fh's position, right after V.
+
+    The section must be the magic and K x K finite values, ending the
+    file (size bytes), whose diagonal matches norms, the squared norms of
+    the K stored rows. The values are read into G, or, without G,
+    streamed through one buffer of at most _READ_BUFFER_BYTES (and at
+    least one row). Every fault raises FormatError.
+    """
+    K = norms.size
+    magic = fh.read(4)
+    if magic != _G_MAGIC:
+        raise FormatError(f"{path}: unexpected section magic {magic!r}")
+    gend = fh.tell() + 8 * K * K
+    if size < gend:
+        raise FormatError(f"{path}: truncated Gram data")
+    if size != gend:
+        raise FormatError(f"{path}: trailing bytes after Gram section")
+    step = max(1, _READ_BUFFER_BYTES // (8 * max(K, 1)))
+    buf = None if G is not None else np.empty((min(step, K), K), dtype="<f8")
+    diag = np.empty(K)
+    for r0 in range(0, K, step):
+        chunk = G[r0 : r0 + step] if buf is None else buf[: K - r0]
+        if fh.readinto(chunk) != chunk.nbytes:
+            raise FormatError(f"{path}: truncated Gram data")
+        if not all_finite(chunk):
+            raise FormatError(f"{path}: non-finite value in Gram data")
+        diag[r0 : r0 + len(chunk)] = chunk.diagonal(r0)
+    # A Gram section computed from other rows would silently combine data
+    # that do not belong together; its diagonal gives it away.
+    bad = np.flatnonzero(np.abs(diag - norms) > 1e-9 * norms)
+    if bad.size:
+        i = int(bad[0])
+        raise FormatError(
+            f"{path}: Gram diagonal G[{i},{i}]={diag[i]!r} does not match the squared "
+            f"norm {norms[i]!r} of stored row {i}"
+        )
+
+
 class _StoredRows:
     """The stored f32 rows of an open DMTV file, as a row source for mmd.gram.
 
@@ -240,31 +305,64 @@ class _StoredRows:
 def append_gram(path, overwrite: bool = False) -> None:
     """Compute the Gram of the stored rows and write it after V, leaving V's bytes untouched.
 
-    mmd.gram forms G from the file's rows in panels, so besides G this
-    holds at most PANEL_ROWS + BLOCK_ROWS float64 rows (at most K) and
-    the 1 MiB read buffer, never all of V. Every stored value is checked
-    to be finite before anything is written.
+    G is never held: mmd.gram forms it from the file's rows strip by
+    strip, and each strip G[:p1, p0:p1] is written as it is made, as its
+    rows' segments and, for each row j of its panel, G[j, :p1] in one
+    piece. Besides one strip array (K x at most PANEL_ROWS) this holds at
+    most PANEL_ROWS + BLOCK_ROWS float64 rows (at most K), _MIRROR_ROWS
+    (32) rows of K values and the 1 MiB read buffer. Each stored value
+    is checked to be finite on its first read; a failure, that or any
+    other, cuts the file back to V's end, so a file with no Gram section
+    keeps its bytes.
 
     A file that already has a Gram section is refused unless overwrite is
-    set; without it, whatever follows V is first read and checked as
-    read_feature_file does. With overwrite only the header and V are
-    read and checked, and whatever follows V is replaced: a valid Gram
-    section, or one that fails the reader's checks.
+    set; without it, whatever follows V is first checked as
+    read_feature_file checks it, with V's rows and the section's rows
+    streamed through bounded buffers. With overwrite only the header and
+    V are read and checked, and whatever follows V is replaced: a valid
+    Gram section, or one that fails the reader's checks.
     """
     with open(path, "rb") as fh:
         K, D, _, _, size = _read_header(fh, path)
         end = 40 + 4 * K * D
         if size > end and not overwrite:
-            read_feature_file(path)  # a section that fails the reader's checks raises here
+            _read_gram(fh, path, size, _stored_norms(fh, path, K, D))  # a faulty section raises
             raise InvalidInputError(
                 f"{path}: Gram section already present (pass overwrite to replace)"
             )
-        G = gram(_StoredRows(fh, path, K, D))
-    with open(path, "r+b") as fh:
-        fh.seek(end)
-        fh.truncate()
-        fh.write(_G_MAGIC)
-        fh.write(np.ascontiguousarray(G, dtype="<f8"))
+        with open(path, "r+b", buffering=0) as out:
+            fd, at = out.fileno(), end + 4  # at: the byte offset of G[0, 0]
+            mirror = np.empty((min(_MIRROR_ROWS, K), K), dtype="<f8")
+
+            def emit(p0: int, U: np.ndarray) -> None:
+                p1, w = U.shape
+                U = U.astype("<f8", copy=False)
+                for i in range(p0):  # G[i, p0:p1] for the rows above the panel
+                    _pwrite(fd, U[i], at + 8 * (K * i + p0))
+                # G[j, :p1] for a row j of the panel is column j - p0 of U. The
+                # columns are gathered in tiles, each touching few of U's pages.
+                for c0 in range(0, w, len(mirror)):
+                    rows = mirror[: w - c0, :p1]
+                    for i0 in range(0, p1, _TILE_ROWS):
+                        tile = U[i0 : i0 + _TILE_ROWS, c0 : c0 + len(rows)]
+                        rows[:, i0 : i0 + len(tile)] = tile.T
+                    for c, row in enumerate(rows, p0 + c0):
+                        _pwrite(fd, row, at + 8 * K * c)
+
+            out.truncate(end)
+            try:
+                _pwrite(fd, memoryview(_G_MAGIC), end)
+                gram(_StoredRows(fh, path, K, D), emit)
+            except BaseException:
+                out.truncate(end)
+                raise
+
+
+def _pwrite(fd: int, data, offset: int) -> None:
+    """Write all of data, a contiguous array or a memoryview, at offset of the file open as fd."""
+    done = os.pwrite(fd, data, offset)
+    if done < data.nbytes:  # a short write, which a regular file gives only rarely
+        _pwrite(fd, memoryview(data).cast("B")[done:], offset + done)
 
 
 def write_vector(path, vec) -> None:

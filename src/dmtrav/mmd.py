@@ -114,14 +114,21 @@ class FeatureMatrix:
         return self.K - 1
 
 
-def gram(V) -> np.ndarray:
+def gram(V, emit=None) -> np.ndarray | None:
     """Pairwise inner products of the rows of V, as a 64-bit K x K matrix.
 
     G is formed over panels of near-equal size, at most PANEL_ROWS rows
-    each: each panel's own block as one A A^T, then the earlier rows,
-    BLOCK_ROWS at a time, against the panel into the upper triangle, each
-    block mirrored into the lower one, so G is exactly symmetric. With
+    each. For the panel of rows p0:p1 the kernel makes the strip
+    U = G[:p1, p0:p1]: the panel's own block as one A A^T, then the
+    earlier rows, BLOCK_ROWS at a time, against the panel. With
     K <= PANEL_ROWS this is the one product V V^T.
+
+    Without emit, each strip is made in place in G and mirrored into
+    G[p0:p1, :p0], so G is exactly symmetric, and G is returned. With
+    emit, G is never held: the strips share one K x (panel rows) array,
+    emit(p0, U) is called with each before the next panel starts, and
+    gram returns None. U's own block U[p0:] is symmetric, so column
+    j - p0 of U is G[j, :p1] for each row j of the panel.
 
     V is a K x D array, whose rows are taken as views, or a row source:
     an object with shape (K, D) whose read_rows(start, out, first) fills
@@ -153,15 +160,20 @@ def gram(V) -> np.ndarray:
             read(start, out, not block)
             return out
 
-    G = np.empty((K, K))
+    G = np.empty((K, K)) if emit is None else None
+    strips = None if emit is None else np.empty((K, size))
     for p0 in range(0, K, max(size, 1)):
         p1 = min(p0 + size, K)
+        U = G[:p1, p0:p1] if emit is None else strips[:p1, : p1 - p0]
         A = rows(p0, p1, False)
-        np.matmul(A, A.T, out=G[p0:p1, p0:p1])  # numpy's syrk path, mirrored by numpy
+        np.matmul(A, A.T, out=U[p0:])  # numpy's syrk path, mirrored by numpy
         for b0 in range(0, p0, BLOCK_ROWS):
             b1 = min(b0 + BLOCK_ROWS, p0)
-            upper = np.matmul(rows(b0, b1, True), A.T, out=G[b0:b1, p0:p1])
-            G[p0:p1, b0:b1] = upper.T
+            np.matmul(rows(b0, b1, True), A.T, out=U[b0:b1])
+        if emit is None:
+            G[p0:p1, :p0] = U[:p0].T
+        else:
+            emit(p0, U)
     return G
 
 

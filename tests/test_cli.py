@@ -5,6 +5,7 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -119,6 +120,70 @@ class TestCmdExtract:
         assert main(["extract", str(mpath), "--out", str(out)]) == 2
         assert f"image {paths[0]} has shape (16, 16, 1)" in capsys.readouterr().err
         assert not (out / "features.dmtv").exists()
+
+    def test_extract_holds_the_samples_and_a_few_rows(self, tmp_path):
+        n = 600
+        rng = np.random.default_rng(50)
+        paths = []
+        for i in range(n):
+            path = tmp_path / f"{i}.ppm"
+            save_image(ImageTensor(rng.random((32, 32, 1))), path)
+            paths.append(str(path))
+        manifest = Manifest(paths[: n // 2], paths[n // 2 : -1], paths[-1])
+        run = RunConfig(out_dir=str(tmp_path / "out"))
+        cmd_extract(manifest, run)  # the first call in a process also builds numpy's caches
+        tracemalloc.start()  # numpy reports its array buffers to tracemalloc
+        try:
+            out = cmd_extract(manifest, run)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        D = reference_spec().feature_dim()
+        assert read_feature_file(out).V.shape == (n, D)
+        # The uint8 samples (1 KiB each, under 1.5 KiB with their objects), 16 float64
+        # rows, room for a forward pass's activations, and the writer's 256 KiB buffer;
+        # V in f32 is 14.1 MiB.
+        assert peak <= 1536 * n + 16 * 8 * D + 2**18
+
+    def test_a_misfit_last_image_leaves_the_output_as_it_was(self, tiny_dataset):
+        tmp_path, manifest, _ = tiny_dataset
+        small = tmp_path / "small.ppm"
+        save_image(ImageTensor(np.zeros((16, 16, 1))), small)
+        bad = Manifest(manifest.source_paths, manifest.target_paths, str(small))
+        out = tmp_path / "out"
+        run = RunConfig(out_dir=str(out))
+        with pytest.raises(InvalidInputError, match="small.ppm"):
+            cmd_extract(bad, run)
+        assert not out.exists() or not any(out.iterdir())
+        good = cmd_extract(manifest, run).read_bytes()
+        with pytest.raises(InvalidInputError, match="small.ppm"):
+            cmd_extract(bad, run)
+        assert list(out.iterdir()) == [out / "features.dmtv"]
+        assert (out / "features.dmtv").read_bytes() == good
+
+    def test_a_failure_after_rows_are_written_leaves_the_output_as_it_was(
+        self, tiny_dataset, monkeypatch
+    ):
+        tmp_path, manifest, _ = tiny_dataset
+        out = tmp_path / "out"
+        run = RunConfig(out_dir=str(out))
+        good = cmd_extract(manifest, run).read_bytes()
+        calls = []
+        real_forward = cli_module.forward
+
+        def forward_overflowing_the_last_row(spec, weights, image):
+            result = real_forward(spec, weights, image)
+            calls.append(image)
+            if len(calls) == 3:  # the input row, after the two others were written
+                result.features[0] = 1e39
+            return result
+
+        monkeypatch.setattr(cli_module, "forward", forward_overflowing_the_last_row)
+        with pytest.raises(NumericalError, match=re.escape(manifest.input_path)):
+            cmd_extract(manifest, run)
+        assert len(calls) == 3
+        assert list(out.iterdir()) == [out / "features.dmtv"]
+        assert (out / "features.dmtv").read_bytes() == good
 
 
 class TestCmdTraverse:

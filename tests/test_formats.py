@@ -271,8 +271,9 @@ class TestFeatureFile:
 
     # one row over a panel (two panels of 257 and 256 rows); three panels of 367, 367 and 365
     @pytest.mark.parametrize("K", [PANEL_ROWS + 1, 2 * PANEL_ROWS + 75])
-    def test_gram_step_holds_g_and_one_panel_and_one_block(self, tmp_path, K):
+    def test_gram_step_holds_one_strip_and_one_panel_and_one_block(self, tmp_path, K):
         D = 4096
+        P = -(-K // -(-K // PANEL_ROWS))  # rows per panel
         p = _many_panel_file(tmp_path, K, D)
         tracemalloc.start()  # numpy reports its array buffers to tracemalloc
         try:
@@ -280,7 +281,32 @@ class TestFeatureFile:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * K * K + 8 * min(PANEL_ROWS + BLOCK_ROWS, K) * D + 1.5 * 2**20
+        # a K x P strip, the panel and block rows, and the buffers; no K x K array
+        assert peak <= 8 * K * P + 8 * min(P + BLOCK_ROWS, K) * D + 1.5 * 2**20
+
+    @pytest.mark.parametrize("K", [PANEL_ROWS + 1, 2 * PANEL_ROWS + 75])
+    def test_appended_gram_bytes_are_mmd_gram_of_the_stored_rows(self, tmp_path, K):
+        D = 256
+        p = _many_panel_file(tmp_path, K, D)
+        append_gram(p)
+        data = p.read_bytes()
+        W = np.frombuffer(data, "<f4", K * D, 40).reshape(K, D).astype(np.float64)
+        assert data[40 + 4 * K * D :] == b"DMTG" + mmd.gram(W).astype("<f8").tobytes()
+
+    def test_existing_gram_refused_without_reading_the_file_whole(self, tmp_path):
+        K, D = 2 * PANEL_ROWS + 75, 4096
+        p = _many_panel_file(tmp_path, K, D)
+        append_gram(p)
+        data = p.read_bytes()
+        tracemalloc.start()  # numpy reports its array buffers to tracemalloc
+        try:
+            with pytest.raises(InvalidInputError, match="overwrite"):
+                append_gram(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20  # V in float64 alone is 34.3 MiB
+        assert p.read_bytes() == data
 
     def test_gram_over_many_panels_is_the_product_of_the_stored_rows(self, tmp_path):
         K, D = 2 * PANEL_ROWS + 75, 4096
