@@ -38,10 +38,9 @@ from .mmd import FeatureMatrix, all_finite, gram
 _V_MAGIC = b"DMTV"
 _G_MAGIC = b"DMTG"
 _V_VERSION = 1
+_HEADER = struct.Struct("<4sIQQQQ")  # magic, version, K, D, m, n
 _READ_BUFFER_BYTES = 1 << 20  # the f32 buffer read_feature_file streams V through
 _WRITE_BUFFER_BYTES = 1 << 18  # feature_writer's file buffer: rows leave it about 1/4 MiB a call
-_MIRROR_ROWS = 32  # rows of G that append_gram gathers from a strip's columns at a time
-_TILE_ROWS = 128  # rows of a strip per tile of that gather
 _PPM_SEP = rb"(?:\s|#[^\n]*\n)"  # \s of a bytes pattern is the six ASCII whitespace bytes
 _PPM_HEADER = re.compile(
     rb"P([56])%s*([0-9]{1,9})%s+([0-9]{1,9})%s+([0-9]{1,9})\s" % (_PPM_SEP, _PPM_SEP, _PPM_SEP)
@@ -144,10 +143,9 @@ def feature_writer(path, K: int, D: int, m: int, n: int):
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb", buffering=_WRITE_BUFFER_BYTES) as fh:
-            fh.write(_V_MAGIC)
-            fh.write(struct.pack("<IQQQQ", _V_VERSION, K, D, m, n))
+            fh.write(_HEADER.pack(_V_MAGIC, _V_VERSION, K, D, m, n))
             yield lambda rows: fh.write(np.ascontiguousarray(rows, dtype="<f4"))
-            if fh.tell() != 40 + 4 * K * D:
+            if fh.tell() != _HEADER.size + 4 * K * D:
                 raise InvalidInputError(f"{path}: {K} rows of {D} values were not all written")
         os.replace(tmp, path)
     except BaseException:
@@ -184,21 +182,20 @@ def read_feature_file(path) -> FeatureFile:
         V = np.empty((K, D))
         _read_rows(fh, path, V, check=True)
         G = None
-        if size > 40 + 4 * V.size:
-            G = np.empty((K, K), dtype="<f8")
-            _read_gram(fh, path, size, np.einsum("ij,ij->i", V, V), G)
+        if size > _HEADER.size + 4 * V.size:
+            G = _read_gram(fh, path, size, K, lambda: np.einsum("ij,ij->i", V, V), keep=True)
     return FeatureFile(V=V, m=int(m), n=int(n), G=G)
 
 
 def _read_header(fh, path) -> tuple[int, int, int, int, int]:
     """Read and check the header from fh: K, D, m, n and the file's size."""
     size = os.fstat(fh.fileno()).st_size
-    head = fh.read(40)
+    head = fh.read(_HEADER.size)
     if head[:4] != _V_MAGIC:
         raise FormatError(f"{path}: bad magic {head[:4]!r}")
-    if len(head) < 40:
+    if len(head) < _HEADER.size:
         raise FormatError(f"{path}: truncated header")
-    version, K, D, m, n = struct.unpack("<IQQQQ", head[4:])
+    _, version, K, D, m, n = _HEADER.unpack(head)
     if version != _V_VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
     if not (m == 0 and n == 0) and K != m + n + 1:
@@ -207,7 +204,7 @@ def _read_header(fh, path) -> tuple[int, int, int, int, int]:
         raise FormatError(f"{path}: D=0, rows hold no features")
     if 8 * D > np.iinfo(np.intp).max:  # no V bytes bound D when K = 0
         raise FormatError(f"{path}: D={D} is too large for an array")
-    if size < 40 + 4 * K * D:
+    if size < _HEADER.size + 4 * K * D:
         raise FormatError(f"{path}: truncated V data")
     return K, D, m, n, size
 
@@ -248,16 +245,17 @@ def _stored_norms(fh, path, K: int, D: int) -> np.ndarray:
     return norms
 
 
-def _read_gram(fh, path, size: int, norms: np.ndarray, G: np.ndarray | None = None) -> None:
-    """Read and check the Gram section that starts at fh's position, right after V.
+def _read_gram(fh, path, size: int, K: int, row_norms, keep: bool) -> np.ndarray | None:
+    """Read and check the Gram section of K x K values that starts at fh's position, after V.
 
     The section must be the magic and K x K finite values, ending the
-    file (size bytes), whose diagonal matches norms, the squared norms of
-    the K stored rows. The values are read into G, or, without G,
-    streamed through one buffer of at most _READ_BUFFER_BYTES (and at
-    least one row). Every fault raises FormatError.
+    file (size bytes), whose diagonal matches row_norms(), the squared
+    norms of the K stored rows. The magic and size are checked before
+    anything is allocated. With keep the values are read into G, which
+    is returned; without it they stream through one buffer of at most
+    _READ_BUFFER_BYTES (and at least one row). Every fault raises
+    FormatError.
     """
-    K = norms.size
     magic = fh.read(4)
     if magic != _G_MAGIC:
         raise FormatError(f"{path}: unexpected section magic {magic!r}")
@@ -267,10 +265,10 @@ def _read_gram(fh, path, size: int, norms: np.ndarray, G: np.ndarray | None = No
     if size != gend:
         raise FormatError(f"{path}: trailing bytes after Gram section")
     step = max(1, _READ_BUFFER_BYTES // (8 * max(K, 1)))
-    buf = None if G is not None else np.empty((min(step, K), K), dtype="<f8")
+    G = np.empty((K, K) if keep else (min(step, K), K), dtype="<f8")  # without keep, the buffer
     diag = np.empty(K)
     for r0 in range(0, K, step):
-        chunk = G[r0 : r0 + step] if buf is None else buf[: K - r0]
+        chunk = G[r0 : r0 + step] if keep else G[: K - r0]
         if fh.readinto(chunk) != chunk.nbytes:
             raise FormatError(f"{path}: truncated Gram data")
         if not all_finite(chunk):
@@ -278,6 +276,7 @@ def _read_gram(fh, path, size: int, norms: np.ndarray, G: np.ndarray | None = No
         diag[r0 : r0 + len(chunk)] = chunk.diagonal(r0)
     # A Gram section computed from other rows would silently combine data
     # that do not belong together; its diagonal gives it away.
+    norms = row_norms()
     bad = np.flatnonzero(np.abs(diag - norms) > 1e-9 * norms)
     if bad.size:
         i = int(bad[0])
@@ -285,6 +284,7 @@ def _read_gram(fh, path, size: int, norms: np.ndarray, G: np.ndarray | None = No
             f"{path}: Gram diagonal G[{i},{i}]={diag[i]!r} does not match the squared "
             f"norm {norms[i]!r} of stored row {i}"
         )
+    return G if keep else None
 
 
 class _StoredRows:
@@ -298,20 +298,19 @@ class _StoredRows:
         self._fh, self._path = fh, path
 
     def read_rows(self, start: int, out: np.ndarray, first: bool) -> None:
-        self._fh.seek(40 + 4 * self.shape[1] * start)
+        self._fh.seek(_HEADER.size + 4 * self.shape[1] * start)
         _read_rows(self._fh, self._path, out, check=first)
 
 
 def append_gram(path, overwrite: bool = False) -> None:
     """Compute the Gram of the stored rows and write it after V, leaving V's bytes untouched.
 
-    G is never held: mmd.gram forms it from the file's rows strip by
-    strip, and each strip G[:p1, p0:p1] is written as it is made, as its
-    rows' segments and, for each row j of its panel, G[j, :p1] in one
-    piece. Besides one strip array (K x at most PANEL_ROWS) this holds at
-    most PANEL_ROWS + BLOCK_ROWS float64 rows (at most K), _MIRROR_ROWS
-    (32) rows of K values and the 1 MiB read buffer. Each stored value
-    is checked to be finite on its first read; a failure, that or any
+    G is never held: mmd.gram forms it from the file's rows and hands
+    out each block as it is made, and each row of a block is written at
+    its offset in the section. Besides what mmd.gram holds (a K x (rows
+    per panel) strip, a 32 x K gather and at most PANEL_ROWS + BLOCK_ROWS
+    float64 rows) this holds the 1 MiB read buffer. Each stored value is
+    checked to be finite on its first read; a failure, that or any
     other, cuts the file back to V's end, so a file with no Gram section
     keeps its bytes.
 
@@ -324,35 +323,24 @@ def append_gram(path, overwrite: bool = False) -> None:
     """
     with open(path, "rb") as fh:
         K, D, _, _, size = _read_header(fh, path)
-        end = 40 + 4 * K * D
+        end = _HEADER.size + 4 * K * D
         if size > end and not overwrite:
-            _read_gram(fh, path, size, _stored_norms(fh, path, K, D))  # a faulty section raises
+            norms = _stored_norms(fh, path, K, D)
+            _read_gram(fh, path, size, K, lambda: norms, keep=False)  # a faulty section raises
             raise InvalidInputError(
                 f"{path}: Gram section already present (pass overwrite to replace)"
             )
         with open(path, "r+b", buffering=0) as out:
             fd, at = out.fileno(), end + 4  # at: the byte offset of G[0, 0]
-            mirror = np.empty((min(_MIRROR_ROWS, K), K), dtype="<f8")
 
-            def emit(p0: int, U: np.ndarray) -> None:
-                p1, w = U.shape
-                U = U.astype("<f8", copy=False)
-                for i in range(p0):  # G[i, p0:p1] for the rows above the panel
-                    _pwrite(fd, U[i], at + 8 * (K * i + p0))
-                # G[j, :p1] for a row j of the panel is column j - p0 of U. The
-                # columns are gathered in tiles, each touching few of U's pages.
-                for c0 in range(0, w, len(mirror)):
-                    rows = mirror[: w - c0, :p1]
-                    for i0 in range(0, p1, _TILE_ROWS):
-                        tile = U[i0 : i0 + _TILE_ROWS, c0 : c0 + len(rows)]
-                        rows[:, i0 : i0 + len(tile)] = tile.T
-                    for c, row in enumerate(rows, p0 + c0):
-                        _pwrite(fd, row, at + 8 * K * c)
+            def put(i0: int, j: int, block: np.ndarray) -> None:
+                for i, row in enumerate(block.astype("<f8", copy=False), i0):
+                    _pwrite(fd, row, at + 8 * (K * i + j))
 
             out.truncate(end)
             try:
                 _pwrite(fd, memoryview(_G_MAGIC), end)
-                gram(_StoredRows(fh, path, K, D), emit)
+                gram(_StoredRows(fh, path, K, D), put)
             except BaseException:
                 out.truncate(end)
                 raise

@@ -25,6 +25,8 @@ from .errors import DegenerateDataError, InvalidInputError
 _SYMMETRY_BLOCK = 64  # rows of G checked against G^T at a time, so no K x K temporary
 PANEL_ROWS = 512  # most rows of G that gram forms per pass over the earlier rows of V
 BLOCK_ROWS = 256  # earlier rows of V multiplied against a panel at a time
+MIRROR_ROWS = 32  # rows of G that gram gathers from a strip's columns at a time
+_TILE_ROWS = 128  # rows of a strip per tile of that gather
 
 
 def all_finite(a: np.ndarray) -> bool:
@@ -114,28 +116,26 @@ class FeatureMatrix:
         return self.K - 1
 
 
-def gram(V, emit=None) -> np.ndarray | None:
-    """Pairwise inner products of the rows of V, as a 64-bit K x K matrix.
+def gram(V, put=None) -> np.ndarray | None:
+    """Pairwise inner products of the rows of V: the 64-bit K x K matrix G, block by block.
 
     G is formed over panels of near-equal size, at most PANEL_ROWS rows
-    each. For the panel of rows p0:p1 the kernel makes the strip
-    U = G[:p1, p0:p1]: the panel's own block as one A A^T, then the
-    earlier rows, BLOCK_ROWS at a time, against the panel. With
-    K <= PANEL_ROWS this is the one product V V^T.
+    each. For the panel of rows p0:p1 one reused K x (rows per panel)
+    array receives the strip U = G[:p1, p0:p1]: the panel's own block as
+    one A A^T, then the earlier rows, BLOCK_ROWS at a time, against the
+    panel. With K <= PANEL_ROWS this is the one product V V^T.
 
-    Without emit, each strip is made in place in G and mirrored into
-    G[p0:p1, :p0], so G is exactly symmetric, and G is returned. With
-    emit, G is never held: the strips share one K x (panel rows) array,
-    emit(p0, U) is called with each before the next panel starts, and
-    gram returns None. U's own block U[p0:] is symmetric, so column
-    j - p0 of U is G[j, :p1] for each row j of the panel.
+    Before the next panel is read, put(i, j, block) receives each block
+    of G at G[i:, j:]: U[:p0] at (0, p0), then the panel's rows G[j, :p1],
+    MIRROR_ROWS at a time, gathered from U's columns (U[p0:] is
+    symmetric), so G is exactly symmetric. Each entry is put once, and
+    each row of a block is contiguous. Without put, gram returns G.
 
-    V is a K x D array, whose rows are taken as views, or a row source:
-    an object with shape (K, D) whose read_rows(start, out, first) fills
-    the float64 array out with rows start:start + len(out) of V. first
-    is True when those rows are read for the first time (as their panel,
-    in ascending order). For a source, gram holds one array of one panel
-    and one block of rows, never all of V.
+    V is a K x D array or a row source: an object with shape (K, D)
+    whose read_rows(start, out, first) fills the float64 array out with
+    rows start:start + len(out) of V; first is True on their first read
+    (as their panel, in ascending order). Either way the rows are copied
+    into one array of a panel and a block, never all of V.
     """
     read = getattr(V, "read_rows", None)
     if read is None:
@@ -144,36 +144,41 @@ def gram(V, emit=None) -> np.ndarray | None:
             raise InvalidInputError("V must be a 2-D matrix")
         if not all_finite(V):
             raise InvalidInputError("V must contain only finite values")
+
+        def read(start: int, out: np.ndarray, first: bool) -> None:
+            out[:] = V[start : start + len(out)]
+
     K, D = V.shape
     panels = -(-K // PANEL_ROWS)
     size = -(-K // panels) if K else 0  # rows per panel: near-equal, so the last is no sliver
-    if read is None:
+    store = np.empty((size + min(BLOCK_ROWS, (panels - 1) * size), D))  # a panel, then a block
+    strip = np.empty((K, size))
+    mirror = np.empty((min(MIRROR_ROWS, K), K))
+    G = None
+    if put is None:
+        G = np.empty((K, K))
 
-        def rows(start: int, stop: int, block: bool) -> np.ndarray:
-            return V[start:stop]
+        def put(i: int, j: int, block: np.ndarray) -> None:
+            G[i : i + len(block), j : j + block.shape[1]] = block
 
-    else:
-        store = np.empty((size + min(BLOCK_ROWS, (panels - 1) * size), D))  # a panel, a block
-
-        def rows(start: int, stop: int, block: bool) -> np.ndarray:
-            out = store[size if block else 0 :][: stop - start]
-            read(start, out, not block)
-            return out
-
-    G = np.empty((K, K)) if emit is None else None
-    strips = None if emit is None else np.empty((K, size))
     for p0 in range(0, K, max(size, 1)):
         p1 = min(p0 + size, K)
-        U = G[:p1, p0:p1] if emit is None else strips[:p1, : p1 - p0]
-        A = rows(p0, p1, False)
+        U, A = strip[:p1, : p1 - p0], store[: p1 - p0]
+        read(p0, A, True)
         np.matmul(A, A.T, out=U[p0:])  # numpy's syrk path, mirrored by numpy
         for b0 in range(0, p0, BLOCK_ROWS):
-            b1 = min(b0 + BLOCK_ROWS, p0)
-            np.matmul(rows(b0, b1, True), A.T, out=U[b0:b1])
-        if emit is None:
-            G[p0:p1, :p0] = U[:p0].T
-        else:
-            emit(p0, U)
+            B = store[size:][: min(BLOCK_ROWS, p0 - b0)]
+            read(b0, B, False)
+            np.matmul(B, A.T, out=U[b0 : b0 + len(B)])
+        put(0, p0, U[:p0])
+        # G[j, :p1] for a row j of the panel is column j - p0 of U. The
+        # columns are gathered in tiles, each touching few of U's pages.
+        for c0 in range(0, p1 - p0, len(mirror)):
+            block = mirror[: p1 - p0 - c0, :p1]
+            for i0 in range(0, p1, _TILE_ROWS):
+                tile = U[i0 : i0 + _TILE_ROWS, c0 : c0 + len(block)]
+                block[:, i0 : i0 + len(tile)] = tile.T
+            put(p0 + c0, 0, block)
     return G
 
 

@@ -9,6 +9,7 @@ sys.path.insert(0, str(Path(__file__).parent))  # makes `oracles` importable
 
 from dmtrav.demo import run_demo
 from dmtrav.features import init_weights, reference_spec
+from dmtrav.formats import write_feature_file
 from dmtrav.optim import MinimizeConfig
 
 # The solver settings of the demo's pixel solves (the iteration cap of its
@@ -38,6 +39,14 @@ def append_raw_gram(path, G) -> None:
     """
     with open(path, "ab") as fh:
         fh.write(b"DMTG" + np.ascontiguousarray(G, dtype="<f8").tobytes())
+
+
+def huge_k_file(directory):
+    """A DMTV file of K = 10**6 one-value rows whose Gram section holds 16 bytes, not 8 K^2."""
+    path = directory / "huge_k.dmtv"
+    write_feature_file(path, np.ones((10**6, 1)), 500_000, 499_999)
+    append_raw_gram(path, np.zeros(2))
+    return path
 
 
 @pytest.fixture(scope="session")

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import dmtrav
-from conftest import DEMO_PIXEL_SOLVER, append_raw_gram, count_calls
+from conftest import DEMO_PIXEL_SOLVER, append_raw_gram, count_calls, huge_k_file
 from dmtrav import cli as cli_module
 from dmtrav import demo as demo_module
 from dmtrav import reconstruct as reconstruct_module
@@ -450,6 +450,12 @@ class TestMainExitCodes:
         code = main(["traverse", str(p), "--lambda", "1e-3", "--out", str(tmp_path), "--quiet"])
         assert code == 2
         assert "Gram diagonal" in capsys.readouterr().err
+
+    def test_gram_section_too_short_for_a_huge_k_is_exit_2(self, tmp_path, capsys):
+        p = huge_k_file(tmp_path)
+        code = main(["traverse", str(p), "--lambda", "1e-3", "--out", str(tmp_path), "--quiet"])
+        assert code == 2
+        assert "truncated Gram data" in capsys.readouterr().err
 
     def test_gram_with_a_negative_eigenvalue_is_exit_2(self, tmp_path, capsys):
         from dmtrav.formats import write_feature_file

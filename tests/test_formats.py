@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import append_raw_gram
+from conftest import append_raw_gram, huge_k_file
 from dmtrav import mmd
 from dmtrav.mmd import BLOCK_ROWS, PANEL_ROWS
 from dmtrav.cli import RunConfig
@@ -254,6 +254,18 @@ class TestFeatureFile:
         W = np.frombuffer(data, "<f4", K * D, 40).reshape(K, D).astype(np.float64)
         assert data[40 + 4 * K * D :] == b"DMTG" + (W @ W.T).astype("<f8").tobytes()
         assert np.array_equal(read_feature_file(p).V, W)
+
+    def test_a_gram_section_too_short_for_k_is_refused_before_g_is_allocated(self, tmp_path):
+        K = 10**6  # G would take 7.28 TiB
+        p = huge_k_file(tmp_path)
+        tracemalloc.start()  # numpy reports its array buffers to tracemalloc
+        try:
+            with pytest.raises(FormatError, match="truncated Gram data"):
+                read_feature_file(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * K + 4 * 2**20  # V in float64 and the read buffer
 
     def test_reader_holds_v_and_g_and_one_buffer(self, tmp_path):
         K, D = 257, 4096

@@ -115,6 +115,34 @@ class TestGram:
                 panel = max(a for a, _, f in reads[:i] if f)
                 assert stop <= panel and stop - start <= BLOCK_ROWS
 
+    @pytest.mark.parametrize("K", [0, 1, PANEL_ROWS, PANEL_ROWS + 1, 2 * PANEL_ROWS + 37])
+    def test_each_entry_is_put_once_with_its_panel(self, K):
+        V = np.random.default_rng(21).standard_normal((K, 3))
+        starts = []  # the first row of each panel, in the order of their first reads
+        owner = np.full((K, K), -1)  # the panel read last when each entry was put
+        G = np.empty((K, K))
+
+        class Rows:
+            shape = V.shape
+
+            def read_rows(self, start, out, first):
+                if first:
+                    starts.append(start)
+                out[:] = V[start : start + len(out)]
+
+        def put(i, j, block):
+            assert all(row.flags.c_contiguous for row in block)
+            assert (owner[i : i + len(block), j : j + block.shape[1]] == -1).all()  # put once
+            owner[i : i + len(block), j : j + block.shape[1]] = len(starts) - 1
+            G[i : i + len(block), j : j + block.shape[1]] = block
+
+        assert gram(Rows(), put) is None
+        # entry (i, j) belongs to the panel of row max(i, j): all of a panel's
+        # blocks arrive after its first read and before the next panel's
+        latest = np.maximum.outer(np.arange(K), np.arange(K))
+        assert np.array_equal(owner, np.searchsorted(starts, latest, side="right") - 1)
+        assert np.array_equal(G, gram(V))
+
 
 class TestMedianHeuristic:
     def test_two_rows(self):
