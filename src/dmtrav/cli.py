@@ -180,18 +180,17 @@ def cmd_extract(manifest: formats.Manifest, run: RunConfig) -> Path:
 
 def cmd_traverse(feature_file, run: RunConfig) -> tuple[list[traversal.LambdaRecord], Path]:
     """Run the lambda sweep against a feature file; writes records plus r/z vectors."""
+    if not run.lambdas:
+        raise InvalidInputError("no lambdas given (use --lambda or the config file)")
+    cfg = traversal.TraversalConfig(
+        lambdas=run.lambdas, kernel=KernelConfig(run.sigma), solver=run.solver()
+    )
     ff = formats.read_feature_file(feature_file)
     if ff.G is None:
         raise InvalidInputError(
             f"{feature_file} has no Gram section; run `dmtrav gram {feature_file}` first"
         )
-    if not run.lambdas:
-        raise InvalidInputError("no lambdas given (use --lambda or the config file)")
-    features = ff.as_feature_matrix()
-    cfg = traversal.TraversalConfig(
-        lambdas=run.lambdas, kernel=KernelConfig(run.sigma), solver=run.solver()
-    )
-    return traverse_to(features, cfg, run.out_dir)
+    return traverse_to(ff.as_feature_matrix(), cfg, run.out_dir)
 
 
 def traverse_to(
@@ -236,11 +235,9 @@ def reconstruct_to(zt_file, run: RunConfig, out_path) -> reconstruct.Reconstruct
 
 
 def _model_from_file(feature_file, labels_file) -> tuple[evaluate.ClassifierModel, mmd.FeatureMatrix]:
-    ff = formats.read_feature_file(feature_file)
-    features = ff.as_feature_matrix()
+    features = formats.read_feature_file(feature_file).as_feature_matrix()
     labels = formats.read_labels(labels_file, features.K - 1)
-    model = evaluate.fit_classifier(features, labels)
-    return model, features
+    return evaluate.fit_classifier(features, labels), features
 
 
 def sweep_to(

@@ -82,29 +82,27 @@ def _svm_primal(w_sq: float, margins: np.ndarray, c_reg: float) -> float:
     return 0.5 * w_sq + c_reg * float(np.sum(np.maximum(0.0, 1.0 - margins)))
 
 
-def train_svm(features, labels, c_reg: float) -> tuple[np.ndarray, float]:
-    """Train a linear SVM by deterministic full-batch subgradient descent.
+def train_svm(G, labels, c_reg: float) -> tuple[np.ndarray, float]:
+    """Train a linear SVM w = X^T beta, b from the Gram matrix G = X X^T of its rows.
 
-    Starts at w = 0, b = 0 and runs 2000 epochs with step 1/t on the
+    Returns (beta, b). Starts at beta = 0, b = 0 and runs 2000 epochs
+    of deterministic full-batch subgradient descent with step 1/t on the
     unit-strongly-convex primal, which makes the iterates invariant
     under duplicating the data while halving c_reg. The best
     iterate seen (by objective) is returned, so the result never scores
     worse than the starting point.
 
-    Every iterate lies in the row span of the data, w = X^T beta, so the
-    epochs run on beta against the Gram matrix G = X X^T (the kernelised
-    form of Pegasos, Shalev-Shwartz, Singer & Srebro 2007): margins are
-    y * (G beta + b) and |w|^2 = beta^T G beta. After the one N x N x D
-    product for G, an epoch costs O(N^2), independent of the feature
-    dimension D. The iterates are those of the primal update in exact
-    arithmetic.
+    Every iterate lies in the row span of the data, so the epochs run on
+    beta against G (the kernelised form of Pegasos, Shalev-Shwartz,
+    Singer & Srebro 2007): margins are y * (G beta + b) and
+    |w|^2 = beta^T G beta. An epoch costs O(N^2), independent of the
+    feature dimension D, and the iterates are those of the primal update
+    in exact arithmetic.
     """
-    X = np.asarray(features, dtype=float)
-    if X.ndim != 2:
-        raise InvalidInputError("features must be a 2-D array of row vectors")
+    G = mmd.require_gram(G)
     y = np.asarray(labels, dtype=float).ravel()
-    if y.size != X.shape[0]:
-        raise InvalidInputError("one label per feature row is required")
+    if y.size != G.shape[0]:
+        raise InvalidInputError("one label per row of G is required")
     if not np.all(np.abs(y) == 1.0):
         raise InvalidInputError("labels must be +1 or -1")
     if not (np.any(y > 0) and np.any(y < 0)):
@@ -112,8 +110,7 @@ def train_svm(features, labels, c_reg: float) -> tuple[np.ndarray, float]:
     if not c_reg > 0:
         raise InvalidInputError("c_reg must be positive")
 
-    G = X @ X.T
-    beta = np.zeros(X.shape[0])
+    beta = np.zeros(G.shape[0])
     b = 0.0
     best_beta, best_b = beta, b
     # G beta at each iterate serves its margins, its objective and, through
@@ -133,7 +130,7 @@ def train_svm(features, labels, c_reg: float) -> tuple[np.ndarray, float]:
         if obj < best_obj:
             best_obj = obj
             best_beta, best_b = beta, b
-    return X.T @ best_beta, best_b
+    return best_beta, best_b
 
 
 def platt_fit(decision_values, labels) -> tuple[float, float]:
@@ -187,15 +184,21 @@ def platt_fit(decision_values, labels) -> tuple[float, float]:
 def fit_classifier(features: mmd.FeatureMatrix, labels: np.ndarray) -> ClassifierModel:
     """Train the SVM on the deterministic 80% split and Platt-fit on the held-out 20%.
 
-    Every fifth feature row (index % 5 == 0) is held out; the split
-    covers all rows except the test image.
+    Every fifth non-test row (index % 5 == 0) is held out, and each part
+    needs both labels. The SVM trains on the training rows' block of
+    features.G (of mmd.gram when there is no G), and w = X_train^T beta.
     """
     X = features.V[: features.K - 1]
     if labels.size != X.shape[0]:
         raise InvalidInputError("one label per non-test row is required")
-    idx = np.arange(X.shape[0])
-    held = idx % 5 == 0
-    w, b = train_svm(X[~held], labels[~held], _SVM_C)
+    held = np.arange(X.shape[0]) % 5 == 0
+    for name, part in (("training", ~held), ("held-out (every fifth, from the first)", held)):
+        if np.ptp(labels[part]) == 0:
+            raise InvalidInputError(f"the {name} split has only {labels[part][0]:+g} labels")
+    train = np.flatnonzero(~held)
+    G = mmd.gram(X[train]) if features.G is None else features.G[np.ix_(train, train)]
+    beta, b = train_svm(G, labels[train], _SVM_C)
+    w = X[train].T @ beta
     held_decisions = X[held] @ w + b
     platt_a, platt_b = platt_fit(held_decisions, (labels[held] > 0).astype(int))
     return ClassifierModel(w=w, b=b, platt_a=platt_a, platt_b=platt_b)
@@ -220,10 +223,6 @@ def sweep_decisions(
     features: mmd.FeatureMatrix,
 ) -> list[SweepRecord]:
     """Decision value and probability at the untraversed point, then at every (lambda, r)."""
-    if model.w.size != features.D:
-        raise InvalidInputError(
-            f"model dimension {model.w.size} does not match features ({features.D})"
-        )
     records = []
     base_decision, base_prob = predict(model, features.V[features.test_row])
     records.append(SweepRecord(None, base_decision, base_prob))

@@ -191,7 +191,7 @@ def median_heuristic_sigma(G) -> float:
     median is zero; raises when every pairwise distance is zero (all rows
     identical).
     """
-    G = _require_gram(G)
+    G = require_gram(G)
     K = G.shape[0]
     if K < 2:
         raise InvalidInputError("G must have K >= 2 rows")
@@ -247,7 +247,8 @@ def _witness_of_row(k: np.ndarray, m: int, n: int) -> WitnessValue:
     return WitnessValue(source_term - target_term, source_term, target_term)
 
 
-def _require_gram(G) -> np.ndarray:
+def require_gram(G) -> np.ndarray:
+    """G as a 64-bit array; raises InvalidInputError when it is missing or not square."""
     if G is None:
         raise InvalidInputError("Gram matrix is required; precompute it with gram()")
     G = np.asarray(G, dtype=float)
@@ -262,7 +263,7 @@ def witness_factored(r, G, m: int, n: int, kcfg: KernelConfig) -> WitnessValue:
     Equal to witness_direct at z = V^T(e_K + r); runtime is O(K^2)
     independent of the feature dimension.
     """
-    G = _require_gram(G)
+    G = require_gram(G)
     if m < 1 or n < 1:
         raise InvalidInputError("both source and target blocks must be non-empty")
     if G.shape[0] != m + n + 1:
@@ -307,7 +308,7 @@ def embedded_objective(X, m: int, n: int, sigma: float, lam: float):
 
 def budget(r, G) -> float:
     """Squared feature-space displacement |V^T r|^2 = r' G r."""
-    G = _require_gram(G)
+    G = require_gram(G)
     r = np.asarray(r, dtype=float).ravel()
     if r.size != G.shape[0]:
         raise InvalidInputError(f"r has length {r.size}, expected {G.shape[0]}")

@@ -46,7 +46,8 @@ class TraversalConfig:
     displacement a, which is the objective's feature-space gradient in an
     orthonormal basis of the span of the rows (the Cholesky basis when G
     is positive definite, the eigenvector basis when it is singular), so
-    it does not depend on the scale or the conditioning of G.
+    it does not depend on the conditioning of G. It is in the units of the
+    features: V -> sV divides the gradient by s.
     """
 
     lambdas: tuple[float, ...]

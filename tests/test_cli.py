@@ -439,6 +439,22 @@ class TestMainExitCodes:
         assert code == 2
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [([], "no lambdas given"), (["--lambda", "1e-5", "--lambda", "1e-3"], "descending")],
+    )
+    def test_lambdas_are_checked_before_the_feature_file_is_read(
+        self, tmp_path, capsys, monkeypatch, args, message
+    ):
+        p = gram_file(tmp_path)
+
+        def unread(*_):
+            raise AssertionError("the feature file was read")
+
+        monkeypatch.setattr(cli_module.formats, "read_feature_file", unread)
+        assert main(["traverse", str(p), *args, "--out", str(tmp_path), "--quiet"]) == 2
+        assert message in capsys.readouterr().err
+
     def test_gram_of_other_rows_is_exit_2(self, tmp_path, capsys):
         from dmtrav.formats import write_feature_file
         from dmtrav.mmd import gram
@@ -748,6 +764,30 @@ class TestCmdEval:
 
         with pytest.raises(InvalidInputError):
             sweep_to(*_model_from_file(feature_file, labels), out, out)
+
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            ("+1\n+1\n-1\n-1\n", "the held-out (every fifth, from the first) split has only +1"),
+            ("-1\n+1\n+1\n+1\n", "the training split has only +1 labels"),
+        ],
+        ids=["held-out", "training"],
+    )
+    def test_a_split_with_one_label_is_named(self, tmp_path, capsys, labels, message):
+        # two sources and two targets: row 0 is the held-out split, rows 1-3 the training split
+        rng = np.random.default_rng(46)
+        paths = []
+        for i in range(5):
+            paths.append(str(tmp_path / f"img{i}.ppm"))
+            save_image(ImageTensor(rng.uniform(0.1, 0.9, (32, 32, 1))), paths[-1])
+        manifest = Manifest(paths[:2], paths[2:4], paths[4])
+        (tmp_path / "manifest.txt").write_text(format_manifest(manifest))
+        (tmp_path / "labels.txt").write_text(labels)
+        out = str(tmp_path / "out")
+        assert main(["extract", str(tmp_path / "manifest.txt"), "--out", out, "--quiet"]) == 0
+        assert main(["gram", f"{out}/features.dmtv", "--quiet"]) == 0
+        assert main(["eval", f"{out}/features.dmtv", out, str(tmp_path / "labels.txt")]) == 2
+        assert message in capsys.readouterr().err
 
     def test_all_equal_features_error(self, tmp_path):
         from dmtrav.errors import DegenerateDataError

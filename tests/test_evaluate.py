@@ -23,7 +23,7 @@ from dmtrav.evaluate import (
     train_svm,
 )
 from dmtrav.features import ImageTensor, identity_spec, init_weights
-from dmtrav.mmd import FeatureMatrix
+from dmtrav.mmd import FeatureMatrix, gram
 from dmtrav.traversal import TraversalConfig, traverse
 from oracles import with_gram
 
@@ -43,25 +43,32 @@ def svm_instance():
     return X, y, 0.7
 
 
+def primal_svm(X, y, c_reg):
+    """train_svm on the Gram matrix of the rows of X, as the primal (w = X^T beta, b)."""
+    X = np.asarray(X, dtype=float)
+    beta, b = train_svm(gram(X), y, c_reg)
+    return X.T @ beta, b
+
+
 class TestTrainSvm:
     def test_separable_symmetric_pair(self):
         X = np.array([[-1.0], [1.0]])
         y = np.array([-1.0, 1.0])
-        w, b = train_svm(X, y, 1.0)
+        w, b = primal_svm(X, y, 1.0)
         assert w[0] > 0
         margins = y * (X @ w + b)
         assert np.all(margins >= 1.0 - 1e-3)
 
     def test_duplication_with_halved_c_is_invariant(self):
         X, y, c = svm_instance()
-        w1, b1 = train_svm(X, y, c)
-        w2, b2 = train_svm(np.vstack([X, X]), np.concatenate([y, y]), c / 2.0)
+        w1, b1 = primal_svm(X, y, c)
+        w2, b2 = primal_svm(np.vstack([X, X]), np.concatenate([y, y]), c / 2.0)
         assert np.max(np.abs(w1 - w2)) < 1e-6
         assert abs(b1 - b2) < 1e-6
 
     def test_matches_grid_oracle(self):
         X, y, c = svm_instance()
-        w, b = train_svm(X, y, c)
+        w, b = primal_svm(X, y, c)
         obj = oracles.svm_objective(w, b, X, y, c)
         assert obj == pytest.approx(SVM_GRID_OBJECTIVE, abs=1e-3)
         # the live coarse-to-fine oracle reproduces the frozen value
@@ -70,7 +77,7 @@ class TestTrainSvm:
 
     def test_objective_never_worse_than_start(self):
         X, y, c = svm_instance()
-        w, b = train_svm(X, y, c)
+        w, b = primal_svm(X, y, c)
         start = oracles.svm_objective(np.zeros(2), 0.0, X, y, c)
         assert oracles.svm_objective(w, b, X, y, c) <= start
 
@@ -94,8 +101,8 @@ class TestTrainSvm:
         X, y, c = svm_instance()
         X = np.hstack([X, np.random.default_rng(22).standard_normal((X.shape[0], 6))])
         D = X.shape[1]
-        w, b = train_svm(X, y, c)
-        w16, b16 = train_svm(np.hstack([X, np.zeros((X.shape[0], 15 * D))]), y, c)
+        w, b = primal_svm(X, y, c)
+        w16, b16 = primal_svm(np.hstack([X, np.zeros((X.shape[0], 15 * D))]), y, c)
         assert w16.shape == (16 * D,)
         assert np.all(w16[D:] == 0.0)
         assert np.max(np.abs(w16[:D] - w)) <= 1e-12 * np.max(np.abs(w))
@@ -103,15 +110,15 @@ class TestTrainSvm:
 
     def test_single_class_rejected(self):
         with pytest.raises(InvalidInputError):
-            train_svm(np.array([[1.0], [2.0]]), np.array([1.0, 1.0]), 1.0)
+            primal_svm(np.array([[1.0], [2.0]]), np.array([1.0, 1.0]), 1.0)
 
     def test_bad_labels_rejected(self):
         with pytest.raises(InvalidInputError):
-            train_svm(np.array([[1.0], [2.0]]), np.array([1.0, 0.0]), 1.0)
+            primal_svm(np.array([[1.0], [2.0]]), np.array([1.0, 0.0]), 1.0)
 
 
 def assert_matches_primal_oracle(X, y, c):
-    w, b = train_svm(X, y, c)
+    w, b = primal_svm(X, y, c)
     w_o, b_o = oracles.primal_subgradient_svm(X, y, c)
     assert np.max(np.abs(w - w_o)) <= 1e-10 * np.max(np.abs(w_o))
     assert abs(b - b_o) <= 1e-10 * abs(b_o)
@@ -471,19 +478,44 @@ def test_demo_match_solve_count(demo_runs, reference, monkeypatch):
     assert repr(res.decision_value) == fields["adversarial_decision"]
 
 
+def test_fit_classifier_takes_the_same_model_from_the_file_gram_as_from_the_rows(
+    demo_runs, monkeypatch
+):
+    # The file's G and mmd.gram of the training rows differ in their last
+    # bits, but Pegasos reads G only through which margins fall below 1
+    # and which iterate is best, so the model keeps every bit.
+    _, demo, _, _ = demo_runs
+    features = formats.read_feature_file(demo / "features.dmtv").as_feature_matrix()
+    labels = formats.read_labels(demo / "labels.txt", features.K - 1)
+    grams = count_calls(monkeypatch, evaluate.mmd, "gram")
+    from_file = fit_classifier(features, labels)
+    assert grams == []
+    from_rows = fit_classifier(FeatureMatrix(features.V, features.m, features.n), labels)
+    assert len(grams) == 1
+    assert np.array_equal(from_rows.w, from_file.w)
+    assert (from_rows.b, from_rows.platt_a, from_rows.platt_b) == (
+        from_file.b, from_file.platt_a, from_file.platt_b
+    )
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
         (lambda: ClassifierModel(np.ones(2), 0.0, 0.0, 1.0), "platt_a must be nonzero"),
-        (lambda: train_svm(np.zeros(4), [1, -1, 1, -1], 1.0), "features must be a 2-D array"),
-        (lambda: train_svm(np.zeros((3, 2)), [1, -1], 1.0), "one label per feature row"),
+        (lambda: train_svm(np.zeros(4), [1, -1, 1, -1], 1.0), "G must be a square matrix"),
+        (lambda: train_svm(np.zeros((3, 2)), [1, -1, 1], 1.0), "G must be a square matrix"),
+        (lambda: train_svm(np.zeros((3, 3)), [1, -1], 1.0), "one label per row of G"),
         (lambda: train_svm(np.eye(2), [1, -1], 0.0), "c_reg must be positive"),
         (lambda: platt_fit([0.0, 1.0, 2.0], [0, 1]), "one label per decision value"),
         (lambda: platt_fit([0.0, 1.0, 2.0], [0, 1, 2]), "labels must be 0 or 1"),
         (lambda: fit_classifier(FeatureMatrix(np.eye(5), 2, 2), np.ones(3)),
          "one label per non-test row"),
+        (lambda: sweep_decisions(ClassifierModel(np.ones(2), 0.0, 1.0, 0.0), [],
+                                 FeatureMatrix(np.eye(5), 2, 2)),
+         "feature length 5 does not match model (2)"),
     ],
-    ids=["platt-a", "svm-1d", "svm-labels", "svm-c", "platt-labels", "platt-values", "fit-labels"],
+    ids=["platt-a", "svm-1d", "svm-not-square", "svm-labels", "svm-c", "platt-labels",
+         "platt-values", "fit-labels", "sweep-dimension"],
 )
 def test_checks_raise_package_errors(call, message):
     with pytest.raises(InvalidInputError, match=re.escape(message)):
