@@ -13,7 +13,10 @@ little-endian as documented in formats.py and features.py.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
+import pickle
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -40,6 +43,9 @@ from .features import (
 )
 from .mmd import KernelConfig
 from .optim import MinimizeConfig
+
+# Extracted rows leave a process in one os.pwrite of about this many bytes.
+_WRITE_BLOCK_BYTES = 1 << 18
 
 
 def _is_int(value) -> bool:
@@ -146,13 +152,21 @@ def cmd_extract(manifest: formats.Manifest, run: RunConfig) -> Path:
     any extraction; each image's shape is then checked against the
     extractor's input, and the first that misfits is named. The reads
     run back to back: between forward passes a read finds its caches
-    cold, which makes extraction slower and its time less steady. Then
-    one pass per row makes the image (samples / 255, as load_image
-    does), extracts it, checks that its features are finite in f32 and
-    writes them, so besides the samples only a few rows are held, never
-    all of V. formats.feature_writer writes beside features.dmtv and
-    moves the file into place only when every row is in, so a failure
-    leaves whatever was there untouched.
+    cold, which makes extraction slower and its time less steady.
+
+    Then the rows are extracted in two processes, since a forward pass
+    keeps one CPU busy (its matrix products are too small for the BLAS
+    to split): a forked child (os.fork, so POSIX only) takes the rows
+    from ceil(K/2) on and this process the rows before. Each makes each
+    image (samples / 255, as load_image does), extracts it, checks that
+    its features are finite in f32 and writes its rows a block at a time
+    at their offset, so besides the samples a process holds a few rows,
+    never V; the child sends back only its row count. A failure among
+    this process's rows is raised ahead of the child's, as the rows in
+    order would meet it first, and the child is reaped either way.
+    formats.feature_writer writes beside features.dmtv and moves the
+    file into place only when all K rows are in, so a failure leaves
+    whatever was there untouched. The bytes are those of a one-process run.
     """
     paths = [*manifest.target_paths, *manifest.source_paths, manifest.input_path]
     samples = [formats.load_samples(p) for p in paths]
@@ -166,16 +180,81 @@ def cmd_extract(manifest: formats.Manifest, run: RunConfig) -> Path:
     out_dir = Path(run.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "features.dmtv"
+    K, D = len(paths), spec.feature_dim()
     m, n = len(manifest.source_paths), len(manifest.target_paths)
-    writer = formats.feature_writer(out_path, len(paths), spec.feature_dim(), m, n)
-    with writer as write, np.errstate(over="ignore"):  # a row that overflows f32 is reported below
-        for path, image in zip(paths, samples):
-            features = forward(spec, weights, ImageTensor(np.divide(image, 255.0))).features
-            row = features.astype(np.float32)  # rounded to f32 once, as the file stores it
-            if not mmd.all_finite(row):
-                raise NumericalError(f"features of image {path} are not finite in float32")
-            write(row)
+    block = np.empty((max(_WRITE_BLOCK_BYTES // (4 * D), 1), D), np.float32)
+
+    def extract_rows(start: int, stop: int) -> int:
+        """Extract and write rows start..stop-1; returns the rows this process has written."""
+        for first in range(start, stop, len(block)):
+            rows = block[: min(stop - first, len(block))]
+            for i, row in enumerate(rows, first):
+                image = ImageTensor(np.divide(samples[i], 255.0))
+                row[:] = forward(spec, weights, image).features  # rounded to f32 once
+                if not mmd.all_finite(row):
+                    raise NumericalError(f"features of image {paths[i]} are not finite in float32")
+            write(first, rows)
+        return write.written
+
+    half = (K + 1) // 2
+    writer = formats.feature_writer(out_path, K, D, m, n)
+    with writer as write, np.errstate(over="ignore"):  # a row that overflows f32 is reported
+        wait = _in_child(lambda: extract_rows(half, K))
+        try:
+            extract_rows(0, half)
+        except BaseException:
+            with contextlib.suppress(Exception):  # the rows in order meet this failure first
+                wait()
+            raise
+        write.written += wait()  # the child's rows, written through the same descriptor
     return out_path
+
+
+def _in_child(work):
+    """Start work() in a forked child; the returned wait() gives its value.
+
+    The child pickles (ok, value) down a pipe and always leaves by os._exit,
+    so it never flushes this process's stdio buffers, runs atexit hooks or
+    leaves a with block of this process's. wait() reaps the child and
+    re-raises an exception that work raised; a child that ended without a
+    payload raises ChildProcessError.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                payload = pickle.dumps((True, work()))
+            except BaseException as exc:
+                payload = pickle.dumps((False, exc))
+            with open(write_fd, "wb") as pipe:
+                pipe.write(payload)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+
+    def wait():
+        with open(read_fd, "rb") as pipe:
+            payload = pipe.read()
+        _, status = os.waitpid(pid, 0)
+        if status != 0 or not payload:
+            code = os.waitstatus_to_exitcode(status)
+            how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
+            raise ChildProcessError(f"a forked child {how} and sent no result")
+        ok, value = pickle.loads(payload)
+        if not ok:
+            raise value
+        return value
+
+    return wait
 
 
 def cmd_traverse(feature_file, run: RunConfig) -> tuple[list[traversal.LambdaRecord], Path]:

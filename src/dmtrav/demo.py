@@ -19,8 +19,6 @@ decisions and distances the recon_<i>.ppm images.
 
 from __future__ import annotations
 
-import os
-import pickle
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -72,52 +70,6 @@ class DemoOutcome:
     sign_flip_at_smallest: bool
     probability_crosses_half: bool
     adversarial_smaller: bool
-
-
-def _in_child(work):
-    """Start work() in a forked child; the returned wait() gives its value.
-
-    The child pickles (ok, value) down a pipe and always leaves by os._exit,
-    so it never flushes this process's stdio buffers or runs atexit hooks.
-    wait() reaps the child and re-raises an exception that work raised; a
-    child that ended without a payload raises ChildProcessError.
-    """
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            try:
-                payload = pickle.dumps((True, work()))
-            except BaseException as exc:
-                payload = pickle.dumps((False, exc))
-            with open(write_fd, "wb") as pipe:
-                pipe.write(payload)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-
-    def wait():
-        with open(read_fd, "rb") as pipe:
-            payload = pipe.read()
-        _, status = os.waitpid(pid, 0)
-        if status != 0 or not payload:
-            code = os.waitstatus_to_exitcode(status)
-            how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
-            raise ChildProcessError(f"the demo's inversion child {how} and sent no result")
-        ok, value = pickle.loads(payload)
-        if not ok:
-            raise value
-        return value
-
-    return wait
 
 
 def run_demo(seed: int, out_dir, quiet: bool = False) -> DemoOutcome:
@@ -190,7 +142,7 @@ def run_demo(seed: int, out_dir, quiet: bool = False) -> DemoOutcome:
     # The adversarial image is matched to the decision value of the generated
     # image (the smallest-lambda reconstruction), image against image; the
     # earlier inversions run meanwhile in the child (see the docstring).
-    wait = _in_child(lambda: [invert(i) for i in range(len(records) - 1)])
+    wait = cli._in_child(lambda: [invert(i) for i in range(len(records) - 1)])
     try:
         last = invert(len(records) - 1)
         target_decision = evaluate.predict(model, last.features)[0]

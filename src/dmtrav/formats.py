@@ -40,7 +40,6 @@ _G_MAGIC = b"DMTG"
 _V_VERSION = 1
 _HEADER = struct.Struct("<4sIQQQQ")  # magic, version, K, D, m, n
 _READ_BUFFER_BYTES = 1 << 20  # the f32 buffer read_feature_file streams V through
-_WRITE_BUFFER_BYTES = 1 << 18  # feature_writer's file buffer: rows leave it about 1/4 MiB a call
 _PPM_SEP = rb"(?:\s|#[^\n]*\n)"  # \s of a bytes pattern is the six ASCII whitespace bytes
 _PPM_HEADER = re.compile(
     rb"P([56])%s*([0-9]{1,9})%s+([0-9]{1,9})%s+([0-9]{1,9})\s" % (_PPM_SEP, _PPM_SEP, _PPM_SEP)
@@ -117,21 +116,26 @@ def write_feature_file(path, V, m: int, n: int) -> None:
     with feature_writer(path, *V.shape, m, n) as write:
         if not all_finite(V32):
             raise InvalidInputError("V holds a value that is not finite in float32")
-        write(V32)
+        write(0, V32)
 
 
 @contextmanager
 def feature_writer(path, K: int, D: int, m: int, n: int):
-    """Write a DMTV file of K rows of D values, with no Gram section, row by row.
+    """Write a DMTV file of K rows of D values, with no Gram section, block by block.
 
-    Yields write(rows), which stores rows (one row or a block of rows,
-    already finite in f32) after those before it, through a buffer of
-    _WRITE_BUFFER_BYTES (256 KiB). The file is written to a temporary
-    file beside path and moved onto path only when all K rows are in;
-    any failure removes the temporary file and leaves whatever was at
-    path untouched. The sizes are checked first, as the
-    reader checks them: D = 0, or K != m + n + 1 unless m = n = 0 (a
-    bare vector container), raises InvalidInputError.
+    Yields write(first, rows), which stores rows (one row or a block of
+    rows, already finite in f32) as rows first, first + 1, ... with one
+    os.pwrite at their offset; a block outside rows 0..K-1 raises
+    InvalidInputError. write.written counts the rows stored. The header
+    is on disk before the first write, so a process forked inside the
+    block may write its own rows through the descriptor it inherited;
+    the process that forked it adds that child's row count to
+    write.written, since the file's size would count holes as rows.
+    The file is written to a temporary file beside path and moved onto
+    path only when written reaches K; any failure removes the temporary
+    file and leaves whatever was at path untouched. The sizes are
+    checked first, as the reader checks them: D = 0, or K != m + n + 1
+    unless m = n = 0 (a bare vector container), raises InvalidInputError.
     """
     if D == 0:
         raise InvalidInputError("V must have at least one column")
@@ -142,15 +146,32 @@ def feature_writer(path, K: int, D: int, m: int, n: int):
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "wb", buffering=_WRITE_BUFFER_BYTES) as fh:
-            fh.write(_HEADER.pack(_V_MAGIC, _V_VERSION, K, D, m, n))
-            yield lambda rows: fh.write(np.ascontiguousarray(rows, dtype="<f4"))
-            if fh.tell() != _HEADER.size + 4 * K * D:
+        with open(tmp, "wb", buffering=0) as fh:
+            write = _RowWriter(fh.fileno(), K, D)
+            _pwrite(write.fd, memoryview(_HEADER.pack(_V_MAGIC, _V_VERSION, K, D, m, n)), 0)
+            yield write
+            if write.written != K:
                 raise InvalidInputError(f"{path}: {K} rows of {D} values were not all written")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+class _RowWriter:
+    """The write(first, rows) that feature_writer yields; see there."""
+
+    def __init__(self, fd: int, K: int, D: int):
+        self.fd, self.K, self.D, self.written = fd, K, D, 0
+
+    def __call__(self, first: int, rows) -> None:
+        block = np.ascontiguousarray(rows, dtype="<f4").reshape(-1, self.D)
+        if first < 0 or first + len(block) > self.K:
+            raise InvalidInputError(
+                f"rows {first}..{first + len(block) - 1} are outside the file's {self.K} rows"
+            )
+        _pwrite(self.fd, block, _HEADER.size + 4 * self.D * first)
+        self.written += len(block)
 
 
 @dataclass

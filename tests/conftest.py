@@ -1,3 +1,4 @@
+import os
 import sys
 import time
 from pathlib import Path
@@ -29,6 +30,41 @@ def count_calls(monkeypatch, module, name: str) -> list:
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def assert_no_child_left() -> None:
+    # waitpid(-1) raises once this process has no child, running or zombie
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+PROC_STAT = Path("/proc/self/stat")
+
+
+def os_threads() -> int:
+    """The OS thread count of this process, the 20th field of /proc/self/stat."""
+    return int(PROC_STAT.read_text().rsplit(")", 1)[1].split()[17])
+
+
+def fork_thread_counts(monkeypatch) -> list:
+    """Record this process's OS thread count right after each os.fork, where /proc has it.
+
+    Python 3.12+ issues a DeprecationWarning when os.fork runs in a process
+    that has more than one OS thread, counted on Linux from /proc/self/stat
+    right after the fork. OpenBLAS's fork handler stops its worker threads
+    first, so a fork should see one thread at any BLAS thread count. The
+    count is recorded here, so that this holds on every Python.
+    """
+    real_fork, counts = os.fork, []
+
+    def fork():
+        pid = real_fork()
+        if pid and PROC_STAT.exists():
+            counts.append(os_threads())
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return counts
 
 
 def append_raw_gram(path, G) -> None:

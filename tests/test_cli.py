@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import re
+import signal
 import struct
 import subprocess
 import sys
@@ -13,7 +14,15 @@ import numpy as np
 import pytest
 
 import dmtrav
-from conftest import DEMO_PIXEL_SOLVER, append_raw_gram, count_calls, huge_k_file
+from conftest import (
+    DEMO_PIXEL_SOLVER,
+    PROC_STAT,
+    append_raw_gram,
+    assert_no_child_left,
+    count_calls,
+    fork_thread_counts,
+    huge_k_file,
+)
 from dmtrav import cli as cli_module
 from dmtrav import demo as demo_module
 from dmtrav import reconstruct as reconstruct_module
@@ -38,6 +47,7 @@ from dmtrav.formats import (
     read_labels,
     read_vector,
     save_image,
+    write_feature_file,
     write_vector,
 )
 from dmtrav.mmd import FeatureMatrix, KernelConfig
@@ -141,8 +151,8 @@ class TestCmdExtract:
         D = reference_spec().feature_dim()
         assert read_feature_file(out).V.shape == (n, D)
         # The uint8 samples (1 KiB each, under 1.5 KiB with their objects), 16 float64
-        # rows, room for a forward pass's activations, and the writer's 256 KiB buffer;
-        # V in f32 is 14.1 MiB.
+        # rows, room for a forward pass's activations, and a block of f32 rows of at
+        # most 256 KiB; V in f32 is 14.1 MiB.
         assert peak <= 1536 * n + 16 * 8 * D + 2**18
 
     def test_a_misfit_last_image_leaves_the_output_as_it_was(self, tiny_dataset):
@@ -161,6 +171,20 @@ class TestCmdExtract:
         assert list(out.iterdir()) == [out / "features.dmtv"]
         assert (out / "features.dmtv").read_bytes() == good
 
+    @staticmethod
+    def overflow(monkeypatch, *image_paths) -> None:
+        """Make the features of each named image overflow f32, in whichever process."""
+        pixels = [load_image(p).pixels for p in image_paths]
+        real_forward = cli_module.forward
+
+        def forward(spec, weights, image):
+            result = real_forward(spec, weights, image)
+            if any(np.array_equal(image.pixels, p) for p in pixels):
+                result.features[0] = 1e39
+            return result
+
+        monkeypatch.setattr(cli_module, "forward", forward)
+
     def test_a_failure_after_rows_are_written_leaves_the_output_as_it_was(
         self, tiny_dataset, monkeypatch
     ):
@@ -168,22 +192,85 @@ class TestCmdExtract:
         out = tmp_path / "out"
         run = RunConfig(out_dir=str(out))
         good = cmd_extract(manifest, run).read_bytes()
-        calls = []
-        real_forward = cli_module.forward
-
-        def forward_overflowing_the_last_row(spec, weights, image):
-            result = real_forward(spec, weights, image)
-            calls.append(image)
-            if len(calls) == 3:  # the input row, after the two others were written
-                result.features[0] = 1e39
-            return result
-
-        monkeypatch.setattr(cli_module, "forward", forward_overflowing_the_last_row)
+        # the input is the last row, extracted after the two others were written
+        self.overflow(monkeypatch, manifest.input_path)
         with pytest.raises(NumericalError, match=re.escape(manifest.input_path)):
             cmd_extract(manifest, run)
-        assert len(calls) == 3
         assert list(out.iterdir()) == [out / "features.dmtv"]
         assert (out / "features.dmtv").read_bytes() == good
+        assert_no_child_left()
+
+    def test_of_two_failing_rows_the_earlier_is_named(self, tiny_dataset, monkeypatch, capsys):
+        # The source (row 1) is this process's second row and the input
+        # (row 2) the child's first, so the child fails first in time; the
+        # rows in order would meet the source first.
+        tmp_path, manifest, _ = tiny_dataset
+        out = tmp_path / "out"
+        good = cmd_extract(manifest, RunConfig(out_dir=str(out))).read_bytes()
+        self.overflow(monkeypatch, manifest.source_paths[0], manifest.input_path)
+        mpath = tmp_path / "manifest.txt"
+        mpath.write_text(format_manifest(manifest))
+        assert main(["extract", str(mpath), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == (
+            f"numerical failure: features of image {manifest.source_paths[0]} "
+            "are not finite in float32\n"
+        )
+        assert list(out.iterdir()) == [out / "features.dmtv"]
+        assert (out / "features.dmtv").read_bytes() == good
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("m, n", [(12, 12), (12, 11)], ids=["odd-K", "even-K"])
+    def test_the_file_is_that_of_extracting_every_row_in_one_process(self, tmp_path, m, n):
+        # 25 and 24 rows: each process writes more than one block of rows
+        rng = np.random.default_rng(52)
+        paths = []
+        for i in range(m + n + 1):
+            paths.append(tmp_path / f"{i}.ppm")
+            save_image(ImageTensor(rng.random((32, 32, 1))), paths[-1])
+        targets, sources = [str(p) for p in paths[:n]], [str(p) for p in paths[n:-1]]
+        out = cmd_extract(Manifest(sources, targets, str(paths[-1])), RunConfig(out_dir=str(tmp_path)))
+        spec = reference_spec()
+        weights = init_weights(spec, 42)
+        V = np.stack([forward(spec, weights, load_image(p)).features for p in paths])
+        write_feature_file(tmp_path / "serial.dmtv", V, m, n)
+        assert out.read_bytes() == (tmp_path / "serial.dmtv").read_bytes()
+        assert_no_child_left()
+
+    def test_a_killed_child_exits_2_and_leaves_the_output_as_it_was(
+        self, tiny_dataset, monkeypatch, capsys
+    ):
+        tmp_path, manifest, _ = tiny_dataset
+        out = tmp_path / "out"
+        good = cmd_extract(manifest, RunConfig(out_dir=str(out))).read_bytes()
+        parent, real_forward = os.getpid(), cli_module.forward
+
+        def forward(spec, weights, image):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real_forward(spec, weights, image)
+
+        monkeypatch.setattr(cli_module, "forward", forward)
+        mpath = tmp_path / "manifest.txt"
+        mpath.write_text(format_manifest(manifest))
+        assert main(["extract", str(mpath), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: a forked child was killed by signal 9 and sent no result\n"
+        assert list(out.iterdir()) == [out / "features.dmtv"]
+        assert (out / "features.dmtv").read_bytes() == good
+        assert_no_child_left()
+
+    def test_the_fork_sees_one_thread_and_warns_nothing(self, tiny_dataset, monkeypatch):
+        # as the demo's test: a warning is recorded, since Python clears this
+        # one after issuing it, so under "error" it would raise nothing
+        tmp_path, manifest, _ = tiny_dataset
+        counts = fork_thread_counts(monkeypatch)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cmd_extract(manifest, RunConfig(out_dir=str(tmp_path / "out")))
+        assert [str(w.message) for w in caught] == []
+        assert counts == ([1] if PROC_STAT.exists() else [])
+        assert_no_child_left()
 
 
 class TestCmdTraverse:

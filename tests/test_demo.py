@@ -11,30 +11,16 @@ import os
 import signal
 import time
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import PROC_STAT, assert_no_child_left, fork_thread_counts
 from dmtrav import evaluate, reconstruct
-from dmtrav.cli import main
-from dmtrav.demo import _in_child, run_demo
+from dmtrav.cli import _in_child, main
+from dmtrav.demo import run_demo
 from dmtrav.errors import NoMatchError, NumericalError
 from dmtrav.formats import load_image, read_vector
-
-PROC_STAT = Path("/proc/self/stat")
-
-
-def assert_no_child_left() -> None:
-    # waitpid(-1) raises once this process has no child, running or zombie
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def os_threads() -> int:
-    """The OS thread count of this process, the 20th field of /proc/self/stat."""
-    return int(PROC_STAT.read_text().rsplit(")", 1)[1].split()[17])
-
 
 class TestInChild:
     def test_returns_the_childs_value(self):
@@ -127,25 +113,13 @@ def test_the_demo_prints_its_lines_in_stage_order(tmp_path, capsys):
 
 
 def test_the_fork_sees_one_thread_and_warns_nothing(tmp_path, monkeypatch):
-    # Python 3.12+ issues a DeprecationWarning when os.fork runs in a process
-    # that has more than one OS thread, counted on Linux from /proc/self/stat
-    # right after the fork. OpenBLAS's fork handler stops its worker threads
-    # first, so the demo's fork should see one thread at any BLAS thread
-    # count. The count is recorded here, so that this holds on every Python.
     # The warning is recorded, not turned into an error: Python clears that
     # warning after issuing it, so under "error" it would raise nothing.
-    real_fork, counts = os.fork, []
-
-    def fork():
-        pid = real_fork()
-        if pid and PROC_STAT.exists():
-            counts.append(os_threads())
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
+    counts = fork_thread_counts(monkeypatch)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         run_demo(0, tmp_path, quiet=True)
     assert [str(w.message) for w in caught] == []
-    assert counts == ([1] if PROC_STAT.exists() else [])
+    # one fork extracts half the rows, the other inverts the earlier lambdas
+    assert counts == ([1, 1] if PROC_STAT.exists() else [])
     assert_no_child_left()

@@ -25,6 +25,7 @@ from dmtrav.features import (
 from dmtrav.formats import (
     Manifest,
     append_gram,
+    feature_writer,
     format_manifest,
     format_sweep_report,
     format_traversal_records,
@@ -215,6 +216,21 @@ class TestFeatureFile:
             with pytest.raises(InvalidInputError, match=message):
                 write_feature_file(p, V, 1, 1)
         assert not p.exists()
+
+    def test_feature_writer_counts_rows_not_bytes(self, tmp_path):
+        # rows 0 and 2 of 3 give the file its full size, with row 1 a hole
+        p = tmp_path / "f.dmtv"
+        write_feature_file(p, np.eye(3), 1, 1)
+        good = p.read_bytes()
+        with pytest.raises(InvalidInputError, match="not all written"):
+            with feature_writer(p, 3, 3, 1, 1) as write:
+                write(2, np.ones(3))
+                write(0, np.ones(3))
+        with pytest.raises(InvalidInputError, match="rows 2..3 are outside the file's 3 rows"):
+            with feature_writer(p, 3, 3, 1, 1) as write:
+                write(2, np.ones((2, 3)))
+        assert list(tmp_path.iterdir()) == [p]
+        assert p.read_bytes() == good
 
     @pytest.mark.parametrize("zero_row", [False, True], ids=["other-rows", "zero-row"])
     def test_gram_diagonal_must_match_rows(self, tmp_path, zero_row):
