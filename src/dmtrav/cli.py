@@ -392,9 +392,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("manifest")
     common(p)
 
-    p = sub.add_parser("gram", help="append the Gram section to a feature file")
+    p = sub.add_parser("gram", help="rewrite a feature file's Gram section from its rows")
     p.add_argument("feature_file")
-    p.add_argument("--overwrite", action="store_true")
     p.add_argument("--quiet", action="store_true")
 
     p = sub.add_parser("traverse", help="run the descending-lambda sweep")
@@ -444,7 +443,7 @@ def main(argv=None) -> int:
         if args.verb == "extract":
             message = cmd_extract(formats.read_manifest(args.manifest), _run_config(args))
         elif args.verb == "gram":
-            formats.append_gram(args.feature_file, overwrite=args.overwrite)
+            formats.append_gram(args.feature_file)
             message = f"Gram section written to {args.feature_file}"
         elif args.verb == "traverse":
             _, message = cmd_traverse(args.feature_file, _run_config(args))

@@ -9,8 +9,9 @@ All binary layouts are little-endian. The feature container is
 
 with D >= 1 and K = m + n + 1 enforced on load, and a Gram section
 accepted only if its diagonal matches the squared norms of the stored
-rows. Single vectors (coefficients r, traversed features z) reuse the
-same container as a 1 x L matrix with m = n = 0.
+rows. Every append_gram run rewrites the section from V; its last bits
+follow the BLAS thread count. Single vectors (coefficients r, traversed
+features z) reuse the same container as a 1 x L matrix with m = n = 0.
 
 Images use binary PPM/PGM with maxval 255: P5 for grayscale, P6 for
 three channels. The header is the magic, width, height and maxval (each
@@ -204,7 +205,7 @@ def read_feature_file(path) -> FeatureFile:
         _read_rows(fh, path, V, check=True)
         G = None
         if size > _HEADER.size + 4 * V.size:
-            G = _read_gram(fh, path, size, K, lambda: np.einsum("ij,ij->i", V, V), keep=True)
+            G = _read_gram(fh, path, size, V)
     return FeatureFile(V=V, m=int(m), n=int(n), G=G)
 
 
@@ -250,33 +251,15 @@ def _read_rows(fh, path, out: np.ndarray, check: bool) -> None:
         flat[start : start + chunk.size] = chunk
 
 
-def _stored_norms(fh, path, K: int, D: int) -> np.ndarray:
-    """The squared norms of the next K stored rows of D values, each checked to be finite.
-
-    The rows stream through one float64 array of at most
-    _READ_BUFFER_BYTES (and at least one row), besides _read_rows' buffer.
-    """
-    step = max(1, _READ_BUFFER_BYTES // (8 * D))
-    rows = np.empty((min(step, K), D))
-    norms = np.empty(K)
-    for r0 in range(0, K, step):
-        chunk = rows[: K - r0]
-        _read_rows(fh, path, chunk, check=True)
-        np.einsum("ij,ij->i", chunk, chunk, out=norms[r0 : r0 + len(chunk)])
-    return norms
-
-
-def _read_gram(fh, path, size: int, K: int, row_norms, keep: bool) -> np.ndarray | None:
-    """Read and check the Gram section of K x K values that starts at fh's position, after V.
+def _read_gram(fh, path, size: int, V: np.ndarray) -> np.ndarray:
+    """Read and check the Gram section of the K rows of V, which starts at fh's position.
 
     The section must be the magic and K x K finite values, ending the
-    file (size bytes), whose diagonal matches row_norms(), the squared
-    norms of the K stored rows. The magic and size are checked before
-    anything is allocated. With keep the values are read into G, which
-    is returned; without it they stream through one buffer of at most
-    _READ_BUFFER_BYTES (and at least one row). Every fault raises
-    FormatError.
+    file (size bytes), whose diagonal matches the squared norms of V's
+    rows. The magic and size are checked before G is allocated. Every
+    fault raises FormatError.
     """
+    K = len(V)
     magic = fh.read(4)
     if magic != _G_MAGIC:
         raise FormatError(f"{path}: unexpected section magic {magic!r}")
@@ -285,19 +268,14 @@ def _read_gram(fh, path, size: int, K: int, row_norms, keep: bool) -> np.ndarray
         raise FormatError(f"{path}: truncated Gram data")
     if size != gend:
         raise FormatError(f"{path}: trailing bytes after Gram section")
-    step = max(1, _READ_BUFFER_BYTES // (8 * max(K, 1)))
-    G = np.empty((K, K) if keep else (min(step, K), K), dtype="<f8")  # without keep, the buffer
-    diag = np.empty(K)
-    for r0 in range(0, K, step):
-        chunk = G[r0 : r0 + step] if keep else G[: K - r0]
-        if fh.readinto(chunk) != chunk.nbytes:
-            raise FormatError(f"{path}: truncated Gram data")
-        if not all_finite(chunk):
-            raise FormatError(f"{path}: non-finite value in Gram data")
-        diag[r0 : r0 + len(chunk)] = chunk.diagonal(r0)
+    G = np.empty((K, K), dtype="<f8")
+    if fh.readinto(G) != G.nbytes:
+        raise FormatError(f"{path}: truncated Gram data")
+    if not all_finite(G):
+        raise FormatError(f"{path}: non-finite value in Gram data")
     # A Gram section computed from other rows would silently combine data
     # that do not belong together; its diagonal gives it away.
-    norms = row_norms()
+    diag, norms = G.diagonal(), np.einsum("ij,ij->i", V, V)
     bad = np.flatnonzero(np.abs(diag - norms) > 1e-9 * norms)
     if bad.size:
         i = int(bad[0])
@@ -305,7 +283,7 @@ def _read_gram(fh, path, size: int, K: int, row_norms, keep: bool) -> np.ndarray
             f"{path}: Gram diagonal G[{i},{i}]={diag[i]!r} does not match the squared "
             f"norm {norms[i]!r} of stored row {i}"
         )
-    return G if keep else None
+    return G
 
 
 class _StoredRows:
@@ -323,8 +301,12 @@ class _StoredRows:
         _read_rows(self._fh, self._path, out, check=first)
 
 
-def append_gram(path, overwrite: bool = False) -> None:
+def append_gram(path) -> None:
     """Compute the Gram of the stored rows and write it after V, leaving V's bytes untouched.
+
+    Every run rewrites the section from V, whatever follows V: a valid
+    section, a faulty one or stray bytes. Its last bits follow the BLAS
+    thread count, so a rerun at another count may rewrite those bits.
 
     G is never held: mmd.gram forms it from the file's rows and hands
     out each block as it is made, and each row of a block is written at
@@ -332,25 +314,11 @@ def append_gram(path, overwrite: bool = False) -> None:
     per panel) strip, a 32 x K gather and at most PANEL_ROWS + BLOCK_ROWS
     float64 rows) this holds the 1 MiB read buffer. Each stored value is
     checked to be finite on its first read; a failure, that or any
-    other, cuts the file back to V's end, so a file with no Gram section
-    keeps its bytes.
-
-    A file that already has a Gram section is refused unless overwrite is
-    set; without it, whatever follows V is first checked as
-    read_feature_file checks it, with V's rows and the section's rows
-    streamed through bounded buffers. With overwrite only the header and
-    V are read and checked, and whatever follows V is replaced: a valid
-    Gram section, or one that fails the reader's checks.
+    other, cuts the file back to V's end.
     """
     with open(path, "rb") as fh:
-        K, D, _, _, size = _read_header(fh, path)
+        K, D, _, _, _ = _read_header(fh, path)
         end = _HEADER.size + 4 * K * D
-        if size > end and not overwrite:
-            norms = _stored_norms(fh, path, K, D)
-            _read_gram(fh, path, size, K, lambda: norms, keep=False)  # a faulty section raises
-            raise InvalidInputError(
-                f"{path}: Gram section already present (pass overwrite to replace)"
-            )
         with open(path, "r+b", buffering=0) as out:
             fd, at = out.fileno(), end + 4  # at: the byte offset of G[0, 0]
 

@@ -450,33 +450,40 @@ class TestMainExitCodes:
         assert main(["gram", str(tmp_path / "nope.dmtv")]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_gram_twice_writes_the_same_bytes(self, tmp_path):
+        p = gram_file(tmp_path)
+        first = p.read_bytes()
+        assert main(["gram", str(p), "--quiet"]) == 0
+        assert p.read_bytes() == first
+
     @pytest.mark.parametrize(
-        "fault, message",
-        [("truncated", "truncated Gram data"), ("diagonal", "Gram diagonal G[0,0]")],
-        ids=["gram-truncated", "gram-diagonal-doubled"],
+        "fault", ["truncated", "diagonal-doubled", "section-magic", "stray-bytes-after-v"]
     )
-    def test_overwrite_replaces_a_gram_that_fails_its_checks(self, tmp_path, capsys, fault,
-                                                             message):
+    def test_gram_replaces_whatever_follows_v(self, tmp_path, fault):
         p = gram_file(tmp_path)
         good = p.read_bytes()
+        end = 40 + 4 * 5 * 3  # the end of V
+        g00 = end + 4  # the offset of G[0, 0]
         if fault == "truncated":
             p.write_bytes(good[:-8])
-        else:
-            g00 = 40 + 4 * 5 * 3 + 4
+        elif fault == "diagonal-doubled":
             doubled = struct.pack("<d", 2.0 * struct.unpack("<d", good[g00 : g00 + 8])[0])
             p.write_bytes(good[:g00] + doubled + good[g00 + 8 :])
-        assert main(["gram", str(p), "--quiet"]) == 2  # still refused without --overwrite
-        assert message in capsys.readouterr().err
-        assert main(["gram", str(p), "--overwrite", "--quiet"]) == 0
+        elif fault == "section-magic":
+            p.write_bytes(good[:end] + b"XXXX" + good[g00:])
+        else:
+            p.write_bytes(good[:end] + b"junk")
+        with pytest.raises(FormatError):
+            read_feature_file(p)
+        assert main(["gram", str(p), "--quiet"]) == 0
         assert p.read_bytes() == good
 
-    def test_overwrite_replaces_stray_bytes_after_v(self, tmp_path):
+    def test_gram_has_no_overwrite_flag(self, tmp_path, capsys):
         p = gram_file(tmp_path)
-        good = p.read_bytes()
-        p.write_bytes(good[: 40 + 4 * 5 * 3] + b"junk")
-        assert main(["gram", str(p), "--quiet"]) == 2
-        assert main(["gram", str(p), "--overwrite", "--quiet"]) == 0
-        assert p.read_bytes() == good
+        with pytest.raises(SystemExit) as exc:
+            main(["gram", str(p), "--overwrite"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --overwrite" in capsys.readouterr().err
 
     def test_numerical_failure_is_exit_3(self, tmp_path, capsys):
         from dmtrav.formats import write_feature_file

@@ -145,15 +145,6 @@ class TestFeatureFile:
         append_gram(p)
         assert np.array_equal(read_feature_file(p).G, np.eye(3))
 
-    def test_existing_gram_refused_without_overwrite(self, tmp_path):
-        V = np.eye(3)
-        p = tmp_path / "f.dmtv"
-        write_feature_file(p, V, 1, 1)
-        append_gram(p)
-        with pytest.raises(InvalidInputError, match="overwrite"):
-            append_gram(p)
-        append_gram(p, overwrite=True)  # allowed explicitly
-
     def test_corrupt_magic(self, tmp_path):
         p = tmp_path / "f.dmtv"
         write_feature_file(p, np.eye(3), 1, 1)
@@ -297,12 +288,22 @@ class TestFeatureFile:
         assert ff.G.shape == (K, K)
         assert peak <= 8 * K * D + 8 * K * K + 1.5 * 2**20
 
-    # one row over a panel (two panels of 257 and 256 rows); three panels of 367, 367 and 365
-    @pytest.mark.parametrize("K", [PANEL_ROWS + 1, 2 * PANEL_ROWS + 75])
-    def test_gram_step_holds_one_strip_and_one_panel_and_one_block(self, tmp_path, K):
+    # one row over a panel (two panels of 257 and 256 rows); three panels of 367, 367 and 365;
+    # each on a file with no Gram section and on one whose section is rewritten
+    @pytest.mark.parametrize(
+        "K, section",
+        [
+            pytest.param(K, section, id=f"{K}-section" if section else str(K))
+            for section in (False, True)
+            for K in (PANEL_ROWS + 1, 2 * PANEL_ROWS + 75)
+        ],
+    )
+    def test_gram_step_holds_one_strip_and_one_panel_and_one_block(self, tmp_path, K, section):
         D = 4096
         P = -(-K // -(-K // PANEL_ROWS))  # rows per panel
         p = _many_panel_file(tmp_path, K, D)
+        if section:
+            append_gram(p)
         tracemalloc.start()  # numpy reports its array buffers to tracemalloc
         try:
             append_gram(p)
@@ -320,21 +321,6 @@ class TestFeatureFile:
         data = p.read_bytes()
         W = np.frombuffer(data, "<f4", K * D, 40).reshape(K, D).astype(np.float64)
         assert data[40 + 4 * K * D :] == b"DMTG" + mmd.gram(W).astype("<f8").tobytes()
-
-    def test_existing_gram_refused_without_reading_the_file_whole(self, tmp_path):
-        K, D = 2 * PANEL_ROWS + 75, 4096
-        p = _many_panel_file(tmp_path, K, D)
-        append_gram(p)
-        data = p.read_bytes()
-        tracemalloc.start()  # numpy reports its array buffers to tracemalloc
-        try:
-            with pytest.raises(InvalidInputError, match="overwrite"):
-                append_gram(p)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2 * 2**20  # V in float64 alone is 34.3 MiB
-        assert p.read_bytes() == data
 
     def test_gram_over_many_panels_is_the_product_of_the_stored_rows(self, tmp_path):
         K, D = 2 * PANEL_ROWS + 75, 4096
@@ -465,10 +451,23 @@ def _mutants(data: bytes, seed: int, count: int):
             yield data[:pos] + extra + data[pos:]
 
 
-def _dmtv_with_gram(path):
+def _dmtv(path):
     V, m, n = np.random.default_rng(95).standard_normal((5, 6)), 2, 2
     write_feature_file(path, V, m, n)
+
+
+def _dmtv_with_gram(path):
+    _dmtv(path)
     append_gram(path)
+
+
+def _append_gram_then_read(path):
+    """append_gram either raises a package error or leaves a file that the reader accepts."""
+    append_gram(path)
+    try:
+        read_feature_file(path)
+    except FormatError as exc:
+        raise AssertionError(f"append_gram left a file the reader refuses: {exc}") from exc
 
 
 def _ppm(path):
@@ -503,6 +502,8 @@ def _spec(path):
     "write, read",
     [
         (_dmtv_with_gram, read_feature_file),
+        (_dmtv_with_gram, _append_gram_then_read),
+        (_dmtv, _append_gram_then_read),
         (_ppm, load_image),
         (_dmtw, load_weights),
         (_records, lambda p: parse_traversal_records(read_text(p))),
@@ -510,7 +511,7 @@ def _spec(path):
         (_labels, lambda p: read_labels(p, 4)),
         (_spec, lambda p: RunConfig(extractor=str(p)).resolve_spec()),
     ],
-    ids=["dmtv", "ppm", "dmtw", "records", "manifest", "labels", "spec"],
+    ids=["dmtv", "dmtv-gram-append_gram", "dmtv-append_gram", "ppm", "dmtw", "records", "manifest", "labels", "spec"],
 )
 def test_mutated_files_raise_only_package_errors(tmp_path, write, read):
     original = tmp_path / "original"
