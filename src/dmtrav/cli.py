@@ -264,12 +264,8 @@ def cmd_traverse(feature_file, run: RunConfig) -> tuple[list[traversal.LambdaRec
     cfg = traversal.TraversalConfig(
         lambdas=run.lambdas, kernel=KernelConfig(run.sigma), solver=run.solver()
     )
-    ff = formats.read_feature_file(feature_file)
-    if ff.G is None:
-        raise InvalidInputError(
-            f"{feature_file} has no Gram section; run `dmtrav gram {feature_file}` first"
-        )
-    return traverse_to(ff.as_feature_matrix(), cfg, run.out_dir)
+    features = formats.read_feature_file(feature_file).as_feature_matrix()
+    return traverse_to(features, cfg, run.out_dir)
 
 
 def traverse_to(
@@ -392,7 +388,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("manifest")
     common(p)
 
-    p = sub.add_parser("gram", help="rewrite a feature file's Gram section from its rows")
+    p = sub.add_parser(
+        "gram", help="cache G = V V^T in the file (other verbs write the same bytes without it)"
+    )
     p.add_argument("feature_file")
     p.add_argument("--quiet", action="store_true")
 

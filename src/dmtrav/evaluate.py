@@ -186,7 +186,7 @@ def fit_classifier(features: mmd.FeatureMatrix, labels: np.ndarray) -> Classifie
 
     Every fifth non-test row (index % 5 == 0) is held out, and each part
     needs both labels. The SVM trains on the training rows' block of
-    features.G (of mmd.gram when there is no G), and w = X_train^T beta.
+    features.G, and w = X_train^T beta.
     """
     X = features.V[: features.K - 1]
     if labels.size != X.shape[0]:
@@ -196,8 +196,7 @@ def fit_classifier(features: mmd.FeatureMatrix, labels: np.ndarray) -> Classifie
         if np.ptp(labels[part]) == 0:
             raise InvalidInputError(f"the {name} split has only {labels[part][0]:+g} labels")
     train = np.flatnonzero(~held)
-    G = mmd.gram(X[train]) if features.G is None else features.G[np.ix_(train, train)]
-    beta, b = train_svm(G, labels[train], _SVM_C)
+    beta, b = train_svm(features.G[np.ix_(train, train)], labels[train], _SVM_C)
     w = X[train].T @ beta
     held_decisions = X[held] @ w + b
     platt_a, platt_b = platt_fit(held_decisions, (labels[held] > 0).astype(int))

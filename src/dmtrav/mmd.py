@@ -66,10 +66,12 @@ class WitnessValue:
 
 
 class FeatureMatrix:
-    """K x D feature rows ordered [targets (n), sources (m), test], plus an optional Gram.
+    """K x D feature rows ordered [targets (n), sources (m), test], and their Gram G = V V^T.
 
-    The Gram matrix is held and computed in 64-bit floats regardless of
-    the feature precision.
+    Given no G, gram(V) forms it, as it forms a feature file's Gram section,
+    so G has that section's bytes; meanwhile gram's strip and panel buffers
+    are held besides V. Every G must be K x K, finite and symmetric, and is
+    held in 64-bit floats regardless of the feature precision.
     """
 
     def __init__(self, V, m: int, n: int, G=None):
@@ -84,20 +86,19 @@ class FeatureMatrix:
             raise InvalidInputError(
                 f"V has {V.shape[0]} rows but m + n + 1 = {m + n + 1}"
             )
-        if G is not None:
-            G = np.asarray(G, dtype=float)
-            K = V.shape[0]
-            if G.shape != (K, K):
-                raise InvalidInputError(f"Gram shape {G.shape} does not match K={K}")
-            if not all_finite(G):
-                raise InvalidInputError("Gram matrix must contain only finite values")
-            scale = max(float(G.max()), -float(G.min()))
-            asym = max(
-                float(np.max(np.abs(G[i : i + _SYMMETRY_BLOCK] - G[:, i : i + _SYMMETRY_BLOCK].T)))
-                for i in range(0, K, _SYMMETRY_BLOCK)
-            )
-            if scale > 0 and asym > 1e-9 * scale:
-                raise InvalidInputError("Gram matrix is not symmetric")
+        G = gram(V) if G is None else np.asarray(G, dtype=float)
+        K = V.shape[0]
+        if G.shape != (K, K):
+            raise InvalidInputError(f"Gram shape {G.shape} does not match K={K}")
+        if not all_finite(G):
+            raise InvalidInputError("Gram matrix must contain only finite values")
+        scale = max(float(G.max()), -float(G.min()))
+        asym = max(
+            float(np.max(np.abs(G[i : i + _SYMMETRY_BLOCK] - G[:, i : i + _SYMMETRY_BLOCK].T)))
+            for i in range(0, K, _SYMMETRY_BLOCK)
+        )
+        if scale > 0 and asym > 1e-9 * scale:
+            raise InvalidInputError("Gram matrix is not symmetric")
         self.V = V
         self.m = int(m)
         self.n = int(n)

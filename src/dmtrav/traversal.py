@@ -78,7 +78,7 @@ class LambdaRecord:
 
 
 def traverse(features: FeatureMatrix, cfg: TraversalConfig) -> list[LambdaRecord]:
-    """Run the descending-lambda sweep, one LambdaRecord per lambda; needs the Gram matrix.
+    """Run the descending-lambda sweep, one LambdaRecord per lambda, on features.G.
 
     Each lambda is solved over the displacement a on the embedded rows
     (see the module docstring), from a = 0 and then from the previous
@@ -90,10 +90,6 @@ def traverse(features: FeatureMatrix, cfg: TraversalConfig) -> list[LambdaRecord
     Gram matrix has.
     """
     G = features.G
-    if G is None:
-        raise InvalidInputError(
-            "feature matrix has no Gram section; run gram precomputation first"
-        )
     m, n = features.m, features.n
     sigma = cfg.kernel.resolve_sigma(G)
     kcfg = KernelConfig(sigma)

@@ -2,9 +2,9 @@
 
 Everything here is deliberately written the slow, obvious way (explicit
 loops, direct feature-space arithmetic) and shares no code with the
-production paths it checks. The exceptions are tv_grad and with_gram,
-which only hand the tests a library computation that no pipeline step
-needs as a function of its own.
+production paths it checks. The exception is tv_grad, which only hands
+the tests a library computation that no pipeline step needs as a
+function of its own.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from dmtrav.errors import FormatError, InvalidInputError, NumericalError
-from dmtrav.mmd import FeatureMatrix, gram
 from dmtrav.reconstruct import _tv_terms
 
 
@@ -377,13 +376,6 @@ def tv_grad(image, beta: float = 2.0) -> np.ndarray:
     Where s = dh^2 + dv^2 is 0, the weight of a pixel's differences is 0.
     """
     return _tv_terms(image.pixels, beta)[1]()
-
-
-def with_gram(fm: FeatureMatrix) -> FeatureMatrix:
-    """fm with G = V V^T attached (fm itself if it already carries a Gram)."""
-    if fm.G is not None:
-        return fm
-    return FeatureMatrix(fm.V, fm.m, fm.n, gram(fm.V))
 
 
 # Plain forms of the extractor layers: im2col through a transposed 5-D

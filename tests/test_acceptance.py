@@ -28,7 +28,7 @@ from dmtrav.features import (
     save_weights,
 )
 from dmtrav.mmd import FeatureMatrix, KernelConfig
-from oracles import finite_difference_gradient, tv_grad, weights_equal, with_gram
+from oracles import finite_difference_gradient, tv_grad, weights_equal
 from dmtrav.reconstruct import ReconstructionConfig, invert, tv
 from dmtrav.traversal import TraversalConfig, _embedding, materialize, traverse
 
@@ -149,7 +149,7 @@ def test_criterion_3_brute_force_optimality():
             rng = np.random.default_rng(seed)
             V = rng.uniform(-1.0, 1.0, (3, 3))
             V[0] += 1.0
-            fm = with_gram(FeatureMatrix(V, 1, 1))
+            fm = FeatureMatrix(V, 1, 1)
             sigma = mmd.median_heuristic_sigma(fm.G)
             lambdas = (0.3, 0.1, 0.03, 0.01)
             res = traverse(fm, TraversalConfig(lambdas=lambdas, kernel=KernelConfig(sigma)))

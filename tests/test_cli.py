@@ -281,12 +281,16 @@ class TestCmdTraverse:
         append_gram(feature_file)
         return tmp_path, run, feature_file
 
-    def test_requires_gram(self, tiny_dataset):
+    def test_without_a_gram_section_forms_g_and_leaves_the_file_as_it_was(self, tiny_dataset):
         tmp_path, manifest, _ = tiny_dataset
-        run = RunConfig(out_dir=str(tmp_path / "out"), lambdas=(1.0,))
+        run = RunConfig(out_dir=str(tmp_path / "out"), lambdas=(1e-3, 1e-4))
         feature_file = cmd_extract(manifest, run)
-        with pytest.raises(InvalidInputError, match="gram"):
-            cmd_traverse(feature_file, run)
+        written = feature_file.read_bytes()
+        formed, _ = cmd_traverse(feature_file, run)
+        assert feature_file.read_bytes() == written  # G is formed in memory, not cached
+        append_gram(feature_file)
+        cached, _ = cmd_traverse(feature_file, run)
+        assert [rec.r.tobytes() for rec in formed] == [rec.r.tobytes() for rec in cached]
 
     def test_dominant_lambda_reproduces_input_row(self, tiny_dataset):
         tmp_path, run, feature_file = self.prepared(tiny_dataset)
@@ -417,15 +421,13 @@ class TestMainExitCodes:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
-    def test_missing_gram_is_exit_2_with_hint(self, tiny_dataset, capsys):
-        tmp_path, manifest, _ = tiny_dataset
-        mpath = tmp_path / "manifest.txt"
-        mpath.write_text(format_manifest(manifest))
-        out = str(tmp_path / "out")
-        assert main(["extract", str(mpath), "--out", out, "--quiet"]) == 0
-        code = main(["traverse", f"{out}/features.dmtv", "--lambda", "1.0", "--out", out])
+    def test_traverse_of_a_vector_file_is_exit_2_naming_the_empty_blocks(self, tmp_path, capsys):
+        # r_<i>.dmtv and zt_<i>.dmtv are one-row feature files with m = n = 0
+        path = tmp_path / "r_0.dmtv"
+        write_vector(path, np.arange(5.0))
+        code = main(["traverse", str(path), "--lambda", "1e-3", "--out", str(tmp_path / "out")])
         assert code == 2
-        assert "gram" in capsys.readouterr().err
+        assert "both source and target blocks must be non-empty" in capsys.readouterr().err
 
     def test_gram_then_traverse_succeeds(self, tiny_dataset, capsys):
         tmp_path, manifest, _ = tiny_dataset
@@ -1060,6 +1062,48 @@ def test_cli_verbs_reproduce_demo_tree(demo_runs, reference, tmp_path):
         decision, _ = dmtrav.predict(model, forward(spec, weights, recon).features)
         assert repr(decision) == rec["recon_decision"], i
         assert repr(float(np.linalg.norm(recon.pixels - source.pixels))) == rec["recon_l2"], i
+
+
+@pytest.mark.parametrize("K", [129, 601])  # past PANEL_ROWS = 512 gram forms G in two panels
+def test_verbs_write_the_same_bytes_with_or_without_a_gram_section(tmp_path, K):
+    # Without a section each verb forms G with the mmd.gram panels that
+    # wrote it, so the traversal, whose Cholesky factor carries G's last
+    # bits into r, and the classifier see the same G.
+    rng = np.random.default_rng(K)
+    m = n = (K - 1) // 2
+    V = rng.uniform(0.0, 1.0, (K, 64))  # identity features of 8 x 8 gray images
+    V[:n] = 0.5 + 0.5 * V[:n]  # brighter targets
+    cached, bare = tmp_path / "cached.dmtv", tmp_path / "bare.dmtv"
+    write_feature_file(cached, V, m, n)
+    write_feature_file(bare, V, m, n)
+    assert main(["gram", str(cached), "--quiet"]) == 0
+    assert read_feature_file(bare).G is None
+    labels, probe = tmp_path / "labels.txt", tmp_path / "probe.ppm"
+    labels.write_text("+1\n" * n + "-1\n" * m)
+    save_image(ImageTensor(V[-1].reshape(8, 8, 1)), probe)
+    config = _config_file(tmp_path, '{"extractor": "identity", "max_iters": 100}')
+
+    def adversarial(path, *args) -> int:
+        return main(["adversarial", str(path), str(labels), str(probe), "--config", str(config),
+                     *args, "--quiet"])
+
+    # a decision the solver reaches: the one at c_adv = 1
+    assert adversarial(cached, "--c-adv", "1", "--out", str(tmp_path / "c")) == 0
+    target = _report_line(tmp_path / "c" / "adversarial_report.txt").split()[1]
+
+    trees = []
+    for path in (cached, bare):
+        out = str(tmp_path / path.stem)
+        assert main(["traverse", str(path), "--sigma", "median", "--lambda", "1e-2", "--lambda",
+                     "1e-3", "--lambda", "1e-4", "--out", out, "--quiet"]) == 0
+        assert main(["eval", str(path), out, str(labels), "--quiet"]) == 0
+        assert adversarial(path, "--match-decision", target, "--out", out) == 0
+        trees.append({p.name: p.read_bytes() for p in sorted(Path(out).iterdir())})
+    assert sorted(trees[0]) == sorted(
+        ["traversal_records.txt", "sweep_report.txt", "adversarial.ppm", "adversarial_report.txt",
+         *(f"{kind}_{i}.dmtv" for kind in ("r", "zt") for i in range(3))]
+    )
+    assert trees[0] == trees[1]
 
 
 def test_verbs_print_what_they_wrote(demo_runs, tmp_path, capsys):

@@ -25,7 +25,6 @@ from dmtrav.evaluate import (
 from dmtrav.features import ImageTensor, identity_spec, init_weights
 from dmtrav.mmd import FeatureMatrix, gram
 from dmtrav.traversal import TraversalConfig, traverse
-from oracles import with_gram
 
 # 2-D 8-point instance (default_rng(21), two displaced normal clusters) with
 # c_reg = 0.7. Grid value frozen from oracles.svm_grid_min over
@@ -197,7 +196,7 @@ class TestSweepDecisions:
     def test_identical_blocks_stay_at_baseline(self):
         block = np.random.default_rng(7).standard_normal((2, 4))
         V = np.vstack([block, block, block[:1] * 0.5])
-        fm = with_gram(FeatureMatrix(V, 2, 2))
+        fm = FeatureMatrix(V, 2, 2)
         res = traverse(fm, TraversalConfig(lambdas=(0.5, 0.1)))
         model = ClassifierModel(np.ones(4) * 0.3, -0.1, -1.0, 0.0)
         report = sweep_decisions(model, [(rec.lam, rec.r) for rec in res], fm)
@@ -208,7 +207,7 @@ class TestSweepDecisions:
 
     def test_single_lambda_gives_two_records(self):
         V, m, n = seeded_instance(70, K=5, D=6)
-        fm = with_gram(FeatureMatrix(V, m, n))
+        fm = FeatureMatrix(V, m, n)
         res = traverse(fm, TraversalConfig(lambdas=(0.2,)))
         model = ClassifierModel(np.zeros(6), 0.0, -1.0, 0.0)
         report = sweep_decisions(model, [(rec.lam, rec.r) for rec in res], fm)
@@ -216,7 +215,7 @@ class TestSweepDecisions:
 
     def test_dimension_checked(self):
         V, m, n = seeded_instance(71, K=5, D=6)
-        fm = with_gram(FeatureMatrix(V, m, n))
+        fm = FeatureMatrix(V, m, n)
         res = traverse(fm, TraversalConfig(lambdas=(0.2,)))
         model = ClassifierModel(np.zeros(4), 0.0, -1.0, 0.0)
         with pytest.raises(InvalidInputError):
@@ -481,17 +480,17 @@ def test_demo_match_solve_count(demo_runs, reference, monkeypatch):
 def test_fit_classifier_takes_the_same_model_from_the_file_gram_as_from_the_rows(
     demo_runs, monkeypatch
 ):
-    # The file's G and mmd.gram of the training rows differ in their last
-    # bits, but Pegasos reads G only through which margins fall below 1
-    # and which iterate is best, so the model keeps every bit.
+    # Given no G, FeatureMatrix forms it with the mmd.gram panels that wrote
+    # the file's section, so both G are equal byte for byte; the SVM forms none.
     _, demo, _, _ = demo_runs
     features = formats.read_feature_file(demo / "features.dmtv").as_feature_matrix()
     labels = formats.read_labels(demo / "labels.txt", features.K - 1)
+    rows = FeatureMatrix(features.V, features.m, features.n)
+    assert rows.G.tobytes() == features.G.tobytes()
     grams = count_calls(monkeypatch, evaluate.mmd, "gram")
     from_file = fit_classifier(features, labels)
+    from_rows = fit_classifier(rows, labels)
     assert grams == []
-    from_rows = fit_classifier(FeatureMatrix(features.V, features.m, features.n), labels)
-    assert len(grams) == 1
     assert np.array_equal(from_rows.w, from_file.w)
     assert (from_rows.b, from_rows.platt_a, from_rows.platt_b) == (
         from_file.b, from_file.platt_a, from_file.platt_b

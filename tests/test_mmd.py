@@ -7,8 +7,10 @@ import pytest
 
 import oracles
 from conftest import seeded_instance
+from dmtrav import mmd
 from dmtrav.errors import DegenerateDataError, InvalidInputError
 from dmtrav.features import ExtractorSpec
+from dmtrav.formats import append_gram, read_feature_file, write_feature_file
 from dmtrav.mmd import (
     BLOCK_ROWS,
     PANEL_ROWS,
@@ -23,14 +25,14 @@ from dmtrav.mmd import (
 )
 from dmtrav.optim import minimize
 from dmtrav.traversal import _embedding
-from oracles import finite_difference_gradient, rbf_kernel, with_gram
+from oracles import finite_difference_gradient, rbf_kernel
 
 # Rows [target=2, source=0, test=0.2] in 1-D; the hand-checkable instance.
 HAND_V = np.array([[2.0], [0.0], [0.2]])
 
 
 def hand_instance():
-    return with_gram(FeatureMatrix(HAND_V, 1, 1))
+    return FeatureMatrix(HAND_V, 1, 1)
 
 
 class TestRbfKernel:
@@ -416,9 +418,30 @@ class TestFeatureMatrix:
         with pytest.raises(InvalidInputError, match="finite"):
             FeatureMatrix(V, 2, 1, G)
 
+    @pytest.mark.parametrize("K", [129, 513, 601, 1099])
+    def test_formed_gram_is_the_file_gram_byte_for_byte(self, tmp_path, K):
+        # past PANEL_ROWS both come from several panels of mmd.gram
+        V, m, n = seeded_instance(K, K=K, D=24)
+        path = tmp_path / "f.dmtv"
+        write_feature_file(path, V, m, n)
+        append_gram(path)
+        ff = read_feature_file(path)
+        assert FeatureMatrix(ff.V, m, n).G.tobytes() == ff.G.tobytes()
+
+    def test_given_gram_is_not_formed_again(self, monkeypatch):
+        V, m, n = seeded_instance(3, K=12, D=9)
+        G = gram(V)
+        monkeypatch.setattr(mmd, "gram", None)
+        assert FeatureMatrix(V, m, n, G).G is G
+
+    def test_formed_gram_is_checked_like_a_given_one(self):
+        # finite rows whose inner products overflow
+        with np.errstate(over="ignore"), pytest.raises(InvalidInputError, match="finite"):
+            FeatureMatrix(np.full((3, 2), 1e200), 1, 1)
+
     def test_gram_psd_on_desk_scale(self):
         V, m, n = seeded_instance(3, K=12, D=9)
-        fm = with_gram(FeatureMatrix(V, m, n))
+        fm = FeatureMatrix(V, m, n)
         eig = np.linalg.eigvalsh(fm.G)
         assert eig.min() >= -1e-6 * np.trace(fm.G) / fm.K
 

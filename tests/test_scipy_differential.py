@@ -22,7 +22,7 @@ from dmtrav.features import Conv, ExtractorSpec, ImageTensor, Relu, forward, ini
 from dmtrav.mmd import FeatureMatrix, KernelConfig
 from dmtrav.reconstruct import ReconstructionConfig, invert, tv
 from dmtrav.traversal import TraversalConfig, traverse
-from oracles import tv_grad, with_gram
+from oracles import tv_grad
 
 scipy_optimize = pytest.importorskip("scipy.optimize")
 
@@ -47,7 +47,7 @@ def scipy_solve(fun_and_grad, x0, bounds=None):
 def test_traversal_objective_matches_scipy(seed, scale):
     # K = 7 rows in D = 20: G is full rank with condition number below 10
     V, m, n = seeded_instance(seed, K=7, D=20)
-    fm = with_gram(FeatureMatrix(V, m, n))
+    fm = FeatureMatrix(V, m, n)
     G = fm.G
     kcfg = KernelConfig(mmd.median_heuristic_sigma(G))
     lam = scale / kcfg.sigma
@@ -70,7 +70,7 @@ def test_ill_conditioned_traversal_no_worse_than_scipy(scale):
     right, _ = np.linalg.qr(rng.standard_normal((20, 7)))
     V = left @ np.diag(5.0 * np.logspace(0.0, -2.5, 7)) @ right.T
     m, n = 3, 3
-    fm = with_gram(FeatureMatrix(V, m, n))
+    fm = FeatureMatrix(V, m, n)
     G = fm.G
     assert np.linalg.cond(G) >= 1e4
     kcfg = KernelConfig(mmd.median_heuristic_sigma(G))

@@ -7,7 +7,7 @@ import oracles
 from conftest import seeded_instance
 from dmtrav import traversal
 from dmtrav.errors import InvalidInputError, NumericalError
-from dmtrav.formats import read_feature_file, read_vector
+from dmtrav.formats import append_gram, read_feature_file, read_vector, write_feature_file
 from dmtrav.mmd import (
     FeatureMatrix,
     KernelConfig,
@@ -18,7 +18,6 @@ from dmtrav.mmd import (
     witness_factored,
 )
 from dmtrav.traversal import TraversalConfig, _embedding, materialize, traverse
-from oracles import with_gram
 
 # Rows [target=2, source=0, test=0.2] in 1-D. Global optimum objective for
 # sigma=1, lambda=0.01 frozen from the brute-force grid over r in [-2, 2]^3
@@ -28,7 +27,7 @@ HAND_GRID_OBJECTIVE = -0.9495899047661179
 
 
 def hand_features():
-    return with_gram(FeatureMatrix(HAND_V, 1, 1))
+    return FeatureMatrix(HAND_V, 1, 1)
 
 
 class TestConfig:
@@ -47,7 +46,7 @@ class TestConfig:
 class TestTraverse:
     def test_dominant_lambda_pins_r_at_zero(self):
         V, m, n = seeded_instance(31, K=7, D=9)
-        fm = with_gram(FeatureMatrix(V, m, n))
+        fm = FeatureMatrix(V, m, n)
         res = traverse(fm, TraversalConfig(lambdas=(1e9,)))
         rec = res[0]
         assert np.max(np.abs(rec.r)) < 1e-6
@@ -63,13 +62,13 @@ class TestTraverse:
     def test_identical_blocks_keep_r_zero(self):
         block = np.array([[1.0, 0.5], [0.2, 2.0]])
         V = np.vstack([block, block, [[0.3, 0.3]]])
-        fm = with_gram(FeatureMatrix(V, 2, 2))
+        fm = FeatureMatrix(V, 2, 2)
         res = traverse(fm, TraversalConfig(lambdas=(0.5,), kernel=KernelConfig(1.0)))
         assert np.array_equal(res[0].r, np.zeros(5))
 
     def test_objective_identity_and_feasibility(self):
         V, m, n = seeded_instance(12, K=9, D=20)
-        fm = with_gram(FeatureMatrix(V, m, n))
+        fm = FeatureMatrix(V, m, n)
         cfg = TraversalConfig(lambdas=(0.3, 0.1, 0.03))
         res = traverse(fm, cfg)
         assert [rec.lam for rec in res] == [0.3, 0.1, 0.03]
@@ -83,7 +82,7 @@ class TestTraverse:
 
     def test_deterministic_bitwise(self):
         V, m, n = seeded_instance(13, K=8, D=15)
-        fm = with_gram(FeatureMatrix(V, m, n))
+        fm = FeatureMatrix(V, m, n)
         cfg = TraversalConfig(lambdas=(0.2, 0.05))
         a = traverse(fm, cfg)
         b = traverse(fm, cfg)
@@ -92,15 +91,22 @@ class TestTraverse:
             assert ra.objective == rb.objective
             assert ra.trace.objective_values == rb.trace.objective_values
 
-    def test_missing_gram_rejected(self):
-        V, m, n = seeded_instance(14, K=5, D=4)
-        fm = FeatureMatrix(V, m, n)
-        with pytest.raises(InvalidInputError, match="[Gg]ram"):
-            traverse(fm, TraversalConfig(lambdas=(0.1,)))
+    def test_gram_formed_from_the_rows_gives_the_records_of_the_file_gram(self, tmp_path):
+        V, m, n = seeded_instance(14, K=601, D=640)  # two panels of gram; Cholesky path
+        path = tmp_path / "f.dmtv"
+        write_feature_file(path, V, m, n)
+        append_gram(path)
+        ff = read_feature_file(path)
+        cfg = TraversalConfig(lambdas=(1e-3, 1e-5))
+        formed = traverse(FeatureMatrix(ff.V, m, n), cfg)
+        cached = traverse(ff.as_feature_matrix(), cfg)
+        for a, b in zip(formed, cached):
+            assert a.r.tobytes() == b.r.tobytes()
+            assert (a.objective, a.trace.iterations) == (b.objective, b.trace.iterations)
 
     def test_solver_failure_annotated_with_lambda(self):
         V, m, n = seeded_instance(15, K=4, D=3)
-        fm = with_gram(FeatureMatrix(1e3 * V, m, n))
+        fm = FeatureMatrix(1e3 * V, m, n)
         # a subnormal kernel width overflows the witness gradient at the start
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             NumericalError, match="lambda"
@@ -115,7 +121,7 @@ class TestTraverse:
         duplicate[7] = W[3]  # rank(G) = 8 < K
         near_duplicate[7] = W[3] + 1e-7 * np.random.default_rng(21).standard_normal(20)
         for rows_in in (V, duplicate, near_duplicate):
-            fm = with_gram(FeatureMatrix(rows_in, m, n))
+            fm = FeatureMatrix(rows_in, m, n)
             sigma = res_sigma(fm)
             res = traverse(fm, TraversalConfig(lambdas=(1e-2 / sigma, 1e-3 / sigma)))
             U, _, _ = np.linalg.svd(rows_in, full_matrices=False)
@@ -127,7 +133,7 @@ class TestTraverse:
                 assert np.linalg.norm(rec.r) > 0
 
     def test_zero_gram_keeps_r_zero(self):
-        fm = with_gram(FeatureMatrix(np.zeros((5, 3)), 2, 2))
+        fm = FeatureMatrix(np.zeros((5, 3)), 2, 2)
         res = traverse(fm, TraversalConfig(lambdas=(0.1, 0.01), kernel=KernelConfig(1.0)))
         for rec in res:
             assert np.array_equal(rec.r, np.zeros(5))
@@ -138,7 +144,7 @@ class TestTraverse:
         from dmtrav.optim import MinimizeConfig
 
         V, m, n = seeded_instance(22, K=9, D=20)
-        fm = with_gram(FeatureMatrix(V, m, n))
+        fm = FeatureMatrix(V, m, n)
         with caplog.at_level(logging.WARNING, logger="dmtrav.traversal"):
             traverse(fm, TraversalConfig(lambdas=(0.1, 0.01)))
         assert caplog.records == []
@@ -164,7 +170,7 @@ def test_full_rank_sweep_factors_once_and_solves_once(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     V, m, n = seeded_instance(23, K=9, D=20)
-    fm = with_gram(FeatureMatrix(V, m, n))
+    fm = FeatureMatrix(V, m, n)
     cfg = TraversalConfig(lambdas=(0.1, 0.01, 1e-3))
     for sweep in (1, 2):
         traverse(fm, cfg)
@@ -174,7 +180,7 @@ def test_full_rank_sweep_factors_once_and_solves_once(monkeypatch):
 @pytest.mark.parametrize("seed", [52, 53])
 def test_cholesky_embedding_agrees_with_eigenvector_embedding(seed):
     V, m, n = seeded_instance(seed, K=11, D=30)
-    G = with_gram(FeatureMatrix(V, m, n)).G
+    G = FeatureMatrix(V, m, n).G
     sigma = median_heuristic_sigma(G)
     X, to_r = _embedding(G)
     assert np.array_equal(X, np.tril(X))  # full rank: the Cholesky factor
@@ -191,7 +197,7 @@ def test_cholesky_embedding_agrees_with_eigenvector_embedding(seed):
 
 def test_sweep_agrees_with_sweep_on_eigenvector_embedding(monkeypatch):
     V, m, n = seeded_instance(54, K=11, D=30)
-    fm = with_gram(FeatureMatrix(V, m, n))
+    fm = FeatureMatrix(V, m, n)
     sigma = res_sigma(fm)
     cfg = TraversalConfig(lambdas=tuple(s / sigma for s in (1e-2, 1e-3, 1e-4)))
     res = traverse(fm, cfg)
@@ -267,7 +273,7 @@ class TestRegularizationPath:
     def test_solver_matches_grid_and_path_is_monotone(self, seed):
         # one quick instance here; the acceptance suite runs the full set
         V = self.make_instance(seed)
-        fm = with_gram(FeatureMatrix(V, 1, 1))
+        fm = FeatureMatrix(V, 1, 1)
         sigma = res_sigma(fm)
         lambdas = (0.3, 0.1)
         res = traverse(fm, TraversalConfig(lambdas=lambdas, kernel=KernelConfig(sigma)))
@@ -287,7 +293,7 @@ class TestRegularizationPath:
 class TestWarmStart:
     def test_budget_largest_lambda_smallest(self):
         V, m, n = seeded_instance(44, K=7, D=12)
-        fm = with_gram(FeatureMatrix(V, m, n))
+        fm = FeatureMatrix(V, m, n)
         res = traverse(fm, TraversalConfig(lambdas=(1.0, 0.1, 0.01)))
         budgets = [rec.budget for rec in res]
         assert budgets[0] <= min(budgets) + 1e-12
@@ -296,7 +302,7 @@ class TestWarmStart:
 @pytest.mark.parametrize("seed, lam", [(50, 1e-3), (51, 0.5)])
 def test_embedded_objective_equals_separate_terms_bit_for_bit(seed, lam):
     V, m, n = seeded_instance(seed, K=11, D=30)
-    G = with_gram(FeatureMatrix(V, m, n)).G
+    G = FeatureMatrix(V, m, n).G
     sigma = median_heuristic_sigma(G)
     X, _ = _embedding(G)
     fun = embedded_objective(X, m, n, sigma, lam)
@@ -316,7 +322,7 @@ def test_embedded_objective_agrees_with_gram_and_feature_forms(seed, K, D):
     # the objective at r = P a, its gradient the r-gradient mapped by P',
     # with P the matrix of the embedding's map from a to r
     V, m, n = seeded_instance(seed, K=K, D=D)
-    fm = with_gram(FeatureMatrix(V, m, n))
+    fm = FeatureMatrix(V, m, n)
     G = fm.G
     sigma = median_heuristic_sigma(G)
     kcfg = KernelConfig(sigma)
